@@ -97,6 +97,21 @@ let cf_conservative =
   Test.make ~name:"cfc.conservative (m=48)"
     (Staged.stage (fun () -> Ps_cfc.Cf_greedy.conservative h))
 
+(* The largest reduce-default size (4-uniform, m=768, n=1024), so that
+   growth faster than linear in m shows, which the m=48 row cannot. *)
+let cf_conservative_m768 =
+  let h = build_scaling_instance 768 in
+  Test.make ~name:"cfc.conservative (m=768)"
+    (Staged.stage (fun () -> Ps_cfc.Cf_greedy.conservative h))
+
+(* Conservative coloring plus the whole-coloring verify_exn: what the
+   default reduce path pays to fix k. *)
+let choose_k_m768 =
+  let h = build_scaling_instance 768 in
+  Test.make ~name:"pipeline.choose_k (m=768)"
+    (Staged.stage (fun () ->
+         Ps_core.Pipeline.choose_k Ps_core.Pipeline.From_conservative h))
+
 let exact_maxis =
   let g = Ps_graph.Gen.gnp (Rng.create seed) 24 0.3 in
   Test.make ~name:"maxis.exact (n=24,p=.3)"
@@ -131,7 +146,8 @@ let tests =
       conflict_graph_build_domains2; conflict_graph_build_auto;
       greedy_min_degree_n1024; greedy_on_conflict_graph;
       caro_wei_on_conflict_graph; reduction_end_to_end; luby_run;
-      slocal_greedy_mis; ball_carving; cf_conservative; exact_maxis;
+      slocal_greedy_mis; ball_carving; cf_conservative; cf_conservative_m768;
+      choose_k_m768; exact_maxis;
       exact_gk; mpx_decompose; compiled_mis; congest_bfs ]
 
 let run ?(quick = false) () =

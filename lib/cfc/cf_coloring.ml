@@ -49,24 +49,44 @@ let happy_fast cnt h f e =
       if c <> uncolored then cnt.(c) <- 0);
   !witness
 
+let max_color f = Array.fold_left max uncolored f
+
+(* Whole-coloring checks validate [f] once, then test every edge with
+   [happy_fast] over one scratch sized for the largest color: O(n + Σ|e|),
+   where calling [happy] per edge would re-validate all of [f] and
+   allocate a Hashtbl for every edge. *)
+let validated_scratch h f =
+  check h f;
+  happy_scratch ~k:(max_color f + 1)
+
 let happy_edges h f =
-  List.filter (happy h f) (List.init (H.n_edges h) (fun i -> i))
+  let cnt = validated_scratch h f in
+  let acc = ref [] in
+  for e = H.n_edges h - 1 downto 0 do
+    if happy_fast cnt h f e then acc := e :: !acc
+  done;
+  !acc
 
 let count_happy h f = List.length (happy_edges h f)
 
-let is_conflict_free h f = count_happy h f = H.n_edges h
+(* First unhappy edge, if any. *)
+let first_unhappy h f =
+  let cnt = validated_scratch h f in
+  let m = H.n_edges h in
+  let e = ref 0 in
+  while !e < m && happy_fast cnt h f !e do incr e done;
+  if !e < m then Some !e else None
+
+let is_conflict_free h f = Option.is_none (first_unhappy h f)
 
 let num_colors f =
   let seen = Hashtbl.create 16 in
   Array.iter (fun c -> if c <> uncolored then Hashtbl.replace seen c ()) f;
   Hashtbl.length seen
 
-let max_color f = Array.fold_left max uncolored f
-
 let verify_exn h f =
-  check h f;
-  for e = 0 to H.n_edges h - 1 do
-    if not (happy h f e) then
+  match first_unhappy h f with
+  | None -> ()
+  | Some e ->
       invalid_arg
         (Printf.sprintf "Cf_coloring.verify_exn: edge %d is unhappy" e)
-  done

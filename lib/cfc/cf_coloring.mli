@@ -35,7 +35,17 @@ val happy_fast :
     color of [f] appearing in [e] must be below the [k] the scratch was
     created with.  This is the phase loop's inner edge scan. *)
 
+(** {1 Whole-coloring checks}
+
+    [happy_edges], [count_happy], [is_conflict_free] and [verify_exn]
+    validate the coloring once (length, no color below [⊥]; raising
+    [Invalid_argument] otherwise, even on an edgeless hypergraph) and
+    then test every edge through one {!happy_fast} scratch sized
+    [max_color f + 1]: O(n + Σ_e |e|) per call. *)
+
 val happy_edges : Ps_hypergraph.Hypergraph.t -> int array -> int list
+(** Indices of the happy edges, increasing. *)
+
 val count_happy : Ps_hypergraph.Hypergraph.t -> int array -> int
 
 val is_conflict_free : Ps_hypergraph.Hypergraph.t -> int array -> bool
@@ -49,5 +59,5 @@ val max_color : int array -> int
 (** Largest color used, or [-1]. *)
 
 val verify_exn : Ps_hypergraph.Hypergraph.t -> int array -> unit
-(** Raises [Invalid_argument] naming the first unhappy edge when the
-    coloring is not conflict-free, or on length/range errors. *)
+(** Raises [Invalid_argument] naming the lowest-index unhappy edge when
+    the coloring is not conflict-free, or on length/range errors. *)

@@ -13,42 +13,48 @@ let ruler h =
   Array.init (H.n_vertices h) (fun v -> exponent_of_two (v + 1))
 
 let conservative h =
+  let n = H.n_vertices h in
   let f = Cf_coloring.blank h in
-  (* Coloring a vertex with a color held by none of its primal-graph
-     neighbors makes every edge through it happy (the vertex is then a
-     unique witness everywhere) and can break nothing, so each step
-     permanently fixes at least one unhappy edge. *)
+  (* Colors stay below n: a recolored vertex takes the smallest color
+     none of its at most n-1 primal neighbors holds. *)
+  let cnt = Cf_coloring.happy_scratch ~k:(n + 1) in
+  (* [blocked.(c) = v] marks color [c] as held by a neighbor of [v].
+     Stamping with the vertex means the array is never cleared: colored
+     primal neighbors always hold distinct colors (each newly colored
+     vertex avoids its neighbors' colors), so an edge with a colored
+     member is happy, every recolor targets an uncolored vertex, and no
+     vertex is colored twice. *)
+  let blocked = Array.make (n + 1) (-1) in
   let color_distinctly v =
-    let blocked = Hashtbl.create 8 in
     List.iter
       (fun e ->
         H.iter_edge h e (fun u ->
-            if u <> v && f.(u) <> Cf_coloring.uncolored then
-              Hashtbl.replace blocked f.(u) ()))
+            let c = f.(u) in
+            if u <> v && c <> Cf_coloring.uncolored then blocked.(c) <- v))
       (H.incident_edges h v);
-    let rec first c = if Hashtbl.mem blocked c then first (c + 1) else c in
-    f.(v) <- first 0
+    let c = ref 0 in
+    while blocked.(!c) = v do incr c done;
+    f.(v) <- !c
   in
-  let rec fix_all () =
-    let unhappy =
-      List.find_opt
-        (fun e -> not (Cf_coloring.happy h f e))
-        (List.init (H.n_edges h) (fun i -> i))
-    in
-    match unhappy with
-    | None -> ()
-    | Some e ->
-        (* Prefer an uncolored vertex; otherwise recolor the smallest. *)
-        let members = H.edge h e in
-        let target =
-          match
-            Array.find_opt (fun v -> f.(v) = Cf_coloring.uncolored) members
-          with
-          | Some v -> v
-          | None -> members.(0)
-        in
-        color_distinctly target;
-        fix_all ()
-  in
-  fix_all ();
+  (* Coloring a vertex with a color held by none of its primal-graph
+     neighbors makes every edge through it happy (the vertex is then a
+     unique witness everywhere) and leaves every other edge as it was,
+     so no happy edge ever turns unhappy.  The lowest-index unhappy edge
+     therefore only moves forward, and one pass that fixes each edge it
+     finds unhappy takes exactly the steps of "repeatedly fix the
+     lowest-index unhappy edge". *)
+  for e = 0 to H.n_edges h - 1 do
+    if not (Cf_coloring.happy_fast cnt h f e) then begin
+      (* Prefer an uncolored vertex; otherwise recolor the smallest. *)
+      let members = H.edge h e in
+      let target =
+        match
+          Array.find_opt (fun v -> f.(v) = Cf_coloring.uncolored) members
+        with
+        | Some v -> v
+        | None -> members.(0)
+      in
+      color_distinctly target
+    end
+  done;
   f

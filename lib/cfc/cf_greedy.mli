@@ -23,7 +23,19 @@ val conservative : Ps_hypergraph.Hypergraph.t -> int array
     steps, always ending conflict-free, with at most
     [Δ(primal graph) + 1] colors.  A partial-coloring refinement of
     "properly color the primal graph", used as the honest direct
-    baseline against the reduction. *)
+    baseline against the reduction.
+
+    The step order is fixed: each step fixes the {e lowest-index}
+    unhappy edge, targeting its first uncolored member (else its
+    smallest), with the smallest color free of the target's neighbors.
+    Because a step never makes a happy edge unhappy, the lowest-index
+    unhappy edge only moves forward, so one pass over the edges in index
+    order takes exactly those steps.  Cost: O(Σ_e |e|) for the happiness
+    scan plus O(Σ_{e∋v} |e|) per recolor step of a vertex [v], at most
+    [m] steps.  Colored vertices sharing an edge always hold distinct
+    colors, so every step colors a fresh vertex and the steps together
+    cost at most O(Σ_e |e|²) — linear in the incidence size for bounded
+    rank.  Scratch is O(n), with no per-edge allocation. *)
 
 val ruler_color_count : int -> int
 (** [⌊log2 n⌋ + 1] for [n >= 1] — the palette {!ruler} draws from. *)

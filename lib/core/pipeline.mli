@@ -15,7 +15,11 @@ type k_choice =
 val choose_k : k_choice -> Ps_hypergraph.Hypergraph.t -> int
 (** Resolve the choice; for the algorithmic choices the witness coloring
     is verified conflict-free first (raises [Invalid_argument] if not —
-    e.g. [From_ruler] on a non-interval hypergraph). Returns at least 1. *)
+    e.g. [From_ruler] on a non-interval hypergraph). Returns at least 1.
+    [From_conservative] is near-linear in the incidence size — one pass
+    of {!Ps_cfc.Cf_greedy.conservative} plus one single-pass
+    {!Ps_cfc.Cf_coloring.verify_exn}.  Its [k] is test-pinned against a
+    quadratic rescan-from-edge-0 formulation of the same greedy. *)
 
 type result = {
   reduction : Reduction.run;

@@ -40,8 +40,9 @@ let run ?max_phases ?(cancel = fun () -> false) ?(seed = 0)
      randomness is drawn per restricted-local id, so the per-phase
      [restrict_edges] must stay for bit-identical answers.  The engines
      therefore differ only in bookkeeping — [`Incremental] swaps the
-     List.filter prune and the Hashtbl-per-edge happiness scan for O(1)
-     bitset removal and the allocation-free [Cf.happy_fast]. *)
+     List.filter prune and the [Cf.happy_edges] list for O(1) bitset
+     removal and a [Cf.happy_fast] walk over a scratch reused across
+     phases. *)
   let remaining = Bs.create (max m 1) in
   for e = 0 to m - 1 do
     Bs.add remaining e
@@ -73,7 +74,7 @@ let run ?max_phases ?(cancel = fun () -> false) ?(seed = 0)
       | `Rebuild ->
           List.map (fun e -> back.(e)) (Cf.happy_edges hi f_i)
       | `Incremental ->
-          (* Same verdicts, no per-edge Hashtbl: walk the restricted
+          (* Same verdicts, no intermediate list: walk the restricted
              edges with the scratch counter and translate as we go. *)
           let acc = ref [] in
           for e = H.n_edges hi - 1 downto 0 do

@@ -57,6 +57,27 @@ let test_verify_exn_message () =
      with Invalid_argument msg ->
        msg = "Cf_coloring.verify_exn: edge 0 is unhappy")
 
+let raises_invalid msg f =
+  match f () with
+  | () -> false
+  | exception Invalid_argument m -> String.equal m msg
+
+let test_verify_exn_rejections () =
+  let h = sample () in
+  check_bool "length mismatch" true
+    (raises_invalid "Cf_coloring: coloring length mismatch" (fun () ->
+         Cf.verify_exn h [| 0; 1; 2; 3 |]));
+  check_bool "color below -1" true
+    (raises_invalid "Cf_coloring: bad color" (fun () ->
+         Cf.verify_exn h [| 0; 1; -2; 3; 4 |]));
+  (* edges 1 = {2,3} and 2 = {0,3,4} both unhappy; edge 0 happy *)
+  check_bool "lowest unhappy edge named" true
+    (raises_invalid "Cf_coloring.verify_exn: edge 1 is unhappy" (fun () ->
+         Cf.verify_exn h [| 0; 1; 0; 0; 0 |]));
+  check_bool "whole-coloring checks reject too" true
+    (raises_invalid "Cf_coloring: bad color" (fun () ->
+         ignore (Cf.count_happy h [| 0; 1; -3; 3; 4 |])))
+
 let test_num_max_colors () =
   check "num" 3 (Cf.num_colors [| 4; 4; 7; -1; 9 |]);
   check "max" 9 (Cf.max_color [| 4; 4; 7; -1; 9 |]);
@@ -213,6 +234,127 @@ let test_conservative_empty_hypergraph () =
   check_bool "vacuously CF" true (Cf.is_conflict_free h f)
 
 (* ------------------------------------------------------------------ *)
+(* Differential oracle for the one-pass conservative coloring *)
+
+(* The original quadratic formulation: after every recolor step, rescan
+   from edge 0 for the lowest-index unhappy edge.  [Cg.conservative] must
+   take exactly the same steps in a single forward pass. *)
+let reference_conservative h =
+  let f = Cf.blank h in
+  let color_distinctly v =
+    let blocked = Hashtbl.create 8 in
+    List.iter
+      (fun e ->
+        H.iter_edge h e (fun u ->
+            if u <> v && f.(u) <> Cf.uncolored then
+              Hashtbl.replace blocked f.(u) ()))
+      (H.incident_edges h v);
+    let rec first c = if Hashtbl.mem blocked c then first (c + 1) else c in
+    f.(v) <- first 0
+  in
+  let rec fix_all () =
+    let unhappy =
+      List.find_opt
+        (fun e -> not (Cf.happy h f e))
+        (List.init (H.n_edges h) (fun i -> i))
+    in
+    match unhappy with
+    | None -> ()
+    | Some e ->
+        let members = H.edge h e in
+        let target =
+          match Array.find_opt (fun v -> f.(v) = Cf.uncolored) members with
+          | Some v -> v
+          | None -> members.(0)
+        in
+        color_distinctly target;
+        fix_all ()
+  in
+  fix_all ();
+  f
+
+(* Edges drawn from the lower half of the vertices only (the upper half
+   stays isolated), with singleton edges and verbatim repeats of earlier
+   edges mixed in. *)
+let messy_hypergraph rng ~n ~m =
+  let live = max 1 (n / 2) in
+  let edges = ref [] in
+  for _ = 1 to m do
+    let e =
+      match (!edges, Rng.int rng 4) with
+      | prev :: _, 0 -> prev
+      | _, 1 -> [ Rng.int rng live ]
+      | _ -> List.init (1 + Rng.int rng 4) (fun _ -> Rng.int rng live)
+    in
+    edges := e :: !edges
+  done;
+  H.of_edges n (List.rev !edges)
+
+let family_names =
+  [| "uniform"; "almost-uniform"; "random-intervals"; "all-intervals";
+     "sunflower"; "closed-neighborhoods"; "messy"; "empty" |]
+
+let family_hg (family, seed, n, m) =
+  let rng = Rng.create seed in
+  match family with
+  | 0 -> Hgen.uniform_random rng ~n ~m ~k:(1 + Rng.int rng (min 5 n))
+  | 1 -> Hgen.almost_uniform_random rng ~n ~m ~k:(1 + Rng.int rng (min 4 n)) ~eps:1.0
+  | 2 -> Hgen.random_intervals rng ~n ~m ~min_len:1 ~max_len:(max 1 (n / 3))
+  | 3 -> Hgen.all_intervals_of_length ~n ~len:(1 + Rng.int rng n)
+  | 4 -> Hgen.sunflower ~n_petals:(1 + m mod 8) ~core:(Rng.int rng 4) ~petal:(1 + n mod 4)
+  | 5 -> Hgen.closed_neighborhoods (Ps_graph.Gen.gnp rng n 0.15)
+  | 6 -> messy_hypergraph rng ~n ~m
+  | _ -> H.of_edges 0 []
+
+let arbitrary_family_hg =
+  QCheck.make
+    ~print:(fun (fam, seed, n, m) ->
+      Printf.sprintf "%s seed=%d n=%d m=%d" family_names.(fam) seed n m)
+    QCheck.Gen.(
+      quad (int_bound (Array.length family_names - 1)) (int_bound 10_000)
+        (int_range 1 40) (int_range 0 40))
+
+let prop_conservative_matches_reference =
+  QCheck.Test.make ~count:400
+    ~name:"one-pass conservative = quadratic reference, array for array"
+    arbitrary_family_hg (fun params ->
+      let h = family_hg params in
+      Cg.conservative h = reference_conservative h)
+
+(* The invariant that lets [conservative] stamp its blocked-color array
+   with the target vertex: colored vertices sharing an edge never share
+   a color, so no vertex is ever colored twice. *)
+let prop_conservative_proper_on_colored =
+  QCheck.Test.make ~count:200
+    ~name:"conservative: colored vertices of an edge have distinct colors"
+    arbitrary_family_hg (fun params ->
+      let h = family_hg params in
+      let f = Cg.conservative h in
+      List.for_all
+        (fun e ->
+          let colors =
+            List.filter (fun c -> c <> Cf.uncolored)
+              (Array.to_list (Array.map (fun v -> f.(v)) (H.edge h e)))
+          in
+          List.length (List.sort_uniq Int.compare colors) = List.length colors)
+        (List.init (H.n_edges h) (fun e -> e)))
+
+let test_choose_k_pinned_sizes () =
+  (* The reduce-default instance shapes: k derived by choose_k must be
+     the one the reference coloring gives. *)
+  let reference_k h = max 1 (Cf.max_color (reference_conservative h) + 1) in
+  List.iter
+    (fun (name, h) ->
+      check name (reference_k h)
+        (Ps_core.Pipeline.choose_k Ps_core.Pipeline.From_conservative h))
+    (List.map
+       (fun m ->
+         ( Printf.sprintf "4-uniform m=%d" m,
+           Hgen.uniform_random (Rng.create m) ~n:(4 * m / 3) ~m ~k:4 ))
+       [ 96; 432; 768 ]
+    @ [ ("all intervals n=170 len=10", Hgen.all_intervals_of_length ~n:170 ~len:10) ])
+
+(* ------------------------------------------------------------------ *)
 (* Exact CF chromatic number *)
 
 let test_cf_exact_known () =
@@ -338,6 +480,37 @@ let prop_happy_monotone_under_new_unique_colors =
             Cf.count_happy h f >= before
       end)
 
+(* Random partial colorings (about a third of the vertices uncolored,
+   colors up to n) on every family: the single-pass whole-coloring
+   checks must agree with a per-edge [happy] fold. *)
+let prop_verifiers_match_per_edge_happy =
+  QCheck.Test.make ~count:300
+    ~name:"whole-coloring verifiers = per-edge happy fold"
+    (QCheck.pair arbitrary_family_hg QCheck.small_nat)
+    (fun (params, cseed) ->
+      let h = family_hg params in
+      let n = H.n_vertices h in
+      let rng = Rng.create cseed in
+      let f =
+        Array.init n (fun _ ->
+            if Rng.int rng 3 = 0 then Cf.uncolored else Rng.int rng (n + 1))
+      in
+      let edges = List.init (H.n_edges h) (fun e -> e) in
+      let expected = List.filter (Cf.happy h f) edges in
+      let first_unhappy = List.find_opt (fun e -> not (Cf.happy h f e)) edges in
+      let verify_outcome =
+        match Cf.verify_exn h f with
+        | () -> None
+        | exception Invalid_argument msg -> Some msg
+      in
+      Cf.happy_edges h f = expected
+      && Cf.count_happy h f = List.length expected
+      && Bool.equal (Cf.is_conflict_free h f) (Option.is_none first_unhappy)
+      && verify_outcome
+         = Option.map
+             (Printf.sprintf "Cf_coloring.verify_exn: edge %d is unhappy")
+             first_unhappy)
+
 let prop_multicolor_lift_preserves_happiness =
   QCheck.Test.make ~count:100
     ~name:"single-coloring happiness = lifted multicolor happiness"
@@ -354,7 +527,10 @@ let props =
     [ prop_conservative_always_cf;
       prop_ruler_cf_on_intervals;
       prop_happy_monotone_under_new_unique_colors;
-      prop_multicolor_lift_preserves_happiness ]
+      prop_multicolor_lift_preserves_happiness;
+      prop_conservative_matches_reference;
+      prop_conservative_proper_on_colored;
+      prop_verifiers_match_per_edge_happy ]
 
 let suites =
   [ ( "cfc.happiness",
@@ -364,6 +540,8 @@ let suites =
           test_happy_partial_coloring_ok;
         Alcotest.test_case "is conflict free" `Quick test_is_conflict_free;
         Alcotest.test_case "verify message" `Quick test_verify_exn_message;
+        Alcotest.test_case "verify rejections" `Quick
+          test_verify_exn_rejections;
         Alcotest.test_case "color counting" `Quick test_num_max_colors;
         Alcotest.test_case "single-vertex edges" `Quick
           test_single_vertex_edges ] );
@@ -393,7 +571,9 @@ let suites =
           test_conservative_leaves_irrelevant_uncolored;
         Alcotest.test_case "color bound" `Quick test_conservative_color_bound;
         Alcotest.test_case "empty hypergraph" `Quick
-          test_conservative_empty_hypergraph ] );
+          test_conservative_empty_hypergraph;
+        Alcotest.test_case "choose_k at reduce-default sizes" `Quick
+          test_choose_k_pinned_sizes ] );
     ( "cfc.exact",
       [ Alcotest.test_case "known values" `Quick test_cf_exact_known;
         Alcotest.test_case "needs two" `Quick test_cf_exact_needs_two;
