@@ -1030,22 +1030,9 @@ let serve socket domains queue timeout_ms shards binary metrics_socket
     | Some q when q < 1 -> fail "serve: --queue must be positive (got %d)" q
     | _ -> Ok ()
   in
-  (* The two serve paths ship different queue depths: the shard tier's
-     batched dispatch amortises a deep queue (see
-     {!Ps_shard.Shard.default_queue_capacity}); the legacy per-request
-     signalling path keeps the engine's conservative 64. *)
-  let tier_serve =
-    shards > 1 || binary
-    || Option.is_some quota_rps
-    || Option.is_some shard_child
-    || Option.is_some metrics_socket
-  in
   let queue =
-    match queue with
-    | Some q -> q
-    | None ->
-        if tier_serve then Ps_shard.Shard.default_queue_capacity
-        else Ps_server.Engine.default_config.Ps_server.Engine.queue_capacity
+    Option.value queue
+      ~default:Ps_server.Engine.default_config.Ps_server.Engine.queue_capacity
   in
   let* () =
     if shards < 1 then fail "serve: --shards must be positive (got %d)" shards
@@ -1156,34 +1143,26 @@ let serve socket domains queue timeout_ms shards binary metrics_socket
       let* path = needs_socket "--shard-child" in
       wrap (fun () ->
           Ps_shard.Shard.serve ~config:(shard_config index) ~path ())
+  | None when shards > 1 || Option.is_some metrics_socket ->
+      let* front =
+        needs_socket (if shards > 1 then "--shards" else "--metrics-socket")
+      in
+      wrap (fun () ->
+          Ps_shard.Tier.run ~spawn:spawn_shard ~front
+            { Ps_shard.Tier.shards;
+              framing;
+              metrics_socket;
+              ready_timeout_s = 10.0 })
   | None ->
-      if shards > 1 || Option.is_some metrics_socket then
-        let* front =
-          needs_socket
-            (if shards > 1 then "--shards" else "--metrics-socket")
-        in
-        wrap (fun () ->
-            Ps_shard.Tier.run ~spawn:spawn_shard ~front
-              { Ps_shard.Tier.shards;
-                framing;
-                metrics_socket;
-                ready_timeout_s = 10.0 })
-      else if binary || Option.is_some quota then
-        (* Single process, but the request path needs the shard layers
-           (framing / quota), so serve through Ps_shard without a
-           supervisor or router. *)
-        let* path =
-          needs_socket (if binary then "--binary" else "--quota-rps")
-        in
-        wrap (fun () -> Ps_shard.Shard.serve ~config:(shard_config 0) ~path ())
-      else
-        wrap (fun () ->
-            let config =
-              { Ps_server.Server.default_config with engine = engine_config () }
-            in
-            match socket with
-            | None -> Ps_server.Server.serve_stdio ~config ()
-            | Some path -> Ps_server.Server.serve_unix_socket ~config ~path ())
+      (* One in-process shard: no supervisor, no router, no fork; over
+         stdin/stdout when no socket is given. *)
+      let* () =
+        if binary && Option.is_none socket then
+          fail "serve: --binary requires --socket PATH"
+        else Ok ()
+      in
+      wrap (fun () ->
+          Ps_shard.Shard.serve ~config:(shard_config 0) ?path:socket ())
 
 let serve_cmd =
   let socket =
@@ -1211,11 +1190,10 @@ let serve_cmd =
       & opt (some int) None
       & info [ "queue" ] ~docv:"N"
           ~doc:
-            "Bounded request-queue capacity.  When full, new requests are \
-             shed immediately with an $(b,overloaded) error response.  \
-             Defaults to 64 on the legacy path and 4096 on the shard tier \
-             ($(b,--shards)/$(b,--binary)/$(b,--quota-rps)), whose batched \
-             dispatch absorbs deep queues.")
+            "Bounded request-queue capacity (default 4096).  When it is \
+             full the server stops reading requests until workers free a \
+             slot, so overload shows up as latency and blocked client \
+             writes, not as rejected requests.")
   in
   let timeout_ms =
     Arg.(

@@ -10,7 +10,7 @@ type config = {
 
 let default_config =
   { domains = max 1 (min 4 (Ps_util.Parallel.available ()));
-    queue_capacity = 64;
+    queue_capacity = 4096;
     default_timeout_ms = None;
     cache = None }
 

@@ -6,7 +6,9 @@
     is bounded: a submission that finds it full is rejected {e now} with
     an [overloaded] error response instead of queueing unboundedly —
     callers get immediate backpressure and latency of accepted jobs stays
-    bounded by [capacity / throughput].
+    bounded by [capacity / throughput].  The serve path never meets this
+    edge: {!Ps_shard.Batch} waits for capacity ({!wait_capacity}) before
+    it submits.
 
     {b Deadlines.}  A job's deadline is measured from the moment it is
     accepted (so time spent queued counts — a job that waited past its
@@ -42,8 +44,10 @@ type config = {
 }
 
 val default_config : config
-(** 4 workers (clamped to the machine), capacity 64, no default
-    deadline, no cache. *)
+(** 4 workers (clamped to the machine), capacity 4096, no default
+    deadline, no cache.  The capacity is deep because the serve path's
+    batched dispatch turns a full queue into waiting, not shedding: a
+    deep queue absorbs a burst as latency. *)
 
 type handler =
   stats:(unit -> Json.t) ->

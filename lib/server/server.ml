@@ -1,37 +1,3 @@
-module P = Protocol
-
-type config = {
-  engine : Engine.config;
-  max_line_bytes : int;
-}
-
-let default_config =
-  { engine = Engine.default_config; max_line_bytes = P.default_max_bytes }
-
-(* The reply-boundary contract: every line produces exactly one
-   response and never kills the reader thread.  Parsing is total on
-   untrusted bytes by design, but a bug in a solver or an encoder
-   reached through [Engine.submit]'s synchronous prefix (cache lookup,
-   validation) would otherwise unwind the whole connection; such a bug
-   surfaces as one [internal] error response instead.  This catch-all
-   is the containment the escape analysis checks for (DESIGN.md). *)
-let handle_line ~engine ~max_line_bytes ~reply line =
-  if not (String.equal (String.trim line) "") then
-    try
-      match P.parse_request ~max_bytes:max_line_bytes line with
-      | Ok req ->
-          ignore (Engine.submit engine req ~reply : Engine.submit_outcome)
-      | Error (id, err) ->
-          Engine.record_invalid engine;
-          reply (P.response_to_line (P.error_response ~id err))
-    with exn ->
-      Engine.record_invalid engine;
-      Ps_util.Telemetry.incr "server.handler_escape";
-      reply
-        (P.response_to_line
-           (P.error_response ~id:Json.Null
-              { P.code = P.Internal; message = Printexc.to_string exn }))
-
 (* Stop latch: the accept/read loops block in their own threads; the
    main thread sleeps in [await] until SIGTERM/SIGINT/EOF trips the
    latch, then runs the drain.
@@ -76,42 +42,7 @@ let with_termination_latch f =
     (fun () -> f latch)
 
 (* ------------------------------------------------------------------ *)
-(* stdio *)
-
-let serve_stdio ?(config = default_config) () =
-  with_termination_latch @@ fun latch ->
-  let engine = Engine.create config.engine in
-  let out_mutex = Mutex.create () in
-  let reply line =
-    Mutex.lock out_mutex;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock out_mutex)
-      (fun () ->
-        (* stdout is the wire protocol here *)
-        print_string line (* pslint: allow no-print *);
-        print_newline ();
-        flush stdout)
-  in
-  let reader () =
-    (try
-       let rec loop () =
-         let line = input_line stdin in
-         handle_line ~engine ~max_line_bytes:config.max_line_bytes ~reply line;
-         loop ()
-       in
-       loop ()
-     with End_of_file | Sys_error _ -> ());
-    trip latch
-  in
-  let _reader : Thread.t = Thread.create reader () in
-  await latch;
-  (* Drain: every accepted job still answers before we return.  The
-     reader thread may stay blocked in [input_line]; it holds no locks
-     and dies with the process. *)
-  Engine.shutdown ~drain:true engine
-
-(* ------------------------------------------------------------------ *)
-(* Unix socket *)
+(* Accepting *)
 
 (* Retry [accept_fn] through the transient accept failures: EINTR (a
    signal landed mid-accept — routine for a process that fields SIGTERM
@@ -120,9 +51,7 @@ let serve_stdio ?(config = default_config) () =
    the ready branch of the accept loop killed the acceptor thread and
    the server silently stopped accepting while looking healthy.  [None]
    when [should_stop] answers [true] between retries or the socket is
-   gone (EBADF); every other exception propagates.  Parameterized over
-   the accept function so the retry contract is testable without a
-   kernel that cooperates on signal timing. *)
+   gone (EBADF); every other exception propagates. *)
 let rec accept_retrying ~should_stop accept_fn =
   match accept_fn () with
   | conn -> Some conn
@@ -145,6 +74,55 @@ let rec accept_retrying ~should_stop accept_fn =
       end
   | exception Unix.Unix_error (Unix.EBADF, _, _) -> None
 
+(* The one accept loop behind every listener (shard, router, metrics).
+   Poll with a timeout so [should_stop] is seen promptly, retry the
+   transient accept failures above, and hand each connection to
+   [on_accept].
+
+   A dead acceptor is a server's worst failure mode: the process looks
+   healthy (and up to a supervisor) while refusing every new client.
+   Anything the retry ladder does not classify (ENOMEM out of [select],
+   EPERM from a security module, an accept error outside the transient
+   set, a raising [on_accept]) lands in [run]: count it under
+   [restart_counter], back off, and keep accepting until told to stop.
+
+   Accepted fds are close-on-exec, like every socket the servers open:
+   the tier front fork+execs shard children, and a child that inherits
+   a client connection holds it open after the front closes it — the
+   client never sees its EOF. *)
+let accept_loop ?accept ~listen_fd ~should_stop ~restart_counter on_accept =
+  let accept_fn () =
+    match accept with
+    | Some f -> f ()
+    | None -> Unix.accept ~cloexec:true listen_fd
+  in
+  let rec loop () =
+    match Unix.select [ listen_fd ] [] [] 0.25 with
+    | [], _, _ -> if should_stop () then () else loop ()
+    | _ :: _, _, _ ->
+        (match accept_retrying ~should_stop accept_fn with
+        | Some (fd, _) -> on_accept fd
+        | None -> ());
+        if should_stop () then () else loop ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) ->
+        if should_stop () then () else loop ()
+    | exception Unix.Unix_error (Unix.EBADF, _, _) -> ()
+  in
+  let rec run () =
+    try loop ()
+    with _ ->
+      Ps_util.Telemetry.incr restart_counter;
+      if should_stop () then ()
+      else begin
+        Thread.delay 0.05;
+        run ()
+      end
+  in
+  run ()
+
+(* ------------------------------------------------------------------ *)
+(* Socket paths *)
+
 (* A leftover socket file makes a fresh bind fail with EADDRINUSE, but
    blindly unlinking would silently hijack the address from a server
    that is still alive.  Disambiguate with a connect probe: a live
@@ -158,7 +136,7 @@ let prepare_socket_path path =
     match (Unix.stat path).Unix.st_kind with
     | exception Unix.Unix_error (Unix.ENOENT, _, _) -> Ok ()
     | Unix.S_SOCK -> (
-        let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        let probe = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
         let verdict =
           Fun.protect
             ~finally:(fun () ->
@@ -195,91 +173,9 @@ let bind_unix_socket path =
   match prepare_socket_path path with
   | Error msg -> failwith (Printf.sprintf "serve: %s" msg)
   | Ok () ->
-      let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let listen_fd =
+        Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+      in
       Unix.bind listen_fd (Unix.ADDR_UNIX path);
       Unix.listen listen_fd 64;
       listen_fd
-
-let serve_unix_socket ?(config = default_config) ~path () =
-  with_termination_latch @@ fun latch ->
-  let engine = Engine.create config.engine in
-  let listen_fd = bind_unix_socket path in
-  let prev_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-  let connection fd () =
-    (* The channel conversions sit inside the [try] with the read loop:
-       they hit the same fd, so the same hangup errors apply. *)
-    (try
-       let ic = Unix.in_channel_of_descr fd in
-       let oc = Unix.out_channel_of_descr fd in
-       let out_mutex = Mutex.create () in
-       let reply line =
-         Mutex.lock out_mutex;
-         Fun.protect
-           ~finally:(fun () -> Mutex.unlock out_mutex)
-           (fun () ->
-             output_string oc line;
-             output_char oc '\n';
-             flush oc)
-       in
-       let rec loop () =
-         let line = input_line ic in
-         handle_line ~engine ~max_line_bytes:config.max_line_bytes ~reply line;
-         loop ()
-       in
-       loop ()
-     with End_of_file | Sys_error _ | Unix.Unix_error _ -> ());
-    (* Leave the fd open until the process exits or the client hangs up
-       first: in-flight replies for this connection may still be pending
-       in the engine.  Closing here would turn them into reply failures
-       during drain.  The kernel reclaims the fd at exit; long-running
-       servers recycle few enough connection threads for this to hold. *)
-    ()
-  in
-  let accept_loop () =
-    let rec loop () =
-      (* Poll so a tripped latch stops the accept loop promptly. *)
-      match Unix.select [ listen_fd ] [] [] 0.25 with
-      | [], _, _ -> if tripped latch then () else loop ()
-      | _ :: _, _, _ ->
-          (match
-             accept_retrying
-               ~should_stop:(fun () -> tripped latch)
-               (fun () -> Unix.accept listen_fd)
-           with
-          | Some (fd, _) ->
-              let _t : Thread.t = Thread.create (connection fd) () in
-              ()
-          | None -> ());
-          if tripped latch then () else loop ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-          if tripped latch then () else loop ()
-      | exception Unix.Unix_error (Unix.EBADF, _, _) -> ()
-    in
-    (* A dead acceptor is this server's worst failure mode: the process
-       looks healthy while refusing every new client.  Anything the
-       retry ladder above does not classify (ENOMEM out of [select],
-       EPERM from a security module, an accept error outside the
-       transient set) lands here; count it, back off, and keep
-       accepting until told to stop. *)
-    let rec run () =
-      try loop ()
-      with _ ->
-        Ps_util.Telemetry.incr "server.acceptor_restart";
-        if tripped latch then ()
-        else begin
-          Thread.delay 0.05;
-          run ()
-        end
-    in
-    run ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Sys.set_signal Sys.sigpipe prev_pipe;
-      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-      try Unix.unlink path with Unix.Unix_error _ -> ())
-    (fun () ->
-      let acceptor = Thread.create accept_loop () in
-      await latch;
-      Thread.join acceptor;
-      Engine.shutdown ~drain:true engine)

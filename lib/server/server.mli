@@ -1,35 +1,9 @@
-(** Transports for the solve service: newline-delimited JSON over
-    stdin/stdout or a Unix-domain socket, in front of one {!Engine}.
-
-    Both modes follow the same lifecycle: read lines, validate with
-    {!Protocol.parse_request} (malformed lines are answered immediately
-    with their typed error — they never occupy the queue), submit valid
-    requests to the engine, and interleave responses onto the output as
-    workers finish (out-of-order; correlate by [id]).  On [SIGTERM],
-    [SIGINT] or end of input the server stops reading, drains every
-    queued and in-flight job so each accepted request still gets its
-    response, and returns — the exit is clean, never a crash. *)
-
-type config = {
-  engine : Engine.config;
-  max_line_bytes : int;  (** request-line cap; longer → [payload_too_large] *)
-}
-
-val default_config : config
-(** {!Engine.default_config} plus {!Protocol.default_max_bytes}. *)
-
-val serve_stdio : ?config:config -> unit -> unit
-(** Serve stdin → stdout until EOF or a termination signal, then drain
-    and return.  Responses are written one per line, each flushed, writes
-    serialized by an internal lock. *)
-
-val serve_unix_socket : ?config:config -> path:string -> unit -> unit
-(** Bind (replacing a {e stale} socket file — see
-    {!prepare_socket_path}), accept concurrent connections (one reader
-    thread each), serve until a termination signal, then stop accepting,
-    drain, unlink the socket and return.  [SIGPIPE] is ignored for the
-    duration; replies to a hung-up client are dropped and counted as
-    reply failures. *)
+(** What every listener of the solve service shares: the termination
+    latch, stale-socket handling, and the one accept loop.  The request
+    path itself — framed read, validation, staging, batched engine
+    submit, coalesced replies — is {!Ps_shard.Shard.serve}, which
+    [pslocal serve] runs in-process over a socket or stdin/stdout, and
+    once per child under [--shards]. *)
 
 val prepare_socket_path : string -> (unit, string) result
 (** Make [path] bindable: nothing there is fine; a socket file whose
@@ -39,33 +13,32 @@ val prepare_socket_path : string -> (unit, string) result
     leftover never causes [EADDRINUSE], and a running server's address
     is never hijacked. *)
 
-(**/**)
-
-val handle_line :
-  engine:Engine.t -> max_line_bytes:int -> reply:(string -> unit) ->
-  string -> unit
-(** One line through validate-or-reject + submit; exposed for tests and
-    the load generator.  Blank lines are ignored. *)
-
-val accept_retrying :
-  should_stop:(unit -> bool) -> (unit -> 'a) -> 'a option
-(** The accept loop's retry wrapper: re-run the accept function on
-    [EINTR] / [ECONNABORTED] (polling [should_stop] between attempts),
-    [None] on stop or [EBADF] (listener closed), propagate anything
-    else.  Exposed so the retry contract is pinned by a deterministic
-    test alongside the live signal-storm regression test. *)
-
 val bind_unix_socket : string -> Unix.file_descr
 (** {!prepare_socket_path} (raising [Failure] on its errors), then
-    bind + listen(64).  Shared with the shard tier's per-shard
-    listeners. *)
+    bind + listen(64). *)
+
+val accept_loop :
+  ?accept:(unit -> Unix.file_descr * Unix.sockaddr) ->
+  listen_fd:Unix.file_descr ->
+  should_stop:(unit -> bool) ->
+  restart_counter:string ->
+  (Unix.file_descr -> unit) ->
+  unit
+(** Accept on [listen_fd] until [should_stop] (polled at least every
+    250 ms), handing each connection to the callback.  [EINTR] and
+    [ECONNABORTED] are retried, fd/buffer exhaustion ([EMFILE],
+    [ENFILE], [ENOBUFS], [ENOMEM]) backs off 50 ms and retries, [EBADF]
+    (listener closed) returns.  Any other exception — from [select],
+    [accept] or the callback — restarts the loop after 50 ms and bumps
+    the [restart_counter] telemetry counter, so the acceptor never dies
+    while the process looks healthy.  [accept] (default
+    [Unix.accept listen_fd]) exists so tests can inject failures. *)
 
 (** {2 Termination latch}
 
-    The async-signal-safe stop flag the transports block on (see the
+    The async-signal-safe stop flag the servers block on (see the
     comment in the implementation for why it is a polled atomic rather
-    than a condvar or [Thread.wait_signal]).  Exposed for {!Ps_shard},
-    whose shard children and supervisor share exactly this lifecycle. *)
+    than a condvar or [Thread.wait_signal]). *)
 
 type latch
 

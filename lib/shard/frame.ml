@@ -23,11 +23,48 @@ type event =
 let parse_error fmt =
   Printf.ksprintf (fun message -> { P.code = P.Parse_error; message }) fmt
 
-let too_large n cap =
+let too_large what n cap =
   {
     P.code = P.Payload_too_large;
-    message = Printf.sprintf "frame declares %d bytes (cap %d)" n cap;
+    message = Printf.sprintf "%s %d bytes (cap %d)" what n cap;
   }
+
+(* Stdlib's own line scanner, the primitive under [input_line]: it
+   refills the channel buffer as needed and returns the length of the
+   next buffered line including its newline (> 0), minus the number of
+   bytes buffered when the buffer filled up or input ended without a
+   newline (< 0), or 0 at end of input. *)
+external input_scan_line : in_channel -> int = "caml_ml_input_scan_line"
+
+(* [input_line] that holds at most [max_bytes] bytes of a line: the rest
+   of an over-long line is read and dropped up to its newline, so a
+   client that never sends one cannot grow the reader's memory, and the
+   next line still starts on a boundary.  [Too_long n] carries the
+   line's full length. *)
+type line = Line of string | Too_long of int
+
+let read_line_capped ic ~max_bytes =
+  let rec go len chunks =
+    let n = input_scan_line ic in
+    if n = 0 then if len = 0 then raise End_of_file else finish len chunks
+    else
+      let k = if n > 0 then n - 1 else -n in
+      let len = len + k in
+      let chunk = really_input_string ic k in
+      let chunks = if len <= max_bytes then chunk :: chunks else [] in
+      if n > 0 then begin
+        ignore (input_char ic : char);
+        finish len chunks
+      end
+      else go len chunks
+  and finish len chunks =
+    if len > max_bytes then Too_long len
+    else
+      match chunks with
+      | [ line ] -> Line line
+      | _ -> Line (String.concat "" (List.rev chunks))
+  in
+  go 0 []
 
 (* A binary frame read in two steps: the 5-byte header, then exactly the
    declared payload.  Every way the stream can deviate — EOF inside the
@@ -76,9 +113,11 @@ let read_event ic ~framing ~max_bytes =
   | Json_lines -> (
       (* Blank lines are a keep-alive idiom on line protocols: skip. *)
       let rec next () =
-        match input_line ic with
+        match read_line_capped ic ~max_bytes with
         | exception (End_of_file | Sys_error _) -> Eof
-        | line ->
+        | Too_long n ->
+            Request (Error (Json.Null, too_large "request line is" n max_bytes))
+        | Line line ->
             if String.equal (String.trim line) "" then next ()
             else Request (P.parse_request ~max_bytes line)
       in
@@ -87,7 +126,7 @@ let read_event ic ~framing ~max_bytes =
       match read_binary_frame ic ~max_bytes with
       | Frame_eof -> Eof
       | Frame_bad msg -> Poisoned (parse_error "binary frame: %s" msg)
-      | Frame_too_large n -> Poisoned (too_large n max_bytes)
+      | Frame_too_large n -> Poisoned (too_large "frame declares" n max_bytes)
       | Frame payload -> Request (B.decode_request ~max_bytes payload))
 
 (* Client-side reads (the metrics collector, the load generator): one
@@ -119,10 +158,11 @@ type writer = {
   framing : framing;
   mutex : Mutex.t;
   have_pending : Condition.t;
+  exited : Condition.t;
   buf : Buffer.t;
   mutable closing : bool;
   mutable failed : bool;
-  mutable thread : Thread.t option;
+  mutable running : bool;
 }
 
 let rec write_all fd bytes off len =
@@ -157,7 +197,13 @@ let writer_loop w () =
            Mutex.unlock w.mutex);
     if not (closing && n = 0) then loop ()
   in
-  loop ()
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.lock w.mutex;
+      w.running <- false;
+      Condition.broadcast w.exited;
+      Mutex.unlock w.mutex)
+    loop
 
 let writer fd ~framing =
   let w =
@@ -166,13 +212,14 @@ let writer fd ~framing =
       framing;
       mutex = Mutex.create ();
       have_pending = Condition.create ();
+      exited = Condition.create ();
       buf = Buffer.create 4096;
       closing = false;
       failed = false;
-      thread = None;
+      running = true;
     }
   in
-  w.thread <- Some (Thread.create (writer_loop w) ());
+  let _t : Thread.t = Thread.create (writer_loop w) () in
   w
 
 (* [@pslint.nonblocking]: engine workers call this with replies; the
@@ -199,16 +246,17 @@ let[@pslint.nonblocking] send w payload =
     Mutex.unlock w.mutex
   end
 
+(* Waits on [exited] rather than joining the thread, so a connection
+   closing its own writer and the shutdown drain closing every writer
+   can race safely: each returns once the final flush is done. *)
 let close_writer w =
   Mutex.lock w.mutex;
   w.closing <- true;
   Condition.broadcast w.have_pending;
-  Mutex.unlock w.mutex;
-  match w.thread with
-  | None -> ()
-  | Some t ->
-      Thread.join t;
-      w.thread <- None
+  while w.running do
+    Condition.wait w.exited w.mutex
+  done;
+  Mutex.unlock w.mutex
 
 let writer_failed w =
   Mutex.lock w.mutex;

@@ -37,10 +37,13 @@ type event =
 
 val read_event :
   in_channel -> framing:framing -> max_bytes:int -> event
-(** Read one message.  JSON mode skips blank lines; binary mode
-    enforces [max_bytes] against the declared frame length {e before}
-    reading the payload, so a hostile length prefix cannot make the
-    reader allocate or block unboundedly. *)
+(** Read one message.  [max_bytes] bounds what the reader buffers in
+    both codecs.  JSON mode skips blank lines; a longer line is dropped
+    up to its newline and answered [Request (Error payload_too_large)],
+    so the connection stays usable.  Binary mode enforces [max_bytes]
+    against the declared frame length {e before} reading the payload,
+    so a hostile length prefix cannot make the reader allocate or block
+    unboundedly. *)
 
 val read_message :
   in_channel ->
@@ -70,7 +73,8 @@ val send : writer -> string -> unit
     reply path count that as a reply failure. *)
 
 val close_writer : writer -> unit
-(** Flush everything pending, then join the writer thread.  Idempotent
-    in effect; the fd itself stays open. *)
+(** Flush everything pending and wait for the writer thread to exit.
+    Idempotent, and safe to call from several threads at once; the fd
+    itself stays open. *)
 
 val writer_failed : writer -> bool

@@ -11,7 +11,7 @@ let rec send_all fd bytes off len =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> send_all fd bytes off len
 
 let fetch_stats_exn ~framing ~path =
-  let s = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let s = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close s with Unix.Unix_error _ -> ())
     (fun () ->
@@ -315,33 +315,8 @@ let handle_http_connection fd ~body =
 
    The caller binds the socket (on its main thread, so a hijacked or
    unwritable metrics path fails startup loudly) and owns its
-   close/unlink; this loop only accepts.  Unclassified errors restart
-   the loop after a beat rather than leaving the endpoint silently
-   dead while the tier looks healthy. *)
+   close/unlink; this loop only accepts. *)
 let serve_http ~listen_fd ~body ~should_stop =
-  let rec loop () =
-    match Unix.select [ listen_fd ] [] [] 0.25 with
-    | [], _, _ -> if should_stop () then () else loop ()
-    | _ :: _, _, _ ->
-        (match
-           Server.accept_retrying ~should_stop (fun () ->
-               Unix.accept listen_fd)
-         with
-        | Some (fd, _) -> handle_http_connection fd ~body
-        | None -> ());
-        if should_stop () then () else loop ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-        if should_stop () then () else loop ()
-    | exception Unix.Unix_error (Unix.EBADF, _, _) -> ()
-  in
-  let rec run () =
-    try loop ()
-    with _ ->
-      Ps_util.Telemetry.incr "metrics.acceptor_restart";
-      if should_stop () then ()
-      else begin
-        Thread.delay 0.05;
-        run ()
-      end
-  in
-  run ()
+  Server.accept_loop ~listen_fd ~should_stop
+    ~restart_counter:"metrics.acceptor_restart" (fun fd ->
+      handle_http_connection fd ~body)

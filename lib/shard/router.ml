@@ -47,7 +47,7 @@ let connect_shard (t : t) =
     if k >= n then None
     else
       let idx = (first + k) mod n in
-      match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
+      match Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 with
       | exception Unix.Unix_error _ ->
           (* Out of fds (EMFILE and friends): for routing purposes
              indistinguishable from a refusing shard — count a failover
@@ -115,49 +115,23 @@ let handle (t : t) client =
       Atomic.decr t.active
 
 let accept_loop (t : t) ~listen_fd ~should_stop =
-  let rec loop () =
-    match Unix.select [ listen_fd ] [] [] 0.25 with
-    | [], _, _ -> if should_stop () then () else loop ()
-    | _ :: _, _, _ ->
-        (match
-           Server.accept_retrying ~should_stop (fun () ->
-               Unix.accept listen_fd)
-         with
-        | Some (fd, _) ->
-            Atomic.incr t.accepted;
-            let _conn : Thread.t =
-              Thread.create
-                (fun () ->
-                  try handle t fd
-                  with _ ->
-                    (* Last resort: a relay failure must not leak the
-                       accepted fd.  [handle] only raises before it has
-                       closed [fd] itself, so this close cannot double
-                       up with its normal cleanup. *)
-                    Atomic.incr t.unrouted;
-                    (try Unix.close fd with Unix.Unix_error _ -> ()))
-                ()
-            in
-            ()
-        | None -> ());
-        if should_stop () then () else loop ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-        if should_stop () then () else loop ()
-    | exception Unix.Unix_error (Unix.EBADF, _, _) -> ()
-  in
-  (* A dead front acceptor leaves every shard healthy and every client
-     refused; restart on anything the ladder above does not classify. *)
-  let rec run () =
-    try loop ()
-    with _ ->
-      Ps_util.Telemetry.incr "router.acceptor_restart";
-      if should_stop () then ()
-      else begin
-        Thread.delay 0.05;
-        run ()
-      end
-  in
-  run ()
+  Server.accept_loop ~listen_fd ~should_stop
+    ~restart_counter:"router.acceptor_restart" (fun fd ->
+      Atomic.incr t.accepted;
+      let _conn : Thread.t =
+        Thread.create
+          (fun () ->
+            try handle t fd
+            with _ ->
+              (* Last resort: a relay failure must not leak the
+                 accepted fd.  [handle] only raises before it has
+                 closed [fd] itself, so this close cannot double up
+                 with its normal cleanup. *)
+              Atomic.incr t.unrouted;
+              (try Unix.close fd with Unix.Unix_error _ -> ()))
+          ()
+      in
+      ())
 
 (* Shutdown helper: connections accepted before the stop are still
    relaying the shards' drain output; wait for the pumps to finish so

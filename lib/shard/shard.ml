@@ -13,17 +13,9 @@ type config = {
   index : int;
 }
 
-(* The tier's shipped queue depth.  The legacy server signals a worker
-   per enqueue, so a deep queue under overload thrashes — its 64 is the
-   right ceiling there.  Here the dispatcher drains the staging queue
-   into one [submit_batch] per wakeup, so queue pressure is amortised
-   and a deep queue turns bursts into latency instead of shed. *)
-let default_queue_capacity = 4096
-
 let default_config =
   {
-    engine =
-      { Engine.default_config with queue_capacity = default_queue_capacity };
+    engine = Engine.default_config;
     framing = Frame.Json_lines;
     max_message_bytes = P.default_max_bytes;
     quota = None;
@@ -61,7 +53,63 @@ let shard_stats_fields ~config ~batch ~quota () =
   in
   [ ("shard", Json.Obj (base @ quota_fields)) ]
 
-let serve ?(config = default_config) ~path () =
+(* One connection's requests: framed read → typed-error reject or quota
+   check → staging, every reply through the connection's writer [w].
+   Returns once the stream has ended (EOF, a poisoned frame, a hang-up)
+   {e and} every reply it is owed has been handed to [w]: [pending]
+   counts requests from read to reply, so a client that half-closes
+   and then waits still gets exactly one reply per request before the
+   caller closes the writer. *)
+let read_requests ~config ~engine ~batch ~quota ~render ic w =
+  let pending = Atomic.make 0 in
+  let reply line =
+    Fun.protect
+      ~finally:(fun () -> Atomic.decr pending)
+      (fun () -> Frame.send w line)
+  in
+  (* [Frame.send] raises once the writer has failed (the peer hung up);
+     the engine counts that for its replies, answers sent here drop it. *)
+  let answer response =
+    Atomic.incr pending;
+    try reply (render response) with Failure _ -> ()
+  in
+  let reject ~id err =
+    Engine.record_invalid engine;
+    answer (P.error_response ~id err)
+  in
+  let rec loop () =
+    match
+      Frame.read_event ic ~framing:config.framing
+        ~max_bytes:config.max_message_bytes
+    with
+    | Frame.Eof -> ()
+    | Frame.Poisoned err ->
+        (* Stream desynchronized: one typed answer, then stop reading
+           this connection. *)
+        reject ~id:Json.Null err
+    | Frame.Request (Error (id, err)) ->
+        reject ~id err;
+        loop ()
+    | Frame.Request (Ok req) ->
+        (match quota with
+        | Some q
+          when not
+                 (Quota.admit q ~tenant:(Option.value req.P.tenant ~default:""))
+          ->
+            answer (P.error_response ~id:req.P.id quota_error)
+        | _ ->
+            Atomic.incr pending;
+            Batch.push batch req ~reply);
+        loop ()
+  in
+  (* [Failure] is in the catch set because [Frame.send] raises it once
+     the writer is closed — the reader should stop, not die noisily. *)
+  (try loop () with Sys_error _ | Unix.Unix_error _ | Failure _ -> ());
+  while Atomic.get pending > 0 do
+    Thread.delay 0.005
+  done
+
+let serve ?(config = default_config) ?path () =
   Server.with_termination_latch @@ fun latch ->
   let render =
     match config.framing with
@@ -81,117 +129,68 @@ let serve ?(config = default_config) ~path () =
     Option.map (fun q -> Quota.create ~rate:q.rate ~burst:q.burst) config.quota
   in
   Engine.set_stats_extra engine (shard_stats_fields ~config ~batch ~quota);
-  let listen_fd = Server.bind_unix_socket path in
+  let listen_fd = Option.map Server.bind_unix_socket path in
   let prev_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-  (* Writers outlive their connection threads (a reader at EOF may
-     still have engine replies in flight); the drain closes them all
-     after the engine is empty so every buffered reply reaches the
+  (* The writers of connections still open at shutdown: the drain
+     flushes them after the engine is empty, so every reply reaches the
      wire before the process exits. *)
   let writers_mutex = Mutex.create () in
   let writers = ref [] in
-  let connection fd () =
-    (* The channel conversion and writer setup sit inside the [try]
-       with the read loop: same fd, same hangup errors.  [Failure] is
-       in the catch set because [Frame.send] raises it once the writer
-       is closed — the reader should stop, not die noisily. *)
-    try
-      let ic = Unix.in_channel_of_descr fd in
-      let w = Frame.writer fd ~framing:config.framing in
-      Mutex.lock writers_mutex;
-      writers := w :: !writers;
-      Mutex.unlock writers_mutex;
-      let reply line = Frame.send w line in
-    let answer_error ~id err =
-      Engine.record_invalid engine;
-      match Frame.send w (render (P.error_response ~id err)) with
-      | () -> ()
-      | exception Failure _ -> ()
-    in
-    let rec loop () =
-      match
-        Frame.read_event ic ~framing:config.framing
-          ~max_bytes:config.max_message_bytes
-      with
-      | Frame.Eof -> ()
-      | Frame.Poisoned err ->
-          (* Stream desynchronized: one typed answer, then stop
-             reading this connection. *)
-          answer_error ~id:Json.Null err
-      | Frame.Request (Error (id, err)) ->
-          answer_error ~id err;
-          loop ()
-      | Frame.Request (Ok req) -> (
-          match quota with
-          | Some q
-            when not
-                   (Quota.admit q
-                      ~tenant:(Option.value req.P.tenant ~default:"")) ->
-              (match
-                 Frame.send w (render (P.error_response ~id:req.P.id quota_error))
-               with
-              | () -> ()
-              | exception Failure _ -> ());
-              loop ()
-          | _ ->
-              Batch.push batch req ~reply;
-              loop ())
-    in
-      loop ()
-      (* Like the single-process transport: leave the fd open — replies
-         for this connection may still be in flight in the engine. *)
-    with Sys_error _ | Unix.Unix_error _ | Failure _ -> ()
+  let connection ~ic ~out ~on_close () =
+    (match Frame.writer out ~framing:config.framing with
+    | exception Sys_error _ -> ()
+    | w ->
+        Mutex.protect writers_mutex (fun () -> writers := w :: !writers);
+        read_requests ~config ~engine ~batch ~quota ~render ic w;
+        Frame.close_writer w;
+        Mutex.protect writers_mutex (fun () ->
+            writers := List.filter (fun x -> x != w) !writers));
+    on_close ()
   in
-  let accept_loop () =
-    let rec loop () =
-      match Unix.select [ listen_fd ] [] [] 0.25 with
-      | [], _, _ -> if Server.tripped latch then () else loop ()
-      | _ :: _, _, _ ->
-          (match
-             Server.accept_retrying
-               ~should_stop:(fun () -> Server.tripped latch)
-               (fun () -> Unix.accept listen_fd)
-           with
-          | Some (fd, _) ->
-              let _t : Thread.t = Thread.create (connection fd) () in
-              ()
-          | None -> ());
-          if Server.tripped latch then () else loop ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-          if Server.tripped latch then () else loop ()
-      | exception Unix.Unix_error (Unix.EBADF, _, _) -> ()
-    in
-    (* Mirror of the single-process server's last-resort wrapper: a
-       shard that stops accepting looks up to the supervisor (the
-       process is alive) while serving nobody. *)
-    let rec run () =
-      try loop ()
-      with _ ->
-        Ps_util.Telemetry.incr "shard.acceptor_restart";
-        if Server.tripped latch then ()
-        else begin
-          Thread.delay 0.05;
-          run ()
-        end
-    in
-    run ()
+  let accept listen_fd =
+    Server.accept_loop ~listen_fd
+      ~should_stop:(fun () -> Server.tripped latch)
+      ~restart_counter:"shard.acceptor_restart"
+      (fun fd ->
+        match Unix.in_channel_of_descr fd with
+        | exception Unix.Unix_error _ -> (
+            try Unix.close fd with Unix.Unix_error _ -> ())
+        | ic ->
+            let on_close () = close_in_noerr ic in
+            let _t : Thread.t =
+              Thread.create (connection ~ic ~out:fd ~on_close) ()
+            in
+            ())
   in
   Fun.protect
     ~finally:(fun () ->
       Sys.set_signal Sys.sigpipe prev_pipe;
-      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-      try Unix.unlink path with Unix.Unix_error _ -> ())
+      Option.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        listen_fd;
+      Option.iter
+        (fun p -> try Unix.unlink p with Unix.Unix_error _ -> ())
+        path)
     (fun () ->
-      let acceptor = Thread.create accept_loop () in
-      Server.await latch;
-      Thread.join acceptor;
+      (match listen_fd with
+      | Some fd ->
+          let acceptor = Thread.create accept fd in
+          Server.await latch;
+          Thread.join acceptor
+      | None ->
+          (* stdin/stdout is one more connection, and its end is the
+             stop signal.  The reader is not joined: on SIGTERM it may
+             stay blocked on stdin, holding no locks, until exit. *)
+          let on_close () = Server.trip latch in
+          let _reader : Thread.t =
+            Thread.create (connection ~ic:stdin ~out:Unix.stdout ~on_close) ()
+          in
+          Server.await latch);
       (* Order matters: flush the staging queue into the engine, drain
          the engine (every accepted request renders its reply into a
-         writer), then flush and join the writers — zero dropped
+         writer), then flush the writers still open — zero dropped
          replies on SIGTERM. *)
       Batch.stop batch;
       Engine.shutdown ~drain:true engine;
-      Mutex.lock writers_mutex;
-      let ws = !writers in
-      writers := [];
-      Mutex.unlock writers_mutex;
-      List.iter Frame.close_writer ws)
+      List.iter Frame.close_writer
+        (Mutex.protect writers_mutex (fun () -> !writers)))

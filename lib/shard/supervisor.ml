@@ -74,7 +74,7 @@ let restarts_total t =
       Array.fold_left (fun acc c -> acc + c.restarts) 0 t.children)
 
 let socket_ready path =
-  let s = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let s = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close s with Unix.Unix_error _ -> ())
     (fun () ->

@@ -357,45 +357,95 @@ let test_engine_handler_exception_is_internal () =
   Engine.shutdown ~drain:true engine
 
 (* ------------------------------------------------------------------ *)
-(* Transport line loop over the real service handler *)
+(* Transport: an in-process shard over a real Unix socket *)
 
-let with_real_engine f =
-  let engine =
-    Engine.create
-      { Engine.domains = 2; queue_capacity = 16; default_timeout_ms = None; cache = None }
+let shard_socket_path () =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "pslocal_shard_%d.sock" (Unix.getpid ()))
+
+(* Run [f path] against [Shard.serve] on its own thread; SIGTERM to
+   this process (the server's termination latch) stops it afterwards. *)
+let with_shard_server ?(domains = 2) f =
+  let path = shard_socket_path () in
+  (try Sys.remove path with Sys_error _ -> ());
+  let config =
+    { Ps_shard.Shard.default_config with
+      engine = { Engine.default_config with domains } }
   in
-  Fun.protect ~finally:(fun () -> Engine.shutdown ~drain:true engine)
-    (fun () -> f engine)
+  let server =
+    Thread.create (fun () -> Ps_shard.Shard.serve ~config ~path ()) ()
+  in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while
+    (not (Ps_shard.Supervisor.socket_ready path))
+    && Unix.gettimeofday () < deadline
+  do
+    Thread.delay 0.01
+  done;
+  check_bool "server socket is up" true (Ps_shard.Supervisor.socket_ready path);
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.kill (Unix.getpid ()) Sys.sigterm;
+      Thread.join server)
+    (fun () -> f path)
 
-let feed engine r line =
-  Server.handle_line ~engine ~max_line_bytes:P.default_max_bytes
-    ~reply:(push r) line
+type client = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
+
+let connect_client path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
+
+let send_line c line =
+  output_string c.oc line;
+  output_char c.oc '\n';
+  flush c.oc
+
+let ask c line =
+  send_line c line;
+  input_line c.ic
+
+(* Send [lines], half-close, and read replies until the server closes:
+   every request must be answered before the connection ends. *)
+let exchange path lines =
+  let c = connect_client path in
+  List.iter (send_line c) lines;
+  Unix.shutdown c.fd Unix.SHUTDOWN_SEND;
+  let rec read acc =
+    match input_line c.ic with
+    | line -> read (line :: acc)
+    | exception End_of_file -> List.rev acc
+  in
+  let replies = read [] in
+  close_in c.ic;
+  replies
+
+let line_codes lines =
+  List.sort String.compare (List.map error_code_of_line lines)
 
 let test_server_survives_malformed_batch () =
-  with_real_engine @@ fun engine ->
-  let r = new_replies () in
-  List.iter (feed engine r)
-    [ "{\"id\":1,\"method\":\"ping\"}";
-      "garbage";
-      "{\"id\":\"x\",\"method\":\"nope\"}";
-      "{\"id\":2,\"method\":\"reduce\",\"params\":{\"hypergraph\":\"1 1\\n2 0 -5\"}}";
-      "";  (* blank lines are ignored, not answered *)
-      "{\"id\":3,\"method\":\"ping\"}" ]  ;
-  wait_for_replies r 5;
-  check_int "blank line ignored" 5 (count r);
+  with_shard_server @@ fun path ->
+  let replies =
+    exchange path
+      [ "{\"id\":1,\"method\":\"ping\"}";
+        "garbage";
+        "{\"id\":\"x\",\"method\":\"nope\"}";
+        "{\"id\":2,\"method\":\"reduce\",\"params\":{\"hypergraph\":\"1 1\\n2 0 -5\"}}";
+        "";  (* blank lines are ignored, not answered *)
+        "{\"id\":3,\"method\":\"ping\"}" ]
+  in
+  check_int "blank line ignored" 5 (List.length replies);
   check_bool "typed errors and live pings" true
-    (codes r = [ "invalid_request"; "ok"; "ok"; "parse_error";
-                 "unknown_method" ])
+    (line_codes replies
+    = [ "invalid_request"; "ok"; "ok"; "parse_error"; "unknown_method" ])
 
 let test_server_stats_roundtrip () =
-  with_real_engine @@ fun engine ->
-  let r = new_replies () in
-  feed engine r "{\"id\":1,\"method\":\"ping\"}";
-  wait_for_replies r 1;
-  let s = new_replies () in
-  feed engine s "{\"id\":2,\"method\":\"stats\"}";
-  wait_for_replies s 1;
-  let j = parse_ok (List.hd s.lines) in
+  (* One worker: the ping's bookkeeping is done before stats runs. *)
+  with_shard_server ~domains:1 @@ fun path ->
+  let c = connect_client path in
+  Fun.protect ~finally:(fun () -> close_in c.ic) @@ fun () ->
+  check_string "ping" "ok" (error_code_of_line (ask c "{\"id\":1,\"method\":\"ping\"}"));
+  let j = parse_ok (ask c "{\"id\":2,\"method\":\"stats\"}") in
   let result = Option.get (Json.member "result" j) in
   let get name =
     match Option.bind (Json.member name result) Json.to_int_opt with
@@ -405,28 +455,56 @@ let test_server_stats_roundtrip () =
   check_bool "accepted >= 2" true (get "accepted" >= 2);
   check_bool "completed >= 1" true (get "completed" >= 1);
   check_bool "latency window present" true
-    (Json.member "latency_ms" result <> None)
+    (Json.member "latency_ms" result <> None);
+  check_bool "shard block present" true (Json.member "shard" result <> None)
 
 let test_server_reduce_roundtrip_certified () =
-  with_real_engine @@ fun engine ->
+  with_shard_server @@ fun path ->
   let h = Ps_hypergraph.Hgen.sunflower ~n_petals:12 ~core:3 ~petal:3 in
-  let r = new_replies () in
-  feed engine r
-    (Json.to_string
-       (Json.Obj
-          [ ("id", Json.Int 1);
-            ("method", Json.Str "reduce");
-            ( "params",
-              Json.Obj
-                [ ("hypergraph", Json.Str (Ps_hypergraph.Hio.to_text h)) ] )
-          ]));
-  wait_for_replies r 1;
-  let j = parse_ok (List.hd r.lines) in
-  check_string "ok" "ok" (error_code_of_line (List.hd r.lines));
-  let result = Option.get (Json.member "result" j) in
+  let c = connect_client path in
+  Fun.protect ~finally:(fun () -> close_in c.ic) @@ fun () ->
+  let line =
+    ask c
+      (Json.to_string
+         (Json.Obj
+            [ ("id", Json.Int 1);
+              ("method", Json.Str "reduce");
+              ( "params",
+                Json.Obj
+                  [ ("hypergraph", Json.Str (Ps_hypergraph.Hio.to_text h)) ] )
+            ]))
+  in
+  check_string "ok" "ok" (error_code_of_line line);
+  let result = Option.get (Json.member "result" (parse_ok line)) in
   check_bool "certified" true
     (Option.bind (Json.member "certified" result) Json.to_bool_opt
     = Some true)
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+let test_connections_release_fds () =
+  (* Every connection's fd and writer are released once the client
+     hangs up; a long-running shard must not grow toward EMFILE. *)
+  if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
+  with_shard_server ~domains:1 @@ fun path ->
+  let ping i =
+    let c = connect_client path in
+    let line = ask c (Printf.sprintf "{\"id\":%d,\"method\":\"ping\"}" i) in
+    close_in c.ic;
+    check_string "pong" "ok" (error_code_of_line line)
+  in
+  ping 0;
+  let baseline = open_fds () in
+  for i = 1 to 300 do
+    ping i
+  done;
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while open_fds () > baseline + 8 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  if open_fds () > baseline + 8 then
+    Alcotest.failf "300 closed connections left %d fds open (baseline %d)"
+      (open_fds () - baseline) baseline
 
 (* ------------------------------------------------------------------ *)
 (* Satellite: fork_join propagates a worker's exception *)
@@ -744,63 +822,100 @@ let test_service_check_wire_parse () =
 (* ------------------------------------------------------------------ *)
 
 (* ------------------------------------------------------------------ *)
-(* Accept-loop resilience: the retry contract, pinned deterministically,
-   plus a live signal-storm regression over a real Unix socket. *)
+(* Accept-loop resilience: the retry and restart contract of
+   [Server.accept_loop], pinned deterministically through an injected
+   accept function, plus a live signal-storm regression over a real
+   Unix socket. *)
 
 let unix_error e = Unix.Unix_error (e, "accept", "")
 
+(* A descriptor [select] always reports readable, standing in for a
+   listener with a connection queued. *)
+let with_ready_fd f =
+  let r, w = Unix.pipe () in
+  ignore (Unix.write_substring w "x" 0 1 : int);
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ r; w ])
+    (fun () -> f r)
+
+(* Run the loop with [accept_fn] until it returns; the callback stops
+   it after the first connection.  Returns the number of connections
+   handed over. *)
+let run_accept_loop ?(should_stop = fun () -> false) ~restart_counter accept_fn =
+  let accepted = ref 0 in
+  with_ready_fd (fun listen_fd ->
+      Server.accept_loop ~listen_fd
+        ~should_stop:(fun () -> !accepted > 0 || should_stop ())
+        ~restart_counter
+        ~accept:(fun () -> (accept_fn listen_fd, Unix.ADDR_UNIX ""))
+        (fun _ -> incr accepted));
+  !accepted
+
 let test_accept_retrying_eintr () =
-  (* N transient failures, then success: the wrapper must absorb all of
-     them and hand back the connection. *)
+  (* N transient failures, then success: the loop must absorb all of
+     them and hand over the connection without a restart. *)
   let attempts = ref 0 in
-  let accept_fn () =
-    incr attempts;
-    if !attempts <= 5 then
-      raise (unix_error (if !attempts mod 2 = 0 then Unix.ECONNABORTED
-                         else Unix.EINTR))
-    else "conn"
+  let accepted =
+    run_accept_loop ~restart_counter:"test.accept_restart" (fun fd ->
+        incr attempts;
+        if !attempts <= 5 then
+          raise (unix_error (if !attempts mod 2 = 0 then Unix.ECONNABORTED
+                             else Unix.EINTR))
+        else fd)
   in
-  (match Server.accept_retrying ~should_stop:(fun () -> false) accept_fn with
-  | Some c -> check_string "connection delivered" "conn" c
-  | None -> Alcotest.fail "retry gave up on transient errors");
+  check_int "connection delivered" 1 accepted;
   check_int "retried through every failure" 6 !attempts
 
 let test_accept_retrying_stop_between_retries () =
   (* A tripped stop latch is honored between retries, not ignored until
      the next successful accept. *)
   let stopped = ref false in
-  let accept_fn () =
-    stopped := true;
-    raise (unix_error Unix.EINTR)
+  let accepted =
+    run_accept_loop ~should_stop:(fun () -> !stopped)
+      ~restart_counter:"test.accept_restart" (fun _ ->
+        stopped := true;
+        raise (unix_error Unix.EINTR))
   in
-  check_bool "stop wins over retry" true
-    (Server.accept_retrying ~should_stop:(fun () -> !stopped) accept_fn
-    = None)
+  check_int "stop wins over retry" 0 accepted
 
 let test_accept_retrying_ebadf_and_fatal () =
-  check_bool "EBADF means the listener is gone" true
-    (Server.accept_retrying ~should_stop:(fun () -> false) (fun () ->
-         raise (unix_error Unix.EBADF))
-    = None);
-  (* Resource exhaustion (EMFILE and friends) is transient: the wrapper
-     must back off and retry rather than kill the acceptor, and must
-     still honor the stop latch between retries. *)
+  (* EBADF means the listener is gone: the loop ends. *)
+  check_int "EBADF ends the loop" 0
+    (run_accept_loop ~restart_counter:"test.accept_restart" (fun fd ->
+         Unix.close fd;
+         raise (unix_error Unix.EBADF)));
+  (* Resource exhaustion (EMFILE and friends) is transient: the loop
+     must back off and retry rather than die, and must still honor the
+     stop latch between retries. *)
   let attempts = ref 0 in
-  check_bool "EMFILE backs off, then honors stop" true
-    (Server.accept_retrying
+  check_int "EMFILE backs off, then honors stop" 0
+    (run_accept_loop
        ~should_stop:(fun () -> !attempts >= 3)
-       (fun () ->
+       ~restart_counter:"test.accept_restart"
+       (fun _ ->
          incr attempts;
-         raise (unix_error Unix.EMFILE))
-    = None);
-  check_int "EMFILE was retried until stopped" 3 !attempts;
-  (* Anything else must propagate. *)
-  match
-    Server.accept_retrying ~should_stop:(fun () -> false) (fun () ->
-        raise (unix_error Unix.EINVAL))
-  with
-  | exception Unix.Unix_error (Unix.EINVAL, _, _) -> ()
-  | _ -> Alcotest.fail "EINVAL was swallowed"
+         raise (unix_error Unix.EMFILE)));
+  check_int "EMFILE was retried until stopped" 3 !attempts
+
+let test_accept_loop_restarts () =
+  (* An error outside the retry ladder restarts the loop: it keeps
+     accepting, the callback runs, and the restart is counted. *)
+  let was_enabled = Ps_util.Telemetry.enabled () in
+  Ps_util.Telemetry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Ps_util.Telemetry.set_enabled was_enabled)
+  @@ fun () ->
+  let counter = "test.acceptor_restart" in
+  let before = Ps_util.Telemetry.counter_value counter in
+  let attempts = ref 0 in
+  let accepted =
+    run_accept_loop ~restart_counter:counter (fun fd ->
+        incr attempts;
+        if !attempts = 1 then raise (unix_error Unix.EINVAL) else fd)
+  in
+  check_int "accepted after the restart" 1 accepted;
+  check_int "one failed attempt, one success" 2 !attempts;
+  check_int "restart counted" 1 (Ps_util.Telemetry.counter_value counter - before)
 
 let read_reply_retrying fd =
   (* Client-side reads race the storm too; retry EINTR by hand. *)
@@ -828,29 +943,15 @@ let rec connect_retrying fd addr =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> connect_retrying fd addr
 
 let test_accept_loop_survives_signal_storm () =
-  (* Regression for the accept-loop bug: before [accept_retrying], one
+  (* Regression for the accept-loop bug: before the retry ladder, one
      EINTR inside the ready branch killed the acceptor thread and the
      server stopped accepting while looking healthy.  Hammer the process
      with SIGUSR1 while clients keep connecting; every ping must still
      be answered. *)
-  let path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "pslocal_storm_%d.sock" (Unix.getpid ()))
-  in
-  (try Sys.remove path with Sys_error _ -> ());
   let prev_usr1 = Sys.signal Sys.sigusr1 (Sys.Signal_handle (fun _ -> ())) in
-  let config =
-    { Server.default_config with
-      engine =
-        { Engine.domains = 2; queue_capacity = 16; default_timeout_ms = None;
-          cache = None } }
-  in
-  let server = Thread.create (fun () -> Server.serve_unix_socket ~config ~path ()) () in
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  while not (Sys.file_exists path) && Unix.gettimeofday () < deadline do
-    Thread.delay 0.01
-  done;
-  check_bool "server socket appeared" true (Sys.file_exists path);
+  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigusr1 prev_usr1)
+  @@ fun () ->
+  with_shard_server @@ fun path ->
   let self = Unix.getpid () in
   let storming = Atomic.make true in
   let stormer =
@@ -866,11 +967,7 @@ let test_accept_loop_survives_signal_storm () =
   Fun.protect
     ~finally:(fun () ->
       Atomic.set storming false;
-      Thread.join stormer;
-      Unix.kill self Sys.sigterm;
-      Thread.join server;
-      Sys.set_signal Sys.sigusr1 prev_usr1;
-      try Sys.remove path with Sys_error _ -> ())
+      Thread.join stormer)
     (fun () ->
       for i = 1 to 40 do
         let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -988,14 +1085,18 @@ let suites =
         Alcotest.test_case "ebadf and fatal errors" `Quick
           test_accept_retrying_ebadf_and_fatal;
         Alcotest.test_case "survives signal storm" `Quick
-          test_accept_loop_survives_signal_storm ] );
+          test_accept_loop_survives_signal_storm;
+        Alcotest.test_case "restarts on unclassified errors" `Quick
+          test_accept_loop_restarts ] );
     ( "server.transport",
       [ Alcotest.test_case "survives malformed batch" `Quick
           test_server_survives_malformed_batch;
         Alcotest.test_case "stats roundtrip" `Quick
           test_server_stats_roundtrip;
         Alcotest.test_case "reduce roundtrip certified" `Quick
-          test_server_reduce_roundtrip_certified ] );
+          test_server_reduce_roundtrip_certified;
+        Alcotest.test_case "connections release their fds" `Quick
+          test_connections_release_fds ] );
     ( "server.parallel",
       [ Alcotest.test_case "fork_join propagates exception" `Quick
           test_fork_join_propagates_exception;

@@ -263,6 +263,36 @@ let test_read_event_valid_frame () =
             | Some c -> P.error_code_string c
             | None -> "none"))
 
+let test_overlong_json_line () =
+  (* The reader holds at most [max_bytes] of a line: an over-cap line is
+     dropped up to its newline and answered, and the next line parses. *)
+  let long = "{\"id\":1,\"pad\":\"" ^ String.make 10_000 'x' ^ "\"}" in
+  with_ic (long ^ "\n{\"id\":2,\"method\":\"ping\"}\n") (fun ic ->
+      (match Frame.read_event ic ~framing:Frame.Json_lines ~max_bytes:64 with
+      | Frame.Request (Error (_, e)) ->
+          check_bool "payload_too_large" true (e.P.code = P.Payload_too_large)
+      | _ -> Alcotest.fail "expected Request (Error payload_too_large)");
+      match Frame.read_event ic ~framing:Frame.Json_lines ~max_bytes:64 with
+      | Frame.Request (Ok req) ->
+          Alcotest.(check string) "method" "ping" (P.method_name req.P.call)
+      | _ -> Alcotest.fail "expected the ping after the over-cap line");
+  (* Under the cap, a line longer than the channel buffer (64 KiB) is
+     reassembled whole. *)
+  let path = Filename.temp_file "pslocal-line" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let pad = String.make 200_000 'x' in
+  Out_channel.with_open_bin path (fun oc ->
+      Printf.fprintf oc "{\"id\":3,\"method\":\"ping\",\"pad\":\"%s\"}\n" pad);
+  In_channel.with_open_bin path @@ fun ic ->
+  match Frame.read_event ic ~framing:Frame.Json_lines ~max_bytes:300_000 with
+  | Frame.Request (Ok req) ->
+      check_bool "long line id" true (Json.equal req.P.id (Json.Int 3))
+  | e ->
+      Alcotest.failf "expected the long ping, got code %s"
+        (match event_code e with
+        | Some c -> P.error_code_string c
+        | None -> "none")
+
 (* ------------------------------------------------------------------ *)
 (* Writer: coalescing, failure containment *)
 
@@ -982,7 +1012,9 @@ let suites =
           Alcotest.test_case "decode_request happy path" `Quick
             test_decode_request_ok;
           Alcotest.test_case "read_event valid frame" `Quick
-            test_read_event_valid_frame ] );
+            test_read_event_valid_frame;
+          Alcotest.test_case "over-cap JSON line recovers" `Quick
+            test_overlong_json_line ] );
     ( "shard.writer",
       [ Alcotest.test_case "json framing appends newlines" `Quick
           test_writer_json_newlines;
