@@ -122,6 +122,24 @@ let write_out output text =
         ~finally:(fun () -> close_out oc)
         (fun () -> output_string oc text)
 
+(* A malformed input file is the user's error, not the program's:
+   [read_input] tags the reader's failure with the file name, and
+   [input_errors] turns it into cmdliner's "pslocal: <file>: <message>"
+   and a nonzero exit instead of an uncaught-exception report.  Commands
+   that read files run their body under [input_errors] and their term
+   under [Term.term_result]. *)
+exception Bad_input of string
+
+let read_input read path =
+  try read path with
+  | Failure msg | Sys_error msg -> raise (Bad_input (path ^ ": " ^ msg))
+
+let read_graph = read_input Ps_graph.Gio.read_file
+let read_hypergraph = read_input Ps_hypergraph.Hio.read_file
+
+let input_errors f =
+  match f () with () -> Ok () | exception Bad_input msg -> Error (`Msg msg)
+
 (* Multicoloring file format: one line per vertex, "v: c1 c2 ...". *)
 let multicoloring_to_text (mc : Mc.t) =
   let buf = Buffer.create 256 in
@@ -326,9 +344,10 @@ let presolve_arg =
 
 let reduce input solver presolve k engine seed verbose trace json output cache
     no_cache =
+  input_errors @@ fun () ->
   if verbose then
     Logs.Src.set_level Ps_core.Reduction.log_src (Some Logs.Debug);
-  let h = Ps_hypergraph.Hio.read_file input in
+  let h = read_hypergraph input in
   let k_choice =
     match k with
     | None -> Ps_core.Pipeline.From_conservative
@@ -448,15 +467,18 @@ let reduce_cmd =
          "Conflict-free multicoloring via the Theorem 1.1 reduction \
           (iterated MaxIS approximation).")
     Term.(
-      const reduce $ input $ solver $ presolve_arg $ k $ engine $ seed_arg
-      $ verbose $ trace_arg $ json_arg $ output_arg $ cache_arg $ no_cache_arg)
+      term_result
+        (const reduce $ input $ solver $ presolve_arg $ k $ engine $ seed_arg
+       $ verbose $ trace_arg $ json_arg $ output_arg $ cache_arg
+       $ no_cache_arg))
 
 (* ------------------------------------------------------------------ *)
 (* verify *)
 
 let verify hypergraph coloring =
-  let h = Ps_hypergraph.Hio.read_file hypergraph in
-  let mc = multicoloring_of_file (H.n_vertices h) coloring in
+  input_errors @@ fun () ->
+  let h = read_hypergraph hypergraph in
+  let mc = read_input (multicoloring_of_file (H.n_vertices h)) coloring in
   let happy = Mc.count_happy h mc in
   Format.printf "%d / %d edges happy; %d colors in use@." happy (H.n_edges h)
     (Mc.total_colors mc);
@@ -484,7 +506,7 @@ let verify_cmd =
   in
   Cmd.v
     (Cmd.info "verify" ~doc:"Verify a conflict-free multicoloring.")
-    Term.(const verify $ hypergraph $ coloring)
+    Term.(term_result (const verify $ hypergraph $ coloring))
 
 (* ------------------------------------------------------------------ *)
 (* mis *)
@@ -597,8 +619,9 @@ let mis_with_solver g ~input ~name ~presolve ~seed ~json =
   if not certified then exit 1
 
 let mis input solver presolve seed trace json cache no_cache =
+  input_errors @@ fun () ->
   with_trace trace @@ fun () ->
-  let g = Ps_graph.Gio.read_file input in
+  let g = read_graph input in
   match solver with
   | Some name -> mis_with_solver g ~input ~name ~presolve ~seed ~json
   | None ->
@@ -659,16 +682,18 @@ let mis_cmd =
   Cmd.v
     (Cmd.info "mis" ~doc:"Run the MIS algorithm zoo on a graph.")
     Term.(
-      const mis $ input $ solver $ presolve_arg $ seed_arg $ trace_arg
-      $ json_arg $ cache_arg $ no_cache_arg)
+      term_result
+        (const mis $ input $ solver $ presolve_arg $ seed_arg $ trace_arg
+       $ json_arg $ cache_arg $ no_cache_arg))
 
 (* ------------------------------------------------------------------ *)
 (* decompose *)
 
 let decompose input trace json cache no_cache =
+  input_errors @@ fun () ->
   let code =
     with_trace trace (fun () ->
-        let g = Ps_graph.Gio.read_file input in
+        let g = read_graph input in
         if json then begin
           let result =
             cached_graph_json
@@ -714,14 +739,16 @@ let decompose_cmd =
     (Cmd.info "decompose"
        ~doc:"Ball-carving (log n, log n) network decomposition.")
     Term.(
-      const decompose $ input $ trace_arg $ json_arg $ cache_arg
-      $ no_cache_arg)
+      term_result
+        (const decompose $ input $ trace_arg $ json_arg $ cache_arg
+       $ no_cache_arg))
 
 (* ------------------------------------------------------------------ *)
 (* matching *)
 
 let matching input seed =
-  let g = Ps_graph.Gio.read_file input in
+  input_errors @@ fun () ->
+  let g = read_graph input in
   let t =
     Ps_util.Table.create
       ~aligns:[ Ps_util.Table.Left; Ps_util.Table.Right; Ps_util.Table.Left ]
@@ -755,13 +782,14 @@ let matching_cmd =
   in
   Cmd.v
     (Cmd.info "matching" ~doc:"Maximal matchings in all three models.")
-    Term.(const matching $ input $ seed_arg)
+    Term.(term_result (const matching $ input $ seed_arg))
 
 (* ------------------------------------------------------------------ *)
 (* cf-color: direct conflict-free coloring *)
 
 let cf_color input algorithm output =
-  let h = Ps_hypergraph.Hio.read_file input in
+  input_errors @@ fun () ->
+  let h = read_hypergraph input in
   let f =
     match algorithm with
     | "ruler" -> Ps_cfc.Cf_greedy.ruler h
@@ -794,13 +822,14 @@ let cf_color_cmd =
   Cmd.v
     (Cmd.info "cf-color"
        ~doc:"Direct conflict-free coloring (no reduction).")
-    Term.(const cf_color $ input $ algorithm $ output_arg)
+    Term.(term_result (const cf_color $ input $ algorithm $ output_arg))
 
 (* ------------------------------------------------------------------ *)
 (* set-cover *)
 
 let set_cover input =
-  let h = Ps_hypergraph.Hio.read_file input in
+  input_errors @@ fun () ->
+  let h = read_hypergraph input in
   let greedy = Ps_hypergraph.Set_cover.greedy h in
   Ps_hypergraph.Set_cover.verify_exn h greedy;
   Format.printf "greedy cover: %d sets (of %d)@." (List.length greedy)
@@ -820,13 +849,14 @@ let set_cover_cmd =
   in
   Cmd.v
     (Cmd.info "set-cover" ~doc:"Greedy and exact set cover.")
-    Term.(const set_cover $ input)
+    Term.(term_result (const set_cover $ input))
 
 (* ------------------------------------------------------------------ *)
 (* bfs *)
 
 let bfs input root =
-  let g = Ps_graph.Gio.read_file input in
+  input_errors @@ fun () ->
+  let g = read_graph input in
   let result, stats = Ps_local.Congest.bfs_tree ~root g in
   Format.printf
     "BFS from %d: %d rounds, max message %d bits (CONGEST: %s)@." root
@@ -852,7 +882,7 @@ let bfs_cmd =
   in
   Cmd.v
     (Cmd.info "bfs" ~doc:"CONGEST BFS tree with bandwidth accounting.")
-    Term.(const bfs $ input $ root)
+    Term.(term_result (const bfs $ input $ root))
 
 (* ------------------------------------------------------------------ *)
 (* audit *)
@@ -874,10 +904,10 @@ let ids_of_file path =
              match int_of_string_opt tok with
              | Some v -> v
              | None ->
-                 failwith
-                   (Printf.sprintf "%s: %S is not a vertex id" path tok)))
+                 failwith (Printf.sprintf "%S is not a vertex id" tok)))
 
 let audit hypergraph graph coloring is_file ds_file solver k seed json =
+  input_errors @@ fun () ->
   let module D = Ps_check.Diagnostic in
   let finish ~checks diags =
     if json then
@@ -897,11 +927,11 @@ let audit hypergraph graph coloring is_file ds_file solver k seed json =
   | None, None | Some _, Some _ ->
       failwith "audit: pass exactly one of HYPERGRAPH or --graph"
   | Some path, None -> begin
-      let h = Ps_hypergraph.Hio.read_file path in
+      let h = read_hypergraph path in
       match coloring with
       | Some cpath ->
           (* Certify a claimed coloring — the referee mode. *)
-          let mc = multicoloring_of_file (H.n_vertices h) cpath in
+          let mc = read_input (multicoloring_of_file (H.n_vertices h)) cpath in
           finish ~checks:[ "multicoloring" ]
             (Ps_check.Check_cfc.multicoloring h mc)
       | None ->
@@ -926,21 +956,23 @@ let audit hypergraph graph coloring is_file ds_file solver k seed json =
           finish ~checks:[ "multicoloring"; "phase-audit" ] diags
     end
   | None, Some path ->
-      let g = Ps_graph.Gio.read_file path in
+      let g = read_graph path in
       let csr = Ps_check.Check_graph.csr g in
       let is_checks, is_diags =
         match is_file with
         | None -> ([], [])
         | Some f ->
             ( [ "independent_set" ],
-              Ps_check.Check_set.independent_list g (ids_of_file f) )
+              Ps_check.Check_set.independent_list g (read_input ids_of_file f)
+            )
       in
       let ds_checks, ds_diags =
         match ds_file with
         | None -> ([], [])
         | Some f ->
             ( [ "dominating_set" ],
-              Ps_check.Check_set.dominating_list g (ids_of_file f) )
+              Ps_check.Check_set.dominating_list g (read_input ids_of_file f)
+            )
       in
       finish
         ~checks:(("csr" :: is_checks) @ ds_checks)
@@ -1008,8 +1040,9 @@ let audit_cmd =
   in
   Cmd.v (Cmd.info "audit" ~doc)
     Term.(
-      const audit $ hypergraph $ graph $ coloring $ is_file $ ds_file
-      $ solver $ k $ seed_arg $ json_arg)
+      term_result
+        (const audit $ hypergraph $ graph $ coloring $ is_file $ ds_file
+       $ solver $ k $ seed_arg $ json_arg))
 
 (* ------------------------------------------------------------------ *)
 (* serve *)

@@ -11,8 +11,10 @@ let fail_line lineno msg =
 
 (* Tokenize on any whitespace, not just ' ': tab-separated and CRLF
    edge-list files are common in the wild and used to be rejected with
-   "bad edge" (the '\r' or '\t' stuck to a token). *)
-let is_space c = c = ' ' || c = '\t' || c = '\r' || c = '\012'
+   "bad edge" (the '\r' or '\t' stuck to a token).  The leading range
+   test settles the common case, a digit, in one comparison. *)
+let is_space c =
+  c <= ' ' && (c = ' ' || c = '\t' || c = '\r' || c = '\012')
 
 let tokens line =
   let n = String.length line in
@@ -32,50 +34,6 @@ let check_vertex lineno ~n v =
       (Printf.sprintf "vertex id %d out of range [0, %d)" v n);
   v
 
-(* First non-space position of [line], or -1 when blank. *)
-let content_start line =
-  let n = String.length line in
-  let i = ref 0 in
-  while !i < n && is_space line.[!i] do incr i done;
-  if !i = n then -1 else !i
-
-(* Allocation-free parse of a plain "u v" data line (decimal, optional
-   leading minus).  Returns false on anything it does not recognize —
-   exotic-but-valid forms ([0x1f], [1_000]) and genuinely malformed
-   lines alike fall back to [edge_slow], which settles both. *)
-let edge_fast line start out =
-  let n = String.length line in
-  let i = ref start in
-  let ok = ref true in
-  let int_tok () =
-    while !i < n && is_space line.[!i] do incr i done;
-    let neg = !i < n && line.[!i] = '-' in
-    if neg then incr i;
-    let v = ref 0 and digits = ref 0 in
-    while
-      !i < n
-      &&
-      let c = line.[!i] in
-      c >= '0' && c <= '9'
-    do
-      v := (!v * 10) + (Char.code line.[!i] - Char.code '0');
-      incr digits;
-      incr i
-    done;
-    if !digits = 0 || (!i < n && not (is_space line.[!i])) then ok := false;
-    if neg then - !v else !v
-  in
-  let a = int_tok () in
-  let b = int_tok () in
-  while !i < n && is_space line.[!i] do incr i done;
-  if !i < n then ok := false;
-  if !ok then begin
-    out.(0) <- a;
-    out.(1) <- b;
-    true
-  end
-  else false
-
 let edge_slow lineno line =
   match tokens line with
   | [ a; b ] -> (
@@ -83,26 +41,127 @@ let edge_slow lineno line =
       with Failure _ -> fail_line lineno "bad edge")
   | _ -> fail_line lineno "edge must be \"u v\""
 
-(* Streaming parser core: pulls numbered raw lines from [next_line]
-   (None at EOF), accumulates endpoints into growable scratch arrays,
-   and finishes through [Graph.of_unnormalized_pairs] — no intermediate
-   line list, token lists, or edge list, so peak memory is the two
-   endpoint arrays plus the CSR being built.  Used by both the string
-   front-end ({!of_edge_list}) and the channel front-end
-   ({!read_file}). *)
-let parse next_line =
+(* The byte scanner both front-ends share.  Unread input is the window
+   [buf.[pos] .. buf.[hi - 1]]; [read] refills it from the source, and a
+   source with [eof] already set (a string) is a single window that is
+   never refilled.  [next_line] leaves the current line in
+   [buf.[lo] .. buf.[stop - 1]] (newline excluded) and its 1-based
+   number in [lineno]; [int_token] leaves its value in [tok].  All
+   per-line state lives in these mutable fields, so scanning a data line
+   allocates nothing. *)
+type window = {
+  mutable buf : Bytes.t;
+  mutable pos : int;
+  mutable hi : int;
+  mutable scan : int; (* [pos, scan) is known to hold no newline *)
+  mutable eof : bool;
+  read : Bytes.t -> int -> int -> int;
+  mutable lo : int;
+  mutable stop : int;
+  mutable lineno : int;
+  mutable tok : int;
+}
+
+let chunk = 65536
+
+(* Move the unread tail to the front and read more behind it.  Only a
+   line longer than the whole buffer makes it grow (by doubling). *)
+let refill w =
+  let keep = w.hi - w.pos in
+  if keep = Bytes.length w.buf then begin
+    let b = Bytes.create (2 * keep) in
+    Bytes.blit w.buf w.pos b 0 keep;
+    w.buf <- b
+  end
+  else Bytes.blit w.buf w.pos w.buf 0 keep;
+  w.pos <- 0;
+  w.hi <- keep;
+  w.scan <- keep;
+  let got = w.read w.buf keep (Bytes.length w.buf - keep) in
+  if got = 0 then w.eof <- true else w.hi <- keep + got
+
+(* Lines are the '\n'-separated segments; a final segment counts only
+   when nonempty (the [input_line] convention).  False at end of
+   input. *)
+let rec next_line w =
+  let buf = w.buf and hi = w.hi in
+  let j = ref w.scan in
+  while !j < hi && Bytes.unsafe_get buf !j <> '\n' do
+    incr j
+  done;
+  if !j < hi || (w.eof && w.pos < hi) then begin
+    w.lo <- w.pos;
+    w.stop <- !j;
+    w.pos <- Int.min (!j + 1) hi;
+    w.scan <- w.pos;
+    w.lineno <- w.lineno + 1;
+    true
+  end
+  else if w.eof then false
+  else begin
+    refill w;
+    next_line w
+  end
+
+let skip_space w i =
+  let buf = w.buf and stop = w.stop in
+  let i = ref i in
+  while !i < stop && is_space (Bytes.unsafe_get buf !i) do
+    incr i
+  done;
+  !i
+
+(* A plain decimal token at [i]: optional minus, 1 to 18 digits (so the
+   value cannot wrap), then a space or the end of the line.  Stores the
+   value in [tok] and returns the index after the token, or -1 for
+   anything else — exotic-but-valid forms ([0x1f], [1_000]), overlong
+   ids and malformed text alike, which [edge_slow] then settles. *)
+let int_token w i =
+  let buf = w.buf and stop = w.stop in
+  let neg = i < stop && Bytes.unsafe_get buf i = '-' in
+  let start = if neg then i + 1 else i in
+  let j = ref start and v = ref 0 and digit = ref true in
+  while !digit && !j < stop do
+    let c = Bytes.unsafe_get buf !j in
+    if c >= '0' && c <= '9' then begin
+      v := (!v * 10) + (Char.code c - Char.code '0');
+      incr j
+    end
+    else digit := false
+  done;
+  let digits = !j - start in
+  if
+    digits = 0 || digits > 18
+    || (!j < stop && not (is_space (Bytes.unsafe_get buf !j)))
+  then -1
+  else begin
+    w.tok <- (if neg then - !v else !v);
+    !j
+  end
+
+let current_line w = Bytes.sub_string w.buf w.lo (w.stop - w.lo)
+
+(* First non-space index of the current line, or -1 when it is blank or
+   a comment. *)
+let content w =
+  let i = skip_space w w.lo in
+  if i = w.stop || Bytes.unsafe_get w.buf i = '#' then -1 else i
+
+(* Parser core: scans numbered lines out of [w], accumulates endpoints
+   into growable scratch arrays, and finishes through
+   [Graph.of_unnormalized_pairs] — no line strings, token lists or edge
+   list on the fast path, so peak memory is the two endpoint arrays plus
+   the CSR being built.  Every check (range, self-loop, header count)
+   reports the offending line. *)
+let parse w =
   let rec header () =
-    match next_line () with
-    | None -> failwith "Gio.of_edge_list: empty input"
-    | Some (lineno, line) -> (
-        match content_start line with
-        | -1 -> header ()
-        | s when line.[s] = '#' -> header ()
-        | _ -> (lineno, line))
+    if not (next_line w) then failwith "Gio.of_edge_list: empty input"
+    else if content w < 0 then header ()
   in
-  let lineno, hline = header () in
+  header ();
+  let lineno = w.lineno in
   let n, m =
-    match tokens hline with
+    match tokens (current_line w) with
     | [ a; b ] -> (
         try (int_of_string a, int_of_string b)
         with Failure _ -> fail_line lineno "bad header")
@@ -114,6 +173,9 @@ let parse next_line =
   let vs = ref (Array.make (max m 16) 0) in
   let len = ref 0 in
   let push u v =
+    let lineno = w.lineno in
+    let u = check_vertex lineno ~n u and v = check_vertex lineno ~n v in
+    if u = v then fail_line lineno (Printf.sprintf "self-loop on vertex %d" u);
     if !len = Array.length !us then begin
       let grow a =
         let b = Array.make (2 * Array.length a) 0 in
@@ -127,51 +189,33 @@ let parse next_line =
     !vs.(!len) <- v;
     incr len
   in
-  let pair = [| 0; 0 |] in
-  let rec edges () =
-    match next_line () with
-    | None -> ()
-    | Some (lineno, line) ->
-        (match content_start line with
-        | -1 -> ()
-        | s when line.[s] = '#' -> ()
-        | s ->
-            let u, v =
-              if edge_fast line s pair then (pair.(0), pair.(1))
-              else edge_slow lineno line
-            in
-            push (check_vertex lineno ~n u) (check_vertex lineno ~n v));
-        edges ()
-  in
-  edges ();
+  while next_line w do
+    let i = content w in
+    if i >= 0 then begin
+      let j = int_token w i in
+      let u = w.tok in
+      let j = if j < 0 then j else int_token w (skip_space w j) in
+      if j >= 0 && skip_space w j = w.stop then push u w.tok
+      else
+        let u, v = edge_slow w.lineno (current_line w) in
+        push u v
+    end
+  done;
   if !len <> m then
     failwith
       (Printf.sprintf "Gio.of_edge_list: header promises %d edges, found %d" m
          !len);
   Graph.of_unnormalized_pairs n ~u:!us ~v:!vs ~len:!len
 
+let window ~buf ~hi ~eof read =
+  { buf; pos = 0; hi; scan = 0; eof; read; lo = 0; stop = 0; lineno = 0;
+    tok = 0 }
+
 let of_edge_list text =
-  let pos = ref 0 and lineno = ref 0 in
-  let total = String.length text in
-  let next_line () =
-    if !pos > total then None
-    else begin
-      let stop =
-        match String.index_from_opt text !pos '\n' with
-        | Some j -> j
-        | None -> total
-      in
-      let line = String.sub text !pos (stop - !pos) in
-      pos := stop + 1;
-      incr lineno;
-      (* A trailing newline yields one final empty segment; treat it as
-         EOF rather than a blank line so line accounting matches
-         [String.split_on_char]. *)
-      if stop = total && String.length line = 0 then None
-      else Some (!lineno, line)
-    end
-  in
-  parse next_line
+  (* The scanner never writes to a window that starts at end of input. *)
+  parse
+    (window ~buf:(Bytes.unsafe_of_string text) ~hi:(String.length text)
+       ~eof:true (fun _ _ _ -> 0))
 
 let to_dot ?(name = "g") ?labels g =
   let buf = Buffer.create 1024 in
@@ -223,16 +267,10 @@ let write_file filename g =
     (fun add -> Graph.iter_edges g add)
 
 let read_file filename =
-  let ic = open_in filename in
+  let ic = open_in_bin filename in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
-      let lineno = ref 0 in
-      let next_line () =
-        match In_channel.input_line ic with
-        | None -> None
-        | Some line ->
-            incr lineno;
-            Some (!lineno, line)
-      in
-      parse next_line)
+      parse
+        (window ~buf:(Bytes.create chunk) ~hi:0 ~eof:false
+           (In_channel.input ic)))

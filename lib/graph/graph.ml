@@ -264,7 +264,8 @@ let of_sorted_edge_array ?validate n edges =
    edge appears once as (u.(i), v.(i)) in either orientation; duplicates
    are collapsed, self-loops rejected, nothing is materialized beyond
    the CSR being built (no lists, no hash tables): count, fill, per-row
-   sort, in-place adjacent dedup.  O(n + m log maxdeg). *)
+   sort (skipped for rows already in order), in-place adjacent dedup.
+   O(n + m log maxdeg); O(n + m) when every row arrives sorted. *)
 let of_unnormalized_pairs ?(width = `Auto) n ~u ~v ~len =
   if n < 0 then invalid_arg "Graph.of_unnormalized_pairs: negative vertex count";
   if len < 0 || len > Array.length u || len > Array.length v then
@@ -293,11 +294,17 @@ let of_unnormalized_pairs ?(width = `Auto) n ~u ~v ~len =
   done;
   (* Sort each row, drop duplicate entries, compact leftwards; rewrite
      offsets as we go.  The write head never passes the read head, so
-     the compaction is safe in place. *)
+     the compaction is safe in place.  A row that arrived non-decreasing
+     (every row of a file [Gio.write_file] wrote) skips the sort; the
+     check stops at the first inversion. *)
   let w = ref 0 in
   for x = 0 to n - 1 do
     let lo = offsets.(x) and hi = offsets.(x + 1) in
-    Ps_util.Intsort.sort_range adj lo hi;
+    let i = ref (lo + 1) in
+    while !i < hi && adj.(!i - 1) <= adj.(!i) do
+      incr i
+    done;
+    if !i < hi then Ps_util.Intsort.sort_range adj lo hi;
     offsets.(x) <- !w;
     let prev = ref (-1) in
     for i = lo to hi - 1 do

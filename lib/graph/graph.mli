@@ -88,7 +88,10 @@ val of_unnormalized_pairs :
 (** [of_unnormalized_pairs n ~u ~v ~len] builds CSR directly from the
     first [len] endpoint pairs [(u.(i), v.(i))] — any orientation, any
     order, duplicates collapsed — without materializing lists or hash
-    tables: count, fill, per-row sort, in-place dedup.  This is the
+    tables: count, fill, per-row sort, in-place dedup.  A row whose
+    entries arrive non-decreasing (as every row of a file written by
+    {!Gio.write_file} does) skips the sort, so sorted input builds in
+    O(n + m).  This is the
     streaming constructor behind {!Gio.read_file} and the huge random
     generators.  Self-loops and out-of-range endpoints raise
     [Invalid_argument] (always — this path replaces normalization, so it

@@ -45,7 +45,9 @@ let ibuf_push b x =
 (* Parse every plain decimal int on the line into [b]; false on any
    token the fast scanner does not recognize (the caller falls back to
    the list-based slow path, which classifies the error or accepts
-   exotic-but-valid forms like [0x1f]). *)
+   exotic-but-valid forms like [0x1f]).  More than 18 digits could wrap,
+   so such a token also goes to the slow path, where [int_of_string]
+   rejects what does not fit. *)
 let ints_fast line start b =
   b.len <- 0;
   let n = String.length line in
@@ -67,7 +69,8 @@ let ints_fast line start b =
         incr digits;
         incr i
       done;
-      if !digits = 0 || (!i < n && not (is_space line.[!i])) then ok := false
+      if !digits = 0 || !digits > 18 || (!i < n && not (is_space line.[!i]))
+      then ok := false
       else ibuf_push b (if neg then - !v else !v)
     end
   done;

@@ -562,6 +562,171 @@ let test_io_file_roundtrip () =
       Gio.write_file path g;
       check_bool "file roundtrip" true (G.equal g (Gio.read_file path)))
 
+(* An id of 19+ digits used to wrap modulo 2^63 in the fast scanner and
+   land in range (the first case read as the edge 1-5). *)
+let test_io_rejects_overlong_id () =
+  Alcotest.check_raises "wraps into range"
+    (Failure "Gio.of_edge_list: line 2: bad edge") (fun () ->
+      ignore (Gio.of_edge_list "10 1\n9223372036854775813 1\n"));
+  Alcotest.check_raises "20 digits"
+    (Failure "Gio.of_edge_list: line 2: bad edge") (fun () ->
+      ignore (Gio.of_edge_list "3 1\n0 12345678901234567890\n"));
+  Alcotest.check_raises "max_int is out of range"
+    (Failure
+       "Gio.of_edge_list: line 2: vertex id 4611686018427387903 out of \
+        range [0, 3)") (fun () ->
+      ignore (Gio.of_edge_list "3 1\n0 4611686018427387903\n"));
+  let g = Gio.of_edge_list "3 1\n000000000000000000001 2\n" in
+  check_bool "leading zeros still parse" true (G.has_edge g 1 2)
+
+let test_io_rejects_self_loop () =
+  Alcotest.check_raises "self-loop"
+    (Failure "Gio.of_edge_list: line 2: self-loop on vertex 1") (fun () ->
+      ignore (Gio.of_edge_list "3 1\n1 1\n"));
+  Alcotest.check_raises "self-loop on the slow path"
+    (Failure "Gio.of_edge_list: line 3: self-loop on vertex 2") (fun () ->
+      ignore (Gio.of_edge_list "3 2\n0 1\n0x2 2\n"))
+
+(* Test-only oracle: the line-based parser the windowed scanner replaced
+   — split the text on '\n', tokenize every line, [int_of_string] each
+   field — plus the scanner's line-numbered self-loop check.  The old
+   allocation-free digit loop is left out on purpose: it was the path
+   that let an overlong id wrap into range. *)
+let oracle_of_edge_list text =
+  let fail lineno msg =
+    failwith (Printf.sprintf "Gio.of_edge_list: line %d: %s" lineno msg)
+  in
+  let tokens line =
+    String.map
+      (fun c -> if c = '\t' || c = '\r' || c = '\012' then ' ' else c)
+      line
+    |> String.split_on_char ' '
+    |> List.filter (fun t -> t <> "")
+  in
+  let lines = String.split_on_char '\n' text in
+  (* A trailing newline ends the last line; it does not start one. *)
+  let lines =
+    match List.rev lines with "" :: rest -> List.rev rest | _ -> lines
+  in
+  let content =
+    List.mapi (fun i line -> (i + 1, tokens line)) lines
+    |> List.filter (fun (_, toks) ->
+           match toks with [] -> false | t :: _ -> t.[0] <> '#')
+  in
+  let pair lineno what = function
+    | [ a; b ] -> (
+        try (int_of_string a, int_of_string b)
+        with Failure _ -> fail lineno ("bad " ^ what))
+    | _ ->
+        fail lineno
+          (if what = "header" then "header must be \"n m\""
+           else "edge must be \"u v\"")
+  in
+  match content with
+  | [] -> failwith "Gio.of_edge_list: empty input"
+  | (hline, htoks) :: rest ->
+      let n, m = pair hline "header" htoks in
+      if n < 0 then fail hline "vertex count must be nonnegative";
+      if m < 0 then fail hline "edge count must be nonnegative";
+      let edges =
+        List.map
+          (fun (lineno, toks) ->
+            let u, v = pair lineno "edge" toks in
+            List.iter
+              (fun x ->
+                if x < 0 || x >= n then
+                  fail lineno
+                    (Printf.sprintf "vertex id %d out of range [0, %d)" x n))
+              [ u; v ];
+            if u = v then
+              fail lineno (Printf.sprintf "self-loop on vertex %d" u);
+            (u, v))
+          rest
+      in
+      if List.length edges <> m then
+        failwith
+          (Printf.sprintf "Gio.of_edge_list: header promises %d edges, found %d"
+             m (List.length edges));
+      G.of_edges n edges
+
+let with_temp_file text f =
+  let path = Filename.temp_file "pslocal" ".graph" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      f path)
+
+(* Both front-ends, checked against the oracle: the same graph, or a
+   [Failure] with exactly the oracle's message. *)
+let agrees_with_oracle text =
+  let outcome f = match f () with g -> Ok g | exception Failure m -> Error m in
+  let same a b =
+    match (a, b) with
+    | Ok g, Ok h -> G.equal g h
+    | Error x, Error y -> String.equal x y
+    | _ -> false
+  in
+  let want = outcome (fun () -> oracle_of_edge_list text) in
+  same want (outcome (fun () -> Gio.of_edge_list text))
+  && same want
+       (outcome (fun () -> with_temp_file text Gio.read_file))
+
+(* A comment line longer than the 64 KiB read chunk (the buffer must
+   grow), a data line that long too, and data lines laid across the
+   chunk boundaries: the id "123" straddles byte 65536 exactly, and
+   enough lines follow that every later refill cuts one as well. *)
+let test_io_chunk_boundaries () =
+  let chunk = 65536 and n = 1000 in
+  let avoid_loop u v = if u = v then (u, (v + 1) mod n) else (u, v) in
+  let early = List.init 1000 (fun i -> avoid_loop i (((i * 7) + 1) mod n)) in
+  let late =
+    List.init 30_000 (fun i -> avoid_loop (i mod n) (((i * 31) + 17) mod n))
+  in
+  let edges = ((123, 456) :: early) @ ((0, 999) :: late) in
+  let header = Printf.sprintf "%d %d\n" n (List.length edges) in
+  let lines es =
+    String.concat ""
+      (List.map (fun (u, v) -> Printf.sprintf "%d %d\n" u v) es)
+  in
+  (* Header plus this comment end 2 bytes short of the first boundary. *)
+  let pad = "#" ^ String.make (chunk - 2 - String.length header - 2) '-' in
+  let text =
+    String.concat ""
+      [ header; pad ^ "\n"; lines ((123, 456) :: early);
+        "#" ^ String.make (chunk + 5000) 'x' ^ "\n";
+        "0" ^ String.make (chunk + 17) ' ' ^ "999\r\n";
+        lines late ]
+  in
+  check_bool "\"123\" straddles the first boundary" true
+    (String.equal (String.sub text (chunk - 2) 3) "123");
+  let want = G.of_edges n edges in
+  check_bool "of_edge_list" true (G.equal want (Gio.of_edge_list text));
+  check_bool "read_file" true
+    (G.equal want (with_temp_file text Gio.read_file));
+  check_bool "oracle agrees" true (agrees_with_oracle text)
+
+(* Reading ~10^5 edges must not allocate on the minor heap per line:
+   the endpoint and CSR arrays are large enough to go straight to the
+   major heap, and the scanner keeps its per-line state in one mutable
+   window.  A line string or a (u, v) tuple per line is several words. *)
+let test_io_read_file_allocation () =
+  let g = Gen.rmat (Rng.create 5) ~scale:14 ~edges:100_000 in
+  let path = Filename.temp_file "pslocal" ".graph" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Gio.write_file path g;
+      let before = Gc.minor_words () in
+      let back = Gio.read_file path in
+      let words = Gc.minor_words () -. before in
+      check_bool "roundtrip" true (G.equal g back);
+      let lines = G.n_edges g in
+      check_bool
+        (Printf.sprintf "%.0f minor words over %d data lines" words lines)
+        true
+        (lines > 50_000 && words < float_of_int lines))
+
 (* ------------------------------------------------------------------ *)
 (* Fast-path constructors *)
 
@@ -742,6 +907,116 @@ let prop_io_roundtrip_whitespace =
       let text = mangle_whitespace (Rng.create (seed + 1)) (Gio.to_edge_list g) in
       G.equal g (Gio.of_edge_list text))
 
+(* A random edge list as found in the wild, drawn from [seed]: runs of
+   spaces, tabs and form feeds, CRLF endings, blank and comment lines,
+   [0x]/[_]/leading-zero ids, sometimes no trailing newline, a header
+   count that is sometimes off, and now and then one bad line (wrong
+   arity, junk, a self-loop, an out-of-range, negative or overlong id,
+   a trailing comment). *)
+let mangled_edge_list seed =
+  let rng = Rng.create seed in
+  let n = Rng.int rng 12 in
+  let g = Gen.gnp rng n 0.3 in
+  let buf = Buffer.create 256 in
+  let sep () =
+    for _ = 0 to Rng.int rng 2 do
+      Buffer.add_char buf [| ' '; ' '; '\t'; '\012' |].(Rng.int rng 4)
+    done
+  in
+  let eol () =
+    if Rng.bernoulli rng 0.3 then Buffer.add_char buf '\r';
+    Buffer.add_char buf '\n'
+  in
+  let noise () =
+    while Rng.bernoulli rng 0.2 do
+      (match Rng.int rng 3 with
+      | 0 -> ()
+      | 1 -> sep ()
+      | _ ->
+          if Rng.bool rng then sep ();
+          Buffer.add_string buf "# 0 1 comment");
+      eol ()
+    done
+  in
+  let id v =
+    match Rng.int rng 8 with
+    | 0 -> Printf.sprintf "0x%x" v
+    | 1 when v >= 10 ->
+        let d = string_of_int v in
+        String.sub d 0 1 ^ "_" ^ String.sub d 1 (String.length d - 1)
+    | 2 -> "000" ^ string_of_int v
+    | _ -> string_of_int v
+  in
+  let line toks =
+    noise ();
+    if Rng.bernoulli rng 0.3 then sep ();
+    List.iteri
+      (fun i t ->
+        if i > 0 then sep ();
+        Buffer.add_string buf t)
+      toks;
+    if Rng.bernoulli rng 0.3 then sep ();
+    eol ()
+  in
+  let m = G.n_edges g in
+  let m = if Rng.bernoulli rng 0.1 then m + 1 - Rng.int rng 3 else m in
+  line [ id n; id m ];
+  let bad () =
+    match Rng.int rng 9 with
+    | 0 -> [ "1" ]
+    | 1 -> [ "0"; "1"; "2" ]
+    | 2 -> [ "x"; "1" ]
+    | 3 -> [ "0"; "0" ]
+    | 4 -> [ "0"; string_of_int n ]
+    | 5 -> [ "-1"; "0" ]
+    | 6 -> [ "12345678901234567890"; "0" ]
+    | 7 -> [ "0"; "1#" ]
+    | _ -> [ "0"; "1"; "#"; "note" ]
+  in
+  G.iter_edges g (fun u v ->
+      if Rng.bernoulli rng 0.03 then line (bad ());
+      if Rng.bool rng then line [ id u; id v ] else line [ id v; id u ]);
+  noise ();
+  let text = Buffer.contents buf in
+  let len = String.length text in
+  if len > 0 && Rng.bernoulli rng 0.3 then String.sub text 0 (len - 1)
+  else text
+
+let prop_io_scanner_matches_oracle =
+  QCheck.Test.make ~count:300
+    ~name:"edge-list scanner = line-based oracle (graph or exact error)"
+    (QCheck.make
+       ~print:(fun seed -> Printf.sprintf "%S" (mangled_edge_list seed))
+       (QCheck.Gen.int_bound 1_000_000))
+    (fun seed -> agrees_with_oracle (mangled_edge_list seed))
+
+(* The pair orders that take each branch of the per-row sortedness
+   check: sorted and duplicate-laden sorted rows skip the sort,
+   reverse-sorted and shuffled rows take it. *)
+let prop_unnormalized_pairs_orders =
+  QCheck.Test.make ~count:100
+    ~name:"of_unnormalized_pairs = of_edges on sorted/reversed/shuffled/dup"
+    arbitrary_gnp (fun ((seed, n, _) as params) ->
+      let g = graph_of params in
+      let sorted = Array.of_list (G.edges g) in
+      let reversed = Array.of_list (List.rev (G.edges g)) in
+      let shuffled = Array.copy sorted in
+      Rng.shuffle_in_place (Rng.create seed) shuffled;
+      let dups =
+        Array.concat
+          [ sorted; sorted; Array.sub sorted 0 (Array.length sorted / 2) ]
+      in
+      Array.sort
+        (fun (a, b) (c, d) ->
+          if a <> c then Int.compare a c else Int.compare b d)
+        dups;
+      List.for_all
+        (fun pairs ->
+          let len = Array.length pairs in
+          let u = Array.map fst pairs and v = Array.map snd pairs in
+          G.equal g (G.of_unnormalized_pairs n ~u ~v ~len))
+        [ sorted; reversed; shuffled; dups ])
+
 let prop_sorted_edge_array_fast_path =
   QCheck.Test.make ~count:100
     ~name:"of_sorted_edge_array (validated) = of_edges on sorted edges"
@@ -761,6 +1036,8 @@ let props =
       prop_components_partition;
       prop_io_roundtrip;
       prop_io_roundtrip_whitespace;
+      prop_io_scanner_matches_oracle;
+      prop_unnormalized_pairs_orders;
       prop_sorted_edge_array_fast_path ]
 
 let suites =
@@ -877,6 +1154,11 @@ let suites =
         Alcotest.test_case "edge count mismatch" `Quick
           test_io_edge_count_mismatch;
         Alcotest.test_case "dot export" `Quick test_io_dot;
-        Alcotest.test_case "file roundtrip" `Quick test_io_file_roundtrip ]
+        Alcotest.test_case "file roundtrip" `Quick test_io_file_roundtrip;
+        Alcotest.test_case "overlong id" `Quick test_io_rejects_overlong_id;
+        Alcotest.test_case "self-loop" `Quick test_io_rejects_self_loop;
+        Alcotest.test_case "chunk boundaries" `Quick test_io_chunk_boundaries;
+        Alcotest.test_case "read_file allocation" `Quick
+          test_io_read_file_allocation ]
     );
     ("graph.properties", props) ]

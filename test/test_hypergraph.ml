@@ -329,6 +329,20 @@ let test_hio_rejects_out_of_range_vertex () =
     (Failure "Hio.of_text: line 1: edge count must be nonnegative")
     (fun () -> ignore (Hio.of_text "3 -1\n"))
 
+(* An id of 19+ digits used to wrap modulo 2^63 in the fast scanner and
+   land in range; it must be rejected instead. *)
+let test_hio_rejects_overlong_id () =
+  Alcotest.check_raises "wraps into range"
+    (Failure "Hio.of_text: line 2: not a number") (fun () ->
+      ignore (Hio.of_text "10 1\n2 9223372036854775813 1\n"));
+  Alcotest.check_raises "max_int is out of range"
+    (Failure
+       "Hio.of_text: line 2: vertex id 4611686018427387903 out of range [0, 10)")
+    (fun () -> ignore (Hio.of_text "10 1\n2 4611686018427387903 1\n"));
+  let h = Hio.of_text "10 1\n2 000000000000000000001 3\n" in
+  Alcotest.(check (array int)) "leading zeros still parse" [| 1; 3 |]
+    (H.edge h 0)
+
 let test_hio_file_roundtrip () =
   let h = sample () in
   let path = Filename.temp_file "pslocal" ".hg" in
@@ -526,6 +540,7 @@ let suites =
         Alcotest.test_case "out-of-range vertex" `Quick
           test_hio_rejects_out_of_range_vertex;
         Alcotest.test_case "size mismatch" `Quick test_hio_size_mismatch;
+        Alcotest.test_case "overlong id" `Quick test_hio_rejects_overlong_id;
         Alcotest.test_case "file roundtrip" `Quick test_hio_file_roundtrip ]
     );
     ("hypergraph.properties", props) ]

@@ -111,6 +111,24 @@ let test_protocol_bad_hypergraph_ids () =
       "3 1\n2 0 5";                       (* vertex out of range *)
       "not a header" ]
 
+(* A self-loop in an inline graph is a malformed payload like any
+   other: a typed invalid_request naming the line, not an
+   [Invalid_argument] escaping from the CSR builder. *)
+let test_protocol_graph_self_loop () =
+  let line =
+    Json.to_string
+      (Json.Obj
+         [ ("id", Json.Int 1); ("method", Json.Str "mis");
+           ("params", Json.Obj [ ("graph", Json.Str "3 1\n1 1\n") ]) ])
+  in
+  match P.parse_request line with
+  | Ok _ -> Alcotest.fail "a self-loop graph was accepted"
+  | Error (_, e) ->
+      check_string "code" "invalid_request" (P.error_code_string e.P.code);
+      check_string "message"
+        "graph payload: Gio.of_edge_list: line 2: self-loop on vertex 1"
+        e.P.message
+
 let test_protocol_bad_params () =
   let mk fields =
     Json.to_string
@@ -1062,6 +1080,8 @@ let suites =
           test_protocol_unknown_method;
         Alcotest.test_case "bad hypergraph ids" `Quick
           test_protocol_bad_hypergraph_ids;
+        Alcotest.test_case "graph self-loop" `Quick
+          test_protocol_graph_self_loop;
         Alcotest.test_case "bad params" `Quick test_protocol_bad_params ] );
     ( "server.engine",
       [ Alcotest.test_case "overload shed" `Quick test_engine_overload_shed;
