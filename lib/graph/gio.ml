@@ -152,8 +152,10 @@ let content w =
    [Graph.of_unnormalized_pairs] — no line strings, token lists or edge
    list on the fast path, so peak memory is the two endpoint arrays plus
    the CSR being built.  Every check (range, self-loop, header count)
-   reports the offending line. *)
-let parse w =
+   reports the offending line.  [max_edges] bounds the header's edge
+   count for preallocation only, so a short input with a huge header
+   fails the count check instead of exhausting memory. *)
+let parse ~max_edges w =
   let rec header () =
     if not (next_line w) then failwith "Gio.of_edge_list: empty input"
     else if content w < 0 then header ()
@@ -169,8 +171,9 @@ let parse w =
   in
   if n < 0 then fail_line lineno "vertex count must be nonnegative";
   if m < 0 then fail_line lineno "edge count must be nonnegative";
-  let us = ref (Array.make (max m 16) 0) in
-  let vs = ref (Array.make (max m 16) 0) in
+  let cap = max (min m max_edges) 16 in
+  let us = ref (Array.make cap 0) in
+  let vs = ref (Array.make cap 0) in
   let len = ref 0 in
   let push u v =
     let lineno = w.lineno in
@@ -207,6 +210,16 @@ let parse w =
          !len);
   Graph.of_unnormalized_pairs n ~u:!us ~v:!vs ~len:!len
 
+(* Every edge line takes at least 3 bytes ("0 1"), so [bytes] of input
+   hold at most [bytes / 3 + 1] edges.  A channel of unknown length (a
+   pipe) starts from 64 Ki edges and grows by doubling like any other. *)
+let max_edges_of_length bytes = (bytes / 3) + 1
+
+let max_edges_of_channel ic =
+  match in_channel_length ic with
+  | bytes -> max_edges_of_length bytes
+  | exception Sys_error _ -> 65536
+
 let window ~buf ~hi ~eof read =
   { buf; pos = 0; hi; scan = 0; eof; read; lo = 0; stop = 0; lineno = 0;
     tok = 0 }
@@ -214,6 +227,7 @@ let window ~buf ~hi ~eof read =
 let of_edge_list text =
   (* The scanner never writes to a window that starts at end of input. *)
   parse
+    ~max_edges:(max_edges_of_length (String.length text))
     (window ~buf:(Bytes.unsafe_of_string text) ~hi:(String.length text)
        ~eof:true (fun _ _ _ -> 0))
 
@@ -271,6 +285,6 @@ let read_file filename =
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
-      parse
+      parse ~max_edges:(max_edges_of_channel ic)
         (window ~buf:(Bytes.create chunk) ~hi:0 ~eof:false
            (In_channel.input ic)))

@@ -78,8 +78,9 @@ let ints_fast line start b =
 
 (* Streaming parser core, as in [Gio.parse]: numbered raw lines in,
    hypergraph out, with the member arrays built directly (no line list,
-   no per-line int lists on the fast path). *)
-let parse next_line =
+   no per-line int lists on the fast path).  [max_edges] bounds the
+   header's edge count for preallocation only. *)
+let parse ~max_edges next_line =
   let rec header () =
     match next_line () with
     | None -> failwith "Hio.of_text: empty input"
@@ -97,7 +98,7 @@ let parse next_line =
   in
   if n < 0 then fail_line lineno "vertex count must be nonnegative";
   if m < 0 then fail_line lineno "edge count must be nonnegative";
-  let edges = ref (Array.make (max m 16) [||]) in
+  let edges = ref (Array.make (max (min m max_edges) 16) [||]) in
   let nedges = ref 0 in
   let push e =
     if !nedges = Array.length !edges then begin
@@ -150,6 +151,16 @@ let parse next_line =
          !nedges);
   Hypergraph.of_member_arrays n (Array.sub !edges 0 !nedges)
 
+(* Every edge line takes at least 3 bytes ("1 0"), so [bytes] of input
+   hold at most [bytes / 3 + 1] edges.  A channel of unknown length (a
+   pipe) starts from 64 Ki edges and grows by doubling like any other. *)
+let max_edges_of_length bytes = (bytes / 3) + 1
+
+let max_edges_of_channel ic =
+  match in_channel_length ic with
+  | bytes -> max_edges_of_length bytes
+  | exception Sys_error _ -> 65536
+
 let of_text text =
   let pos = ref 0 and lineno = ref 0 in
   let total = String.length text in
@@ -168,7 +179,7 @@ let of_text text =
       else Some (!lineno, line)
     end
   in
-  parse next_line
+  parse ~max_edges:(max_edges_of_length total) next_line
 
 let to_text h =
   let buf = Buffer.create 1024 in
@@ -220,4 +231,4 @@ let read_file filename =
             incr lineno;
             Some (!lineno, line)
       in
-      parse next_line)
+      parse ~max_edges:(max_edges_of_channel ic) next_line)

@@ -146,6 +146,82 @@ let adjacent w u x =
   let rec go i = i < n && (Array.unsafe_get r i = x || go (i + 1)) in
   go 0
 
+(* Witness gate for the simplicial/domination scan at a vertex [v] of
+   degree d >= 3 whose closed neighborhood is stamped [gen]: does the
+   row of its neighbor [a] hold a stamped entry other than [v] — a
+   triangle v-a-x?  Without one neither rule can fire.  A passing
+   neighbor u has |N(u) ∩ N[v]| >= d, so u is adjacent to every other
+   neighbor of v: if u <> a then u is a stamped entry of a's row, and
+   if u = a then a's row holds the d - 1 >= 2 other neighbors of v.
+   A simplicial v has every neighbor passing.  Stamps are fresh, so a
+   stamped entry is live and the walk needs no [alive] read; [a] is
+   picked as v's least-degree neighbor to keep it short. *)
+let witness w a v gen =
+  compact_row w a;
+  let r = w.row.(a) in
+  let n = w.len.(a) in
+  let rec go i =
+    i < n
+    && (let x = Array.unsafe_get r i in
+        (x <> v && Array.unsafe_get w.mark x = gen) || go (i + 1))
+  in
+  go 0
+
+(* Write the survivors' live rows as the kernel CSR, renumbered
+   through the monotone [to_kernel] map, straight into the store that
+   [`Auto] width selection picks (int32 whenever the ids fit).  Live
+   rows are duplicate-free, so each is written once with no dedup.
+   Renumbering keeps the input CSR's sorted order, so only rows a fold
+   touched — a merged vertex's union row, or a row the merged vertex
+   was appended to — can come out unsorted; those alone are sorted, in
+   the int scratch row each row is gathered into.  A dead entry maps to
+   -1, so the gather reads [to_kernel] alone, never [alive]. *)
+let emit w ~to_kernel ~to_orig =
+  let n_k = Array.length to_orig in
+  let offsets = Array.make (n_k + 1) 0 in
+  let maxdeg = ref 0 in
+  for k = 0 to n_k - 1 do
+    let d = w.deg.(to_orig.(k)) in
+    offsets.(k + 1) <- offsets.(k) + d;
+    if d > !maxdeg then maxdeg := d
+  done;
+  let total = offsets.(n_k) in
+  let buf = Array.make (max 1 !maxdeg) 0 in
+  let gather v =
+    let r = w.row.(v) in
+    let len = ref 0 and sorted = ref true and prev = ref (-1) in
+    for i = 0 to w.len.(v) - 1 do
+      let y = Array.unsafe_get to_kernel (Array.unsafe_get r i) in
+      if y >= 0 then begin
+        if y < !prev then sorted := false;
+        prev := y;
+        Array.unsafe_set buf !len y;
+        incr len
+      end
+    done;
+    if not !sorted then Ps_util.Intsort.sort_range buf 0 !len
+  in
+  if n_k < 0x8000_0000 then begin
+    let adj = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout total in
+    for k = 0 to n_k - 1 do
+      gather to_orig.(k);
+      let base = offsets.(k) in
+      for j = 0 to offsets.(k + 1) - base - 1 do
+        Bigarray.Array1.unsafe_set adj (base + j)
+          (Int32.of_int (Array.unsafe_get buf j))
+      done
+    done;
+    G.of_csr_i32 n_k ~offsets ~adj
+  end
+  else begin
+    let adj = Array.make total 0 in
+    for k = 0 to n_k - 1 do
+      gather to_orig.(k);
+      Array.blit buf 0 adj offsets.(k) (offsets.(k + 1) - offsets.(k))
+    done;
+    G.of_csr n_k ~offsets ~adj
+  end
+
 let reduce ?(rule_cap = default_rule_cap) g =
   Tm.with_span "kernel.reduce" @@ fun () ->
   let n = G.n_vertices g in
@@ -168,6 +244,7 @@ let reduce ?(rule_cap = default_rule_cap) g =
   and folds = ref 0
   and simplicial = ref 0
   and dominated = ref 0 in
+  let scans = ref 0 and scan_skips = ref 0 in
   for v = 0 to n - 1 do
     bucket_push w v
   done;
@@ -216,6 +293,49 @@ let reduce ?(rule_cap = default_rule_cap) g =
     journal := Fold (v, u, w_) :: !journal;
     bucket_push w v
   in
+  (* With N[v] stamped [gen], a neighbor u has c(u) = |N(u) ∩ N[v]|
+     >= d exactly when N[v] ⊆ N[u].  All neighbors passing means N(v)
+     is a clique (v is simplicial — take it); the first passing
+     neighbor in row order is dominated and can be deleted. *)
+  let scan v d gen =
+    let all_clique = ref true and drop = ref (-1) in
+    let r = w.row.(v) in
+    for i = 0 to w.len.(v) - 1 do
+      let u = Array.unsafe_get r i in
+      if Array.unsafe_get w.alive u then
+        (* c(u) <= deg(u), so a neighbor below the threshold cannot
+           pass — skip its row walk entirely. *)
+        if w.deg.(u) < d then all_clique := false
+        else begin
+          compact_row w u;
+          let c = ref 0 in
+          let ru = w.row.(u) in
+          let len = w.len.(u) in
+          let j = ref 0 in
+          (* Abort as soon as the remaining entries cannot lift the
+             count to the threshold. *)
+          while !j < len && !c + (len - !j) >= d do
+            let x = Array.unsafe_get ru !j in
+            if Array.unsafe_get w.alive x
+               && Array.unsafe_get w.mark x = gen
+            then incr c;
+            incr j
+          done;
+          if !c >= d then begin
+            if !drop < 0 then drop := u
+          end
+          else all_clique := false
+        end
+    done;
+    if !all_clique then begin
+      take v (live_neighbors w v);
+      incr simplicial
+    end
+    else if !drop >= 0 then begin
+      kill w !drop;
+      incr dominated
+    end
+  in
   let process v =
     let d = w.deg.(v) in
     if d = 0 then begin
@@ -243,61 +363,40 @@ let reduce ?(rule_cap = default_rule_cap) g =
       end
     end
     else begin
-      (* One marked-neighborhood pass decides both remaining rules:
-         with N[v] marked, a neighbor u has c(u) = |N(u) ∩ N[v]| >= d
-         exactly when N[v] ⊆ N[u].  All neighbors passing means N(v)
-         is a clique (v is simplicial — take it); any single neighbor
-         passing is dominated and can be deleted. *)
-      let nbrs = live_neighbors w v in
-      (* The pass costs one row walk per neighbor, Σ deg(u) in total.
+      (* One pass over v's row stamps N[v], sums the neighbor degrees
+         for the budget below and picks the live neighbor [a] of least
+         degree for the witness gate. *)
+      compact_row w v;
+      w.gen <- w.gen + 1;
+      let gen = w.gen in
+      w.mark.(v) <- gen;
+      let r = w.row.(v) in
+      let sdeg = ref 0 and a = ref (-1) and da = ref max_int in
+      for i = 0 to w.len.(v) - 1 do
+        let u = Array.unsafe_get r i in
+        if Array.unsafe_get w.alive u then begin
+          let du = Array.unsafe_get w.deg u in
+          sdeg := !sdeg + du;
+          Array.unsafe_set w.mark u gen;
+          if du < !da then begin
+            a := u;
+            da := du
+          end
+        end
+      done;
+      (* The scan costs one row walk per neighbor, Σ deg(u) in total.
          A v with a clique neighborhood has Σ deg(u) >= d(d-1), so a
          16·cap budget still admits every clique the cap admits; what
          it skips are low-degree vertices wired into much denser
          surroundings, where these rules essentially never fire but
          their check is at its most expensive (conservative: rules
          only ever apply on positive proof). *)
-      let sdeg = Array.fold_left (fun a u -> a + w.deg.(u)) 0 nbrs in
-      if sdeg <= 16 * w.cap then begin
-      w.gen <- w.gen + 1;
-      let gen = w.gen in
-      w.mark.(v) <- gen;
-      Array.iter (fun u -> w.mark.(u) <- gen) nbrs;
-      let all_clique = ref true and drop = ref (-1) in
-      Array.iter
-        (fun u ->
-          (* c(u) <= deg(u), so a neighbor below the threshold cannot
-             pass — skip its row walk entirely. *)
-          if w.deg.(u) < d then all_clique := false
-          else begin
-            compact_row w u;
-            let c = ref 0 in
-            let r = w.row.(u) in
-            let len = w.len.(u) in
-            let i = ref 0 in
-            (* Abort as soon as the remaining entries cannot lift the
-               count to the threshold. *)
-            while !i < len && !c + (len - !i) >= d do
-              let x = Array.unsafe_get r !i in
-              if Array.unsafe_get w.alive x
-                 && Array.unsafe_get w.mark x = gen
-              then incr c;
-              incr i
-            done;
-            if !c >= d then begin
-              if !drop < 0 then drop := u
-            end
-            else all_clique := false
-          end)
-        nbrs;
-      if !all_clique then begin
-        take v nbrs;
-        incr simplicial
-      end
-      else if !drop >= 0 then begin
-        kill w !drop;
-        incr dominated
-      end
-      end
+      if !sdeg <= 16 * w.cap then
+        if witness w !a v gen then begin
+          incr scans;
+          scan v d gen
+        end
+        else incr scan_skips
     end
   in
   while w.cursor <= rule_cap do
@@ -310,7 +409,11 @@ let reduce ?(rule_cap = default_rule_cap) g =
       if w.alive.(v) && w.deg.(v) = d then process v
     end
   done;
-  (* Compact the survivors into a fresh CSR with automatic width. *)
+  if Tm.enabled () then begin
+    Tm.count "kernel.scans" !scans;
+    Tm.count "kernel.scan_skips" !scan_skips
+  end;
+  (* Renumber the survivors; [to_kernel] is monotone. *)
   let to_kernel = Array.make n (-1) in
   let n_k = ref 0 in
   for v = 0 to n - 1 do
@@ -347,27 +450,7 @@ let reduce ?(rule_cap = default_rule_cap) g =
   for v = 0 to n - 1 do
     if to_kernel.(v) >= 0 then to_orig.(to_kernel.(v)) <- v
   done;
-  let m_k = ref 0 in
-  for v = 0 to n - 1 do
-    if w.alive.(v) then m_k := !m_k + w.deg.(v)
-  done;
-  let m_k = !m_k / 2 in
-  let eu = Array.make (max 1 m_k) 0 and ev = Array.make (max 1 m_k) 0 in
-  let j = ref 0 in
-  for v = 0 to n - 1 do
-    if w.alive.(v) then begin
-      let r = w.row.(v) in
-      for i = 0 to w.len.(v) - 1 do
-        let x = r.(i) in
-        if w.alive.(x) && x > v then begin
-          eu.(!j) <- to_kernel.(v);
-          ev.(!j) <- to_kernel.(x);
-          incr j
-        end
-      done
-    end
-  done;
-  let kernel = G.of_unnormalized_pairs n_k ~u:eu ~v:ev ~len:!j in
+  let kernel = emit w ~to_kernel ~to_orig in
   let stats =
     { original_vertices = n;
       original_edges = G.n_edges g;

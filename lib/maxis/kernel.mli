@@ -6,15 +6,31 @@
     before any solver runs.  Rules are applied worklist-style off a
     [nodes_by_degree] bucket structure, so the whole pass is linear in
     the graph volume (plus a bounded per-vertex neighborhood scan capped
-    by [rule_cap]).  Every rule is α-preserving: an undo journal records
+    by [rule_cap]).
+
+    {b Witness gate.}  The simplicial/domination scan at a vertex [v] of
+    degree [d >= 3] walks one row per neighbor.  Before it runs, one
+    pass over [v]'s row stamps [N[v]] and picks the neighbor [a] of
+    least degree, and one walk over [a]'s row looks for a stamped entry
+    other than [v] — a triangle through the edge [va].  Either rule
+    firing implies one: a neighbor [u] with [N[v] ⊆ N[u]] is adjacent
+    to every other neighbor of [v], so it sits in [a]'s row when
+    [u <> a], and [a]'s row holds the [d - 1 >= 2] other neighbors when
+    [u = a].  So the scan runs only when that witness exists (and the
+    16·[rule_cap] neighbor-degree budget admits it); skipping it never
+    changes the kernel, the journal or the stats.  A traced run counts
+    scans run and scans skipped as [kernel.scans] and
+    [kernel.scan_skips].
+
+    Every rule is α-preserving: an undo journal records
     enough to translate {e any} independent set of the kernel back to an
     independent set of the original graph, and a final [vertex_addition]
     repair pass restores maximality on the original vertex ids.
 
     The pass is CSR-native and width-aware: input adjacency is read
-    through the width-transparent accessors, and the kernel graph is
-    built with automatic width selection, so int- and int32-backed
-    inputs behave identically. *)
+    through the width-transparent accessors, and the kernel's rows are
+    written straight into a CSR store of automatic width (int32 whenever
+    the ids fit), so int- and int32-backed inputs behave identically. *)
 
 type stats = {
   original_vertices : int;

@@ -657,6 +657,19 @@ let with_temp_file text f =
       Out_channel.with_open_bin path (fun oc -> output_string oc text);
       f path)
 
+(* A 20-byte input whose header promises 10^14 edges: preallocation is
+   bounded by the input length, so both readers reach the header-count
+   check instead of dying in [Array.make]. *)
+let test_io_huge_header_m () =
+  let text = "3 100000000000000\n0 1\n" in
+  let want =
+    Failure "Gio.of_edge_list: header promises 100000000000000 edges, found 1"
+  in
+  Alcotest.check_raises "of_edge_list" want (fun () ->
+      ignore (Gio.of_edge_list text));
+  Alcotest.check_raises "read_file" want (fun () ->
+      ignore (with_temp_file text Gio.read_file))
+
 (* Both front-ends, checked against the oracle: the same graph, or a
    [Failure] with exactly the oracle's message. *)
 let agrees_with_oracle text =
@@ -1153,6 +1166,8 @@ let suites =
           test_io_rejects_out_of_range_vertex;
         Alcotest.test_case "edge count mismatch" `Quick
           test_io_edge_count_mismatch;
+        Alcotest.test_case "huge header edge count" `Quick
+          test_io_huge_header_m;
         Alcotest.test_case "dot export" `Quick test_io_dot;
         Alcotest.test_case "file roundtrip" `Quick test_io_file_roundtrip;
         Alcotest.test_case "overlong id" `Quick test_io_rejects_overlong_id;

@@ -343,6 +343,22 @@ let test_hio_rejects_overlong_id () =
   Alcotest.(check (array int)) "leading zeros still parse" [| 1; 3 |]
     (H.edge h 0)
 
+(* A huge header edge count on a tiny input must reach the count check
+   in both readers, not size an array from the header. *)
+let test_hio_huge_header_m () =
+  let text = "3 100000000000000\n2 0 1\n" in
+  let want =
+    Failure "Hio.of_text: header promises 100000000000000 edges, found 1"
+  in
+  Alcotest.check_raises "of_text" want (fun () -> ignore (Hio.of_text text));
+  let path = Filename.temp_file "pslocal" ".hg" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      Alcotest.check_raises "read_file" want (fun () ->
+          ignore (Hio.read_file path)))
+
 let test_hio_file_roundtrip () =
   let h = sample () in
   let path = Filename.temp_file "pslocal" ".hg" in
@@ -541,6 +557,8 @@ let suites =
           test_hio_rejects_out_of_range_vertex;
         Alcotest.test_case "size mismatch" `Quick test_hio_size_mismatch;
         Alcotest.test_case "overlong id" `Quick test_hio_rejects_overlong_id;
+        Alcotest.test_case "huge header edge count" `Quick
+          test_hio_huge_header_m;
         Alcotest.test_case "file roundtrip" `Quick test_hio_file_roundtrip ]
     );
     ("hypergraph.properties", props) ]

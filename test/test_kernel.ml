@@ -12,6 +12,7 @@ module Approx = Ps_maxis.Approx
 module Exact = Ps_maxis.Exact
 module Portfolio = Ps_maxis.Portfolio
 module Rng = Ps_util.Rng
+module Tm = Ps_util.Telemetry
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -90,6 +91,219 @@ let test_kernel_stats_shape () =
       B.add seen v)
     (Kn.to_original r);
   check "map size" st.Kn.kernel_vertices (B.cardinal seen)
+
+(* ------------------------------------------------------------------ *)
+(* Golden identity pins *)
+
+(* [cliques] disjoint K_size plus [chords] random extra edges. *)
+let cliques_with_chords seed ~cliques ~size ~chords =
+  let g = Gen.disjoint_cliques cliques size in
+  let rng = Rng.create seed in
+  let n = G.n_vertices g in
+  let extra =
+    List.init chords (fun _ ->
+        let u = Rng.int rng n and v = Rng.int rng n in
+        if u = v then (u, (v + 1) mod n) else (u, v))
+  in
+  G.of_edges n (G.edges g @ extra)
+
+(* G_3 of a random 3-uniform hypergraph: the reduction's own input. *)
+let conflict_graph seed ~n ~m =
+  let h = Ps_hypergraph.Hgen.uniform_random (Rng.create seed) ~n ~m ~k:3 in
+  (Ps_core.Conflict_graph.build h ~k:3).Ps_core.Conflict_graph.graph
+
+let stats_list (st : Kn.stats) =
+  [ st.Kn.original_vertices; st.original_edges; st.kernel_vertices;
+    st.kernel_edges; st.isolated; st.pendants; st.folds; st.simplicial;
+    st.dominated ]
+
+let set_hash s =
+  Ps_util.Fnv.finish
+    (B.fold (fun v h -> Ps_util.Fnv.int h v) s Ps_util.Fnv.init)
+
+(* Per input: the kernel's content hash, the full stats record (as
+   [stats_list]), and the size and hash of the lift of the in-order
+   greedy kernel answer — which replays the whole journal.  Recorded
+   from the kernel that ran the simplicial/domination scan at every
+   vertex and rebuilt its CSR from edge pairs, so they pin the
+   witness gate and the direct emit to that kernel bit for bit. *)
+let golden =
+  [ ("gnp sparse", (fun () -> Gen.gnp (Rng.create 11) 3000 0.001),
+     0x1fcf573b33eef0f8L, [ 3000; 4557; 202; 455; 217; 891; 392; 5; 0 ],
+     1577, 0xfdb5aa1cc93c311aL);
+    ("gnp sparse 2", (fun () -> Gen.gnp (Rng.create 12) 2000 0.0015),
+     0x32d608637c21d094L, [ 2000; 3091; 145; 349; 134; 566; 292; 1; 2 ],
+     1045, 0x221c8744fb586c7bL);
+    ("gnp dense", (fun () -> Gen.gnp (Rng.create 13) 300 0.05),
+     0xbd9ee9778bf8dc87L, [ 300; 2304; 300; 2304; 0; 0; 0; 0; 0 ],
+     50, 0x8c139725938aae68L);
+    ("gnp mid", (fun () -> Gen.gnp (Rng.create 20) 600 0.01),
+     0x9ea4afcf11651bd4L, [ 600; 1792; 526; 1680; 2; 7; 29; 0; 0 ],
+     201, 0x150e7357047526L);
+    ("gnp mid 2", (fun () -> Gen.gnp (Rng.create 21) 400 0.02),
+     0x24b28de3e8a5be80L, [ 400; 1589; 391; 1566; 1; 2; 2; 0; 0 ],
+     113, 0xba78d69648d4137bL);
+    ("rmat s10", (fun () -> Gen.rmat (Rng.create 14) ~scale:10 ~edges:4000),
+     0x68752350ae1d483fL, [ 1024; 3293; 0; 0; 516; 254; 0; 0; 0 ],
+     770, 0xee2d3f500a14e4f9L);
+    ("rmat s12", (fun () -> Gen.rmat (Rng.create 15) ~scale:12 ~edges:12000),
+     0x68752350ae1d483fL, [ 4096; 10831; 0; 0; 2526; 785; 0; 0; 0 ],
+     3311, 0x970ccd31e24d6ca1L);
+    ("cliques+chords",
+     (fun () -> cliques_with_chords 16 ~cliques:60 ~size:5 ~chords:40),
+     0x68752350ae1d483fL, [ 300; 640; 0; 0; 0; 0; 0; 60; 0 ],
+     60, 0x815335f316e7f5d5L);
+    ("cliques+chords dense",
+     (fun () -> cliques_with_chords 17 ~cliques:30 ~size:7 ~chords:90),
+     0x68752350ae1d483fL, [ 210; 716; 0; 0; 0; 0; 0; 30; 0 ],
+     30, 0x5abb69bea4f0dcaaL);
+    ("cliques+chords heavy",
+     (fun () -> cliques_with_chords 22 ~cliques:20 ~size:6 ~chords:150),
+     0x68752350ae1d483fL, [ 120; 436; 0; 0; 0; 0; 0; 20; 0 ],
+     20, 0xcba9b721b3343ce8L);
+    ("cliques+chords mixed",
+     (fun () -> cliques_with_chords 23 ~cliques:50 ~size:4 ~chords:60),
+     0x68752350ae1d483fL, [ 200; 359; 0; 0; 0; 0; 0; 50; 0 ],
+     50, 0xb3cd75345953600cL);
+    ("conflict 1", (fun () -> conflict_graph 18 ~n:30 ~m:12),
+     0x3a33e029bf92e0a6L, [ 108; 720; 87; 588; 0; 0; 0; 1; 12 ],
+     12, 0x4357388df5c9cb30L);
+    ("conflict 2", (fun () -> conflict_graph 19 ~n:40 ~m:20),
+     0xda605b4d309e5a37L, [ 180; 1602; 153; 1377; 0; 0; 0; 1; 18 ],
+     20, 0xbd4fdcea9be64d66L);
+    ("conflict 3", (fun () -> conflict_graph 24 ~n:20 ~m:16),
+     0xb2adbb765fe59ad0L, [ 144; 1470; 144; 1470; 0; 0; 0; 0; 0 ],
+     16, 0x1e9044ba1aca091L) ]
+
+let test_golden_pins () =
+  List.iter
+    (fun (name, mk, hash, stats, lift_size, lift_hash) ->
+      let r = Kn.reduce (mk ()) in
+      let k = Kn.graph r in
+      Alcotest.(check int64) (name ^ ": kernel hash") hash (G.content_hash k);
+      Alcotest.(check (list int)) (name ^ ": stats") stats
+        (stats_list (Kn.stats r));
+      let s = Ps_maxis.Greedy.in_order k (Array.init (G.n_vertices k) Fun.id) in
+      let l = Kn.lift r s in
+      check (name ^ ": lift size") lift_size (B.cardinal l);
+      Alcotest.(check int64) (name ^ ": lift hash") lift_hash (set_hash l))
+    golden;
+  (* The corpus reaches both scan rules (stats fields 7 and 8). *)
+  let fires i =
+    List.exists (fun (_, _, _, st, _, _) -> List.nth st i > 0) golden
+  in
+  check_bool "a pin with simplicial takes" true (fires 7);
+  check_bool "a pin with dominated deletions" true (fires 8)
+
+(* ------------------------------------------------------------------ *)
+(* Witness gate *)
+
+(* The cube Q_3 is cubic and triangle-free: every vertex reaches the
+   scan at degree 3 and the gate proves each scan futile. *)
+let q3_plus n extra = G.of_edges n (G.edges (Gen.hypercube 3) @ extra)
+
+(* (kernel.scans, kernel.scan_skips) of one traced [reduce]. *)
+let scan_counters g =
+  let was = Tm.enabled () in
+  Tm.reset ();
+  Tm.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Tm.set_enabled was;
+      Tm.reset ())
+    (fun () ->
+      ignore (Kn.reduce g);
+      (Tm.counter_value "kernel.scans", Tm.counter_value "kernel.scan_skips"))
+
+let test_gate_skips_triangle_free () =
+  let g = Gen.hypercube 3 in
+  let r = Kn.reduce g in
+  check_bool "identity kernel" true (G.equal g (Kn.graph r));
+  Alcotest.(check (pair int int)) "scans, skips" (0, 8) (scan_counters g)
+
+let test_gate_non_min_degree_witness () =
+  (* v = 8 with N(v) = {a = 9, b = 10, c = 11}, edges a-b and b-c but
+     not a-c, hung off Q_3 so every degree is at least 3.  Only b
+     passes (N[v] ⊆ N[b]), yet the gate walks the row of a, v's
+     least-degree neighbor (degree 3 against 4 and 4), where b is the
+     only stamped entry other than v.  Deleting b starts a cascade of
+     folds that empties the graph. *)
+  let g =
+    q3_plus 12
+      [ (8, 9); (8, 10); (8, 11); (9, 10); (10, 11); (9, 0); (10, 1);
+        (11, 2); (11, 4) ]
+  in
+  let st = Kn.stats (Kn.reduce g) in
+  Alcotest.(check (list int)) "stats"
+    [ 12; 21; 0; 0; 0; 1; 4; 0; 2 ] (stats_list st)
+
+let test_gate_simplicial_clique () =
+  (* K_5 on 8..12 hanging off Q_3 by the edges 8-0 and 9-1: vertex 12
+     reaches the scan at degree 4 and is taken as simplicial, which
+     leaves Q_3 alone. *)
+  let k5 =
+    List.concat_map
+      (fun i -> List.init (12 - i) (fun j -> (i, i + j + 1)))
+      [ 8; 9; 10; 11 ]
+  in
+  let g = q3_plus 13 ((8, 0) :: (9, 1) :: k5) in
+  let r = Kn.reduce g in
+  Alcotest.(check (list int)) "stats"
+    [ 13; 24; 8; 12; 0; 0; 0; 1; 0 ] (stats_list (Kn.stats r));
+  check_bool "kernel is Q_3" true (G.equal (Gen.hypercube 3) (Kn.graph r));
+  Alcotest.(check (pair int int)) "scans, skips" (1, 8) (scan_counters g)
+
+(* ------------------------------------------------------------------ *)
+(* Direct CSR emit *)
+
+(* A path with [chords] random short chords. *)
+let path_with_chords seed n chords =
+  let rng = Rng.create seed in
+  let extra =
+    List.init chords (fun _ ->
+        let i = Rng.int rng (n - 3) in
+        (i, min (n - 1) (i + 2 + Rng.int rng 20)))
+  in
+  G.of_edges n (G.edges (Gen.path n) @ extra)
+
+(* [count] cliques K_size in a ring; consecutive cliques are linked by
+   a [hops]-vertex path and by one direct edge. *)
+let ring_of_cliques count size hops =
+  let per = size + hops in
+  let edges = ref [] in
+  for c = 0 to count - 1 do
+    let b = c * per and nb = (c + 1) mod count * per in
+    for i = 0 to size - 1 do
+      for j = i + 1 to size - 1 do
+        edges := (b + i, b + j) :: !edges
+      done
+    done;
+    let prev = ref b in
+    for h = 0 to hops - 1 do
+      edges := (!prev, b + size + h) :: !edges;
+      prev := b + size + h
+    done;
+    edges := (!prev, nb + 1) :: (b + 2, nb + 3) :: !edges
+  done;
+  G.of_edges (count * per) !edges
+
+let test_emit_fold_rows () =
+  (* Folds append the merged vertex to its neighbors' rows and give it
+     an unordered union row, so these kernels carry rows that leave the
+     renumbering unsorted; the emitted CSR must still be canonical. *)
+  List.iter
+    (fun g ->
+      let r = Kn.reduce g in
+      let k = Kn.graph r in
+      check_bool "folds fired" true ((Kn.stats r).Kn.folds > 0);
+      check_bool "nonempty kernel" true (G.n_vertices k > 0);
+      check_bool "int32 store" true (G.width k = `Int32);
+      check_bool "exact store" true (G.csr_view k).G.v_exact;
+      check_bool "certified CSR" true (Ps_check.Check_graph.csr_ok k);
+      check_bool "canonical rows" true
+        (G.equal k (G.of_edges (G.n_vertices k) (G.edges k))))
+    [ path_with_chords 2 1000 300; path_with_chords 3 1000 500;
+      ring_of_cliques 30 4 2; Gen.gnp (Rng.create 11) 3000 0.001 ]
 
 (* ------------------------------------------------------------------ *)
 (* Lift contract *)
@@ -309,6 +523,14 @@ let suites =
         Alcotest.test_case "disjoint cliques exact" `Quick
           test_kernel_disjoint_cliques_exact;
         Alcotest.test_case "stats shape" `Quick test_kernel_stats_shape;
+        Alcotest.test_case "golden pins" `Quick test_golden_pins;
+        Alcotest.test_case "gate skips triangle-free" `Quick
+          test_gate_skips_triangle_free;
+        Alcotest.test_case "gate witness off the min-degree neighbor" `Quick
+          test_gate_non_min_degree_witness;
+        Alcotest.test_case "gate admits a hanging clique" `Quick
+          test_gate_simplicial_clique;
+        Alcotest.test_case "emit sorts fold rows" `Quick test_emit_fold_rows;
         Alcotest.test_case "lift repairs weak answers" `Quick
           test_lift_repairs_weak_kernel_answers;
         Alcotest.test_case "lift rejects wrong capacity" `Quick
