@@ -132,6 +132,7 @@ type view = {
   v_store_len : int;
   v_exact : bool;
   v_get : int -> int;
+  v_store : store;
 }
 
 let csr_view g =
@@ -142,7 +143,8 @@ let csr_view g =
     v_get =
       (match g.adj with
       | S_int a -> fun i -> a.(i)
-      | S_i32 a -> fun i -> Int32.to_int (Bigarray.Array1.get a i)) }
+      | S_i32 a -> fun i -> Int32.to_int (Bigarray.Array1.get a i));
+    v_store = g.adj }
 
 let of_edge_array n edges = of_edges n (Array.to_list edges)
 

@@ -119,6 +119,14 @@ val to_csr : t -> int array * int array
     entry-by-entry).  This contract is pinned by a unit test.  For
     allocation-free auditing use {!csr_view}. *)
 
+type store = private S_int of int array | S_i32 of i32
+(** The adjacency store as the graph holds it, at its physical width.
+    Exposed only through {!csr_view}, for hot loops that read rows in
+    place with one width dispatch per pass instead of one closure call
+    per entry.  Read-only: graphs are immutable and stores are shared
+    (across solver lanes, cache entries and derived graphs), so writing
+    into one corrupts every graph that aliases it. *)
+
 type view = {
   v_n : int;
   v_offsets : int array;
@@ -130,10 +138,14 @@ type view = {
           [false] for graphs built by {!of_csr_prefix} /
           {!of_csr_prefix_i32} carrying spare arena capacity. *)
   v_get : int -> int;  (** Bounds-checked read of store index [i]. *)
+  v_store : store;
+      (** The store itself, aliased — read-only, like [v_offsets]. *)
 }
 (** Zero-copy window onto the internal representation, for auditors that
     must certify what is actually stored (not a reconstruction) without
-    paying the O(n + m) copy of {!to_csr} on 10^8-edge instances. *)
+    paying the O(n + m) copy of {!to_csr} on 10^8-edge instances, and
+    for hot loops (the kernel's working graph, the maximality pass)
+    that read rows in place at the store's own width. *)
 
 val csr_view : t -> view
 

@@ -30,7 +30,15 @@ val verify_exn : Ps_graph.Graph.t -> t -> unit
     every pipeline stage runs before trusting a solver's output. *)
 
 val make_maximal : Ps_graph.Graph.t -> t -> t
-(** Greedily extend an independent set to a maximal one (fresh set). *)
+(** Greedily extend an independent set to a maximal one (fresh set).
+    Raises [Invalid_argument] when the input is not independent. *)
+
+val complete : Ps_graph.Graph.t -> t -> t
+(** [complete g s] is a fresh copy of [s] plus, in increasing vertex
+    order, every vertex with no neighbor in the set built so far — the
+    greedy pass behind {!make_maximal}, without its independence check.
+    Never removes a member; the result is maximal whenever [s] is
+    independent. *)
 
 val approximation_ratio : alpha:int -> t -> float
 (** [alpha /. size]; the λ achieved against a known independence number.

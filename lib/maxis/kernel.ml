@@ -44,18 +44,32 @@ let shrink_ratio s =
 
 let default_rule_cap = 16
 
-(* Mutable working graph: adjacency rows seeded from the CSR, grown only
-   by folds.  Rows are never physically cleaned — dead entries are
-   skipped through [alive] — so [deg] (the count of live entries) is the
-   authoritative degree.  Among live entries every row is duplicate-free:
-   the CSR starts that way, and a fold only links the merged vertex to
-   vertices it was not adjacent to before (its center had degree 2). *)
+(* Mutable working graph, copy-on-write over the input CSR.  A row
+   starts {e borrowed}: it is read in place from the input graph's
+   adjacency store, at [offsets.(v)], and [own.(v)] is the empty array.
+   A rule that rewrites a row first gives it an owned [int array] copy —
+   a fold's merged row, a row the merged vertex is appended to
+   ([row_push]), a row [compact_row] compacts — so the input store,
+   which other readers may share (portfolio lanes, the serve cache), is
+   never written, and a pass where no rule fires copies nothing.  An
+   owned row is never empty, which is what tells the two apart; [entry]
+   is the one read path for both, over either store width.
+
+   Rows are never physically cleaned — dead entries are skipped through
+   [alive] — so [deg] (the count of live entries) is the authoritative
+   degree.  Among live entries every row is duplicate-free: the CSR
+   starts that way, and a fold only links the merged vertex to vertices
+   it was not adjacent to before (its center had degree 2). *)
 type work = {
-  n : int;
   alive : bool array;
   deg : int array;
-  row : int array array;
+  offsets : int array;  (* the input's, read-only *)
+  wide : int array;  (* the input store at int width, else [||] *)
+  narrow : G.i32;  (* the input store at int32 width, else empty *)
+  is_narrow : bool;
+  own : int array array;  (* [||] while borrowed *)
   len : int array;  (* physical row length, >= live count *)
+  mutable owned : int;  (* rows copied so far *)
   (* nodes_by_degree bucket queue (lazy entries: a vertex may sit in
      several buckets; staleness is detected on pop). *)
   buckets : int array array;
@@ -66,6 +80,20 @@ type work = {
   mark : int array;
   mutable gen : int;
 }
+
+(* Entry [i] of the row whose owned array is [r] and whose input row
+   starts at store index [base]: the one row accessor.  Callers read
+   [r] and [base] once per row walk. *)
+let[@inline] entry w r base i =
+  if Array.length r > 0 then Array.unsafe_get r i
+  else if w.is_narrow then
+    Int32.to_int (Bigarray.Array1.unsafe_get w.narrow (base + i))
+  else Array.unsafe_get w.wide (base + i)
+
+(* Install [r] (non-empty) as [v]'s owned row. *)
+let adopt w v r =
+  if Array.length w.own.(v) = 0 then w.owned <- w.owned + 1;
+  w.own.(v) <- r
 
 let bucket_push w v =
   let d = w.deg.(v) in
@@ -84,41 +112,48 @@ let bucket_push w v =
 
 let row_push w v x =
   let l = w.len.(v) in
-  let r = w.row.(v) in
-  if l = Array.length r then begin
+  let r = w.own.(v) in
+  if l = Array.length r || Array.length r = 0 then begin
+    let base = w.offsets.(v) in
     let r' = Array.make (max 4 (2 * l)) 0 in
-    Array.blit r 0 r' 0 l;
-    w.row.(v) <- r'
+    for i = 0 to l - 1 do
+      Array.unsafe_set r' i (entry w r base i)
+    done;
+    adopt w v r'
   end;
-  w.row.(v).(l) <- x;
+  w.own.(v).(l) <- x;
   w.len.(v) <- l + 1
 
 (* Retire [v]: live neighbors lose a degree and get re-examined. *)
 let kill w v =
   w.alive.(v) <- false;
-  let r = w.row.(v) in
+  let r = w.own.(v) and base = w.offsets.(v) in
   for i = 0 to w.len.(v) - 1 do
-    let x = Array.unsafe_get r i in
+    let x = entry w r base i in
     if Array.unsafe_get w.alive x then begin
       w.deg.(x) <- w.deg.(x) - 1;
       bucket_push w x
     end
   done
 
-(* Drop dead entries from [v]'s row in place once they outnumber the
-   live ones.  Scans amortize against the kills that created the dead
+(* Drop dead entries from [v]'s row once they outnumber the live ones —
+   in place when the row is owned, into a fresh owned row when it is
+   borrowed.  Scans amortize against the kills that created the dead
    entries, keeping every row walk within 2x the live degree. *)
 let compact_row w v =
-  if w.len.(v) > 2 * w.deg.(v) then begin
-    let r = w.row.(v) in
+  let d = w.deg.(v) in
+  if w.len.(v) > 2 * d then begin
+    let r = w.own.(v) and base = w.offsets.(v) in
+    let dst = if Array.length r > 0 then r else Array.make (max 1 d) 0 in
     let j = ref 0 in
     for i = 0 to w.len.(v) - 1 do
-      let x = Array.unsafe_get r i in
+      let x = entry w r base i in
       if Array.unsafe_get w.alive x then begin
-        Array.unsafe_set r !j x;
+        Array.unsafe_set dst !j x;
         incr j
       end
     done;
+    adopt w v dst;
     w.len.(v) <- !j
   end
 
@@ -126,9 +161,9 @@ let live_neighbors w v =
   compact_row w v;
   let out = Array.make w.deg.(v) 0 in
   let j = ref 0 in
-  let r = w.row.(v) in
+  let r = w.own.(v) and base = w.offsets.(v) in
   for i = 0 to w.len.(v) - 1 do
-    let x = Array.unsafe_get r i in
+    let x = entry w r base i in
     if Array.unsafe_get w.alive x then begin
       Array.unsafe_set out !j x;
       incr j
@@ -141,9 +176,9 @@ let live_neighbors w v =
    and live entries are duplicate-free. *)
 let adjacent w u x =
   let u, x = if w.len.(u) <= w.len.(x) then (u, x) else (x, u) in
-  let r = w.row.(u) in
+  let r = w.own.(u) and base = w.offsets.(u) in
   let n = w.len.(u) in
-  let rec go i = i < n && (Array.unsafe_get r i = x || go (i + 1)) in
+  let rec go i = i < n && (entry w r base i = x || go (i + 1)) in
   go 0
 
 (* Witness gate for the simplicial/domination scan at a vertex [v] of
@@ -158,11 +193,11 @@ let adjacent w u x =
    picked as v's least-degree neighbor to keep it short. *)
 let witness w a v gen =
   compact_row w a;
-  let r = w.row.(a) in
+  let r = w.own.(a) and base = w.offsets.(a) in
   let n = w.len.(a) in
   let rec go i =
     i < n
-    && (let x = Array.unsafe_get r i in
+    && (let x = entry w r base i in
         (x <> v && Array.unsafe_get w.mark x = gen) || go (i + 1))
   in
   go 0
@@ -188,10 +223,10 @@ let emit w ~to_kernel ~to_orig =
   let total = offsets.(n_k) in
   let buf = Array.make (max 1 !maxdeg) 0 in
   let gather v =
-    let r = w.row.(v) in
+    let r = w.own.(v) and base = w.offsets.(v) in
     let len = ref 0 and sorted = ref true and prev = ref (-1) in
     for i = 0 to w.len.(v) - 1 do
-      let y = Array.unsafe_get to_kernel (Array.unsafe_get r i) in
+      let y = Array.unsafe_get to_kernel (entry w r base i) in
       if y >= 0 then begin
         if y < !prev then sorted := false;
         prev := y;
@@ -222,15 +257,31 @@ let emit w ~to_kernel ~to_orig =
     G.of_csr n_k ~offsets ~adj
   end
 
+(* The [narrow] field of a working graph over an int-width input. *)
+let no_narrow : G.i32 =
+  Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout 0
+
 let reduce ?(rule_cap = default_rule_cap) g =
   Tm.with_span "kernel.reduce" @@ fun () ->
   let n = G.n_vertices g in
+  let view = G.csr_view g in
+  let offsets = view.G.v_offsets in
+  let deg = Array.init n (fun v -> offsets.(v + 1) - offsets.(v)) in
+  let wide, narrow, is_narrow =
+    match view.G.v_store with
+    | G.S_int a -> (a, no_narrow, false)
+    | G.S_i32 a -> ([||], a, true)
+  in
   let w =
-    { n;
-      alive = Array.make n true;
-      deg = Array.init n (G.degree g);
-      row = Array.init n (G.neighbors g);
-      len = Array.init n (G.degree g);
+    { alive = Array.make n true;
+      deg;
+      offsets;
+      wide;
+      narrow;
+      is_narrow;
+      own = Array.make n [||];
+      len = Array.copy deg;
+      owned = 0;
       buckets = Array.make (rule_cap + 1) [||];
       bfill = Array.make (rule_cap + 1) 0;
       cursor = 0;
@@ -262,9 +313,9 @@ let reduce ?(rule_cap = default_rule_cap) g =
     let gen = w.gen in
     let union = ref [] and usize = ref 0 in
     let collect src =
-      let r = w.row.(src) in
+      let r = w.own.(src) and base = w.offsets.(src) in
       for i = 0 to w.len.(src) - 1 do
-        let x = r.(i) in
+        let x = entry w r base i in
         if w.alive.(x) && x <> v then begin
           w.deg.(x) <- w.deg.(x) - 1;
           if w.mark.(x) <> gen then begin
@@ -287,7 +338,7 @@ let reduce ?(rule_cap = default_rule_cap) g =
         row_push w x v;
         bucket_push w x)
       !union;
-    w.row.(v) <- merged;
+    adopt w v merged;
     w.len.(v) <- !usize;
     w.deg.(v) <- !usize;
     journal := Fold (v, u, w_) :: !journal;
@@ -299,9 +350,9 @@ let reduce ?(rule_cap = default_rule_cap) g =
      neighbor in row order is dominated and can be deleted. *)
   let scan v d gen =
     let all_clique = ref true and drop = ref (-1) in
-    let r = w.row.(v) in
+    let r = w.own.(v) and base = w.offsets.(v) in
     for i = 0 to w.len.(v) - 1 do
-      let u = Array.unsafe_get r i in
+      let u = entry w r base i in
       if Array.unsafe_get w.alive u then
         (* c(u) <= deg(u), so a neighbor below the threshold cannot
            pass — skip its row walk entirely. *)
@@ -309,13 +360,13 @@ let reduce ?(rule_cap = default_rule_cap) g =
         else begin
           compact_row w u;
           let c = ref 0 in
-          let ru = w.row.(u) in
+          let ru = w.own.(u) and bu = w.offsets.(u) in
           let len = w.len.(u) in
           let j = ref 0 in
           (* Abort as soon as the remaining entries cannot lift the
              count to the threshold. *)
           while !j < len && !c + (len - !j) >= d do
-            let x = Array.unsafe_get ru !j in
+            let x = entry w ru bu !j in
             if Array.unsafe_get w.alive x
                && Array.unsafe_get w.mark x = gen
             then incr c;
@@ -370,10 +421,10 @@ let reduce ?(rule_cap = default_rule_cap) g =
       w.gen <- w.gen + 1;
       let gen = w.gen in
       w.mark.(v) <- gen;
-      let r = w.row.(v) in
+      let r = w.own.(v) and base = w.offsets.(v) in
       let sdeg = ref 0 and a = ref (-1) and da = ref max_int in
       for i = 0 to w.len.(v) - 1 do
-        let u = Array.unsafe_get r i in
+        let u = entry w r base i in
         if Array.unsafe_get w.alive u then begin
           let du = Array.unsafe_get w.deg u in
           sdeg := !sdeg + du;
@@ -411,7 +462,8 @@ let reduce ?(rule_cap = default_rule_cap) g =
   done;
   if Tm.enabled () then begin
     Tm.count "kernel.scans" !scans;
-    Tm.count "kernel.scan_skips" !scan_skips
+    Tm.count "kernel.scan_skips" !scan_skips;
+    Tm.count "kernel.rows_owned" w.owned
   end;
   (* Renumber the survivors; [to_kernel] is monotone. *)
   let to_kernel = Array.make n (-1) in
@@ -472,13 +524,7 @@ let reduce ?(rule_cap = default_rule_cap) g =
     { original = g; kernel; to_orig; journal = !journal; stats }
   end
 
-let vertex_addition g s =
-  let s = B.copy s in
-  for v = 0 to G.n_vertices g - 1 do
-    if (not (B.mem s v)) && not (G.exists_neighbor g v (B.mem s)) then
-      B.add s v
-  done;
-  s
+let vertex_addition = Independent_set.complete
 
 let lift t s =
   if B.capacity s <> G.n_vertices t.kernel then

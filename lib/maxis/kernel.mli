@@ -27,10 +27,20 @@
     independent set of the original graph, and a final [vertex_addition]
     repair pass restores maximality on the original vertex ids.
 
-    The pass is CSR-native and width-aware: input adjacency is read
-    through the width-transparent accessors, and the kernel's rows are
-    written straight into a CSR store of automatic width (int32 whenever
-    the ids fit), so int- and int32-backed inputs behave identically. *)
+    {b Copy-on-write over the input CSR.}  The working graph reads every
+    row in place from the input graph's adjacency store (through
+    {!Ps_graph.Graph.csr_view}, at either store width: int32 for files
+    and [G_k] arenas, int for [of_edges] graphs), and gives a vertex its
+    own row array only when a rule rewrites that row — the merged row of
+    a fold, a row the merged vertex is appended to, a row compacted once
+    its dead entries outnumber the live ones.  The input store is never
+    written, so it stays safe to share read-only (portfolio lanes, the
+    serve cache), and a pass where no rule fires copies no row.  A
+    traced run counts the copied rows as [kernel.rows_owned].  Rows are
+    visited in the same order either way, so int- and int32-backed
+    inputs give the same kernel, journal and stats.  The kernel itself
+    is written straight into a CSR store of automatic width (int32
+    whenever the ids fit). *)
 
 type stats = {
   original_vertices : int;
@@ -58,7 +68,8 @@ val reduce : ?rule_cap:int -> Ps_graph.Graph.t -> t
     degree changes).  [rule_cap] bounds the degree up to which the
     quadratic-per-vertex simplicial/domination scan is attempted
     (default 16); vertices above the cap are still reduced once enough
-    neighbors retire.  The input graph is not modified. *)
+    neighbors retire.  The input graph is not modified, and when no
+    rule fires the kernel is the input graph itself. *)
 
 val graph : t -> Ps_graph.Graph.t
 (** The kernel graph, on the compacted vertex ids [0 .. kernel_vertices - 1]. *)
@@ -86,7 +97,9 @@ val vertex_addition : Ps_graph.Graph.t -> Ps_util.Bitset.t -> Ps_util.Bitset.t
 (** Greedy repair pass: scan all vertices once and add every vertex
     whose neighborhood is disjoint from the set.  Never removes a
     member; the result is maximal whenever the input is independent.
-    The input set is not modified. *)
+    The input set is not modified.  This is
+    {!Independent_set.complete}, the loop {!Independent_set.make_maximal}
+    runs too. *)
 
 (** {1 Presolve combinator} *)
 

@@ -202,8 +202,8 @@ let test_golden_pins () =
    scan at degree 3 and the gate proves each scan futile. *)
 let q3_plus n extra = G.of_edges n (G.edges (Gen.hypercube 3) @ extra)
 
-(* (kernel.scans, kernel.scan_skips) of one traced [reduce]. *)
-let scan_counters g =
+(* [read ()] after one traced [reduce g]. *)
+let traced g read =
   let was = Tm.enabled () in
   Tm.reset ();
   Tm.set_enabled true;
@@ -213,6 +213,11 @@ let scan_counters g =
       Tm.reset ())
     (fun () ->
       ignore (Kn.reduce g);
+      read ())
+
+(* (kernel.scans, kernel.scan_skips) of one traced [reduce]. *)
+let scan_counters g =
+  traced g (fun () ->
       (Tm.counter_value "kernel.scans", Tm.counter_value "kernel.scan_skips"))
 
 let test_gate_skips_triangle_free () =
@@ -304,6 +309,153 @@ let test_emit_fold_rows () =
         (G.equal k (G.of_edges (G.n_vertices k) (G.edges k))))
     [ path_with_chords 2 1000 300; path_with_chords 3 1000 500;
       ring_of_cliques 30 4 2; Gen.gnp (Rng.create 11) 3000 0.001 ]
+
+(* ------------------------------------------------------------------ *)
+(* Copy-on-write working graph *)
+
+let rows_owned g = traced g (fun () -> Tm.counter_value "kernel.rows_owned")
+
+(* The lift of the in-order greedy kernel answer: replays the whole
+   journal. *)
+let greedy_lift r =
+  let k = Kn.graph r in
+  Kn.lift r (Ps_maxis.Greedy.in_order k (Array.init (G.n_vertices k) Fun.id))
+
+(* [g] re-adopted as an int32 arena the way the incremental G_k engine
+   holds it: offsets and store longer than their logical prefixes, the
+   spare tails filled with junk.  Returns the graph and a check that the
+   tails are still intact. *)
+let arena_of g =
+  let offsets, adj = G.to_csr g in
+  let n = G.n_vertices g and total = Array.length adj in
+  let off' = Array.make (n + 1 + 5) 999 in
+  Array.blit offsets 0 off' 0 (n + 1);
+  let adj' =
+    Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (total + 7)
+  in
+  Bigarray.Array1.fill adj' (-5l);
+  Array.iteri (fun i x -> adj'.{i} <- Int32.of_int x) adj;
+  let tails_intact () =
+    let ok = ref true in
+    for i = n + 1 to Array.length off' - 1 do
+      if off'.(i) <> 999 then ok := false
+    done;
+    for i = total to total + 6 do
+      if adj'.{i} <> -5l then ok := false
+    done;
+    !ok
+  in
+  (G.of_csr_prefix_i32 ~validate:true n ~offsets:off' ~adj:adj', tails_intact)
+
+let test_reduce_leaves_input_untouched () =
+  (* Folds and compactions rewrite rows; the copies they make must be
+     the kernel's own, never the caller's store, at either width and on
+     an arena with spare capacity. *)
+  List.iter
+    (fun g ->
+      let arena, tails_intact = arena_of g in
+      let ref_kernel =
+        G.content_hash (Kn.graph (Kn.reduce (G.with_width g `Int)))
+      in
+      List.iter
+        (fun (name, h) ->
+          let before = G.content_hash h in
+          let r = Kn.reduce h in
+          check_bool (name ^ ": rules fired") true
+            ((Kn.stats r).Kn.kernel_vertices < G.n_vertices h);
+          let l = greedy_lift r in
+          check_bool (name ^ ": lift maximal") true (Is.is_maximal h l);
+          Alcotest.(check int64) (name ^ ": input hash") before
+            (G.content_hash h);
+          Alcotest.(check int64) (name ^ ": same kernel") ref_kernel
+            (G.content_hash (Kn.graph r)))
+        [ ("int", G.with_width g `Int); ("int32", G.with_width g `Int32);
+          ("arena", arena) ];
+      check_bool "arena tails intact" true (tails_intact ()))
+    [ path_with_chords 2 1000 300; ring_of_cliques 30 4 2;
+      Gen.gnp (Rng.create 11) 3000 0.001 ]
+
+let test_width_agreement_golden () =
+  List.iter
+    (fun (name, mk, _, _, _, _) ->
+      let g = mk () in
+      let r = Kn.reduce (G.with_width g `Int)
+      and r32 = Kn.reduce (G.with_width g `Int32) in
+      Alcotest.(check int64) (name ^ ": kernel hash")
+        (G.content_hash (Kn.graph r))
+        (G.content_hash (Kn.graph r32));
+      Alcotest.(check (list int)) (name ^ ": stats")
+        (stats_list (Kn.stats r))
+        (stats_list (Kn.stats r32));
+      check_bool (name ^ ": lift") true
+        (B.equal (greedy_lift r) (greedy_lift r32)))
+    golden
+
+(* A spine path of [n] vertices, each carrying [legs] pendant leaves,
+   plus [chords] short chords between spine vertices. *)
+let caterpillar seed n legs chords =
+  let rng = Rng.create seed in
+  let leg v j = n + (v * legs) + j in
+  let edges =
+    List.init (n - 1) (fun v -> (v, v + 1))
+    @ List.concat
+        (List.init n (fun v -> List.init legs (fun j -> (v, leg v j))))
+    @ List.init chords (fun _ ->
+          let i = Rng.int rng (n - 3) in
+          (i, i + 2 + Rng.int rng (min 10 (n - 3 - i))))
+  in
+  G.of_edges (n * (1 + legs)) edges
+
+(* A cycle of [n] vertices with [chords] chords between random pairs. *)
+let ring_with_chords seed n chords =
+  let rng = Rng.create seed in
+  let extra =
+    List.init chords (fun _ ->
+        let u = Rng.int rng n in
+        (u, (u + 2 + Rng.int rng (n - 3)) mod n))
+  in
+  G.of_edges n (G.edges (Gen.ring n) @ extra)
+
+let test_cow_fold_heavy () =
+  (* Long folding cascades: merged rows are copied, then appended to
+     and compacted again as their neighbors retire.  Plain paths and
+     caterpillars go by pendants alone and copy next to nothing; their
+     chorded versions leave kernels to certify. *)
+  let inputs =
+    [ ("long path", Gen.path 5000); ("long cycle", Gen.ring 4001);
+      ("path+chords", path_with_chords 5 4000 900);
+      ("cycle+chords", ring_with_chords 6 3000 400);
+      ("caterpillar", caterpillar 7 600 1 0);
+      ("caterpillar+chords", caterpillar 8 800 2 300) ]
+  in
+  check_bool "inputs that fold" true
+    (List.length
+       (List.filter (fun (_, g) -> (Kn.stats (Kn.reduce g)).Kn.folds > 0)
+          inputs)
+    >= 3);
+  List.iter
+    (fun (name, g) ->
+      let r = Kn.reduce g in
+      let st = Kn.stats r in
+      (* A fold always copies: the merged row is new. *)
+      if st.Kn.folds > 0 then
+        check_bool (name ^ ": rows copied") true (rows_owned g > 0);
+      check_bool (name ^ ": certified CSR") true
+        (Ps_check.Check_graph.csr_ok (Kn.graph r));
+      let l = greedy_lift r in
+      check_bool (name ^ ": independent") true (Is.is_independent g l);
+      check_bool (name ^ ": maximal") true (Is.is_maximal g l))
+    inputs
+
+let test_rows_owned_counter () =
+  (* No rule fires on this conflict graph (golden "conflict 3"): the
+     working graph reads every row in place and copies none. *)
+  let g = conflict_graph 24 ~n:20 ~m:16 in
+  check "identity kernel" (G.n_vertices g)
+    (Kn.stats (Kn.reduce g)).Kn.kernel_vertices;
+  check "no row copied" 0 (rows_owned g);
+  check_bool "fold-heavy input copies rows" true
+    (rows_owned (path_with_chords 2 1000 300) > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Lift contract *)
@@ -531,6 +683,14 @@ let suites =
         Alcotest.test_case "gate admits a hanging clique" `Quick
           test_gate_simplicial_clique;
         Alcotest.test_case "emit sorts fold rows" `Quick test_emit_fold_rows;
+        Alcotest.test_case "reduce leaves its input untouched" `Quick
+          test_reduce_leaves_input_untouched;
+        Alcotest.test_case "width agreement on the golden corpus" `Quick
+          test_width_agreement_golden;
+        Alcotest.test_case "fold-heavy copy-on-write" `Quick
+          test_cow_fold_heavy;
+        Alcotest.test_case "rows_owned counter" `Quick
+          test_rows_owned_counter;
         Alcotest.test_case "lift repairs weak answers" `Quick
           test_lift_repairs_weak_kernel_answers;
         Alcotest.test_case "lift rejects wrong capacity" `Quick

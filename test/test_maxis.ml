@@ -32,6 +32,9 @@ let test_is_dependent_detected () =
   let g = Gen.path 4 in
   let s = Is.of_list g [ 0; 1 ] in
   check_bool "dependent" false (Is.is_independent g s);
+  (* {0,1,3} touches every vertex but holds the edge 0-1. *)
+  check_bool "dependent cover not maximal" false
+    (Is.is_maximal g (Is.of_list g [ 0; 1; 3 ]));
   check_bool "verify raises" true
     (try
        Is.verify_exn g s;
@@ -385,9 +388,50 @@ let prop_make_maximal_extends =
       let extended = Is.make_maximal g seed in
       Ps_util.Bitset.subset seed extended && Is.is_maximal g extended)
 
+(* The direct-CSR maximality loop against the definitions, written with
+   the closure accessors, at both store widths: random sets (mostly
+   dependent), random independent sets, and their greedy completions. *)
+let prop_maximality_loop_matches_definitions =
+  QCheck.Test.make ~count:100
+    ~name:"is_independent/is_maximal/complete match their definitions"
+    arbitrary_gnp (fun params ->
+      let g = graph_of params in
+      let n = G.n_vertices g in
+      let rng = Rng.create (Hashtbl.hash params) in
+      let module B = Ps_util.Bitset in
+      let touches s v = G.exists_neighbor g v (B.mem s) in
+      let independent s =
+        List.for_all (fun (u, v) -> not (B.mem s u && B.mem s v)) (G.edges g)
+      in
+      let maximal s =
+        independent s
+        && List.for_all (fun v -> B.mem s v || touches s v) (G.vertices g)
+      in
+      let complete s =
+        let s = B.copy s in
+        List.iter (fun v -> if not (B.mem s v || touches s v) then B.add s v)
+          (G.vertices g);
+        s
+      in
+      let random = B.create n and sparse = B.create n in
+      for v = 0 to n - 1 do
+        if Rng.int rng 3 = 0 then B.add random v;
+        if Rng.int rng 4 = 0 && not (touches sparse v) then B.add sparse v
+      done;
+      List.for_all
+        (fun gw ->
+          List.for_all
+            (fun s ->
+              Bool.equal (Is.is_independent gw s) (independent s)
+              && Bool.equal (Is.is_maximal gw s) (maximal s)
+              && B.equal (Is.complete gw s) (complete s))
+            [ random; sparse; complete sparse ])
+        [ G.with_width g `Int; G.with_width g `Int32 ])
+
 let props =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_greedy_independent_maximal;
+    [ prop_maximality_loop_matches_definitions;
+      prop_greedy_independent_maximal;
       prop_exact_at_least_heuristics;
       prop_exact_within_bounds;
       prop_caro_wei_independent;
