@@ -50,8 +50,10 @@ let conflict_graph_build_auto =
   Test.make ~name:"conflict_graph.build domains=auto (m=384,k=3)"
     (Staged.stage (fun () -> Ps_core.Conflict_graph.build ~domains:0 h ~k:3))
 
-(* Plain-graph greedy at a size where the two-pass neighborhood
-   deletion (skipping the Pq.update sift chase) is visible. *)
+(* Min-degree greedy on a sparse plain graph, where a live vertex
+   rarely loses two neighbors in one step: batching turns 4482
+   decrements into 4435 heap updates here, so this row tracks the heap,
+   unlike the G_k row below. *)
 let greedy_min_degree_n1024 =
   let g = Ps_graph.Gen.gnp (Rng.create seed) 1024 0.01 in
   Test.make ~name:"maxis.greedy_min_degree (n=1024)"

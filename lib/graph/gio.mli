@@ -22,8 +22,11 @@ val to_edge_list : Graph.t -> string
 val of_edge_list : string -> Graph.t
 (** Raises [Failure] with a line-numbered message on malformed input:
     a bad header or edge line, an id that does not fit an [int] (it is
-    rejected, never wrapped), an id out of [[0, n)], a self-loop, or a
-    header edge count that the lines do not match. *)
+    rejected, never wrapped), an id out of [[0, n)], a self-loop, a
+    header edge count that the lines do not match, or a header vertex
+    count that is at least [Sys.max_array_length] or whose arrays do
+    not fit in memory (reported on the header's line, not as
+    [Out_of_memory]). *)
 
 val to_dot : ?name:string -> ?labels:(int -> string) -> Graph.t -> string
 (** Undirected DOT; [labels] overrides vertex labels (default: the id). *)

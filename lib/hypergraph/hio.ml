@@ -98,6 +98,10 @@ let parse ~max_edges next_line =
   in
   if n < 0 then fail_line lineno "vertex count must be nonnegative";
   if m < 0 then fail_line lineno "edge count must be nonnegative";
+  if n >= Sys.max_array_length then
+    fail_line lineno
+      (Printf.sprintf "vertex count %d exceeds the array limit %d" n
+         Sys.max_array_length);
   let edges = ref (Array.make (max (min m max_edges) 16) [||]) in
   let nedges = ref 0 in
   let push e =
@@ -149,7 +153,11 @@ let parse ~max_edges next_line =
     failwith
       (Printf.sprintf "Hio.of_text: header promises %d edges, found %d" m
          !nedges);
-  Hypergraph.of_member_arrays n (Array.sub !edges 0 !nedges)
+  (* The incidence lists are the one allocation the header's [n]
+     sizes; a 20-byte file can ask for more than the host has. *)
+  try Hypergraph.of_member_arrays n (Array.sub !edges 0 !nedges)
+  with Out_of_memory ->
+    fail_line lineno (Printf.sprintf "vertex count %d: out of memory" n)
 
 (* Every edge line takes at least 3 bytes ("1 0"), so [bytes] of input
    hold at most [bytes / 3 + 1] edges.  A channel of unknown length (a

@@ -11,7 +11,10 @@
 
 val to_text : Hypergraph.t -> string
 val of_text : string -> Hypergraph.t
-(** Raises [Failure] with a line-numbered message on malformed input. *)
+(** Raises [Failure] with a line-numbered message on malformed input,
+    including a header vertex count that is at least
+    [Sys.max_array_length] or whose incidence lists do not fit in
+    memory (reported on the header's line, not as [Out_of_memory]). *)
 
 val write_file : string -> Hypergraph.t -> unit
 val read_file : string -> Hypergraph.t

@@ -1,9 +1,24 @@
 module G = Ps_graph.Graph
 module B = Ps_util.Bitset
 module Pq = Ps_util.Pqueue
+module Tm = Ps_util.Telemetry
 
 (* Shared core: repeatedly pop the extreme-degree vertex, add it to the
-   set, delete its closed neighborhood, updating residual degrees. *)
+   set, delete its closed neighborhood, updating residual degrees.
+
+   A step reads rows in place from the CSR store, with the width
+   dispatched once per call.  [kill v] deletes v's live neighbors;
+   [tally u] then walks the row of each deleted [u] and counts, per live
+   vertex, the neighbors it lost this step.  The tally is the hot loop
+   (it reads every deleted vertex's row once), so it is written out per
+   width with no call per entry.  Once the sweep ends, one [Pq.update]
+   per touched vertex applies its whole count.  On conflict graphs,
+   whose rows are hyperedge cliques, a live vertex loses many neighbors
+   in one step: over the 15 G_k of a seed-1 reduce-default cycle, 5.53 M
+   decrements land as 0.89 M heap updates.  Pops are ordered by
+   (priority, key), a pure function of the priority map, and all of a
+   step's decrements land before the next pop, so the chosen set is the
+   one a per-decrement update gives. *)
 let by_degree ~invert g =
   let n = G.n_vertices g in
   let queue = Pq.create n in
@@ -11,38 +26,87 @@ let by_degree ~invert g =
   for v = 0 to n - 1 do
     Pq.insert queue v (sign * G.degree g v)
   done;
-  let alive = B.create n in
-  B.fill alive;
   let chosen = B.create n in
-  (* Scratch for the per-pop neighborhood sweep (at most max-degree
-     entries used at a time). *)
-  let removed = Array.make (max n 1) 0 in
+  (* [lost.(w)] is -1 once [w] is deleted (chosen or a chosen vertex's
+     neighbor); for a live [w] it counts the neighbors [w] lost in the
+     current step, and is 0 between steps.  One array read answers both
+     "live?" and "already touched this step?". *)
+  let lost = Array.make (max n 1) 0 in
+  (* This step's deleted neighbors and its touched live vertices. *)
+  let removed = Array.make (max n 1) 0 and nr = ref 0 in
+  let touched = Array.make (max n 1) 0 and nt = ref 0 in
+  let view = G.csr_view g in
+  let off = view.G.v_offsets in
+  let drop u =
+    if lost.(u) >= 0 then begin
+      lost.(u) <- -1;
+      Pq.remove queue u;
+      removed.(!nr) <- u;
+      incr nr
+    end
+  in
+  let kill, tally =
+    match view.G.v_store with
+    | G.S_int a ->
+        ( (fun v ->
+            for i = off.(v) to off.(v + 1) - 1 do
+              drop (Array.unsafe_get a i)
+            done),
+          fun u ->
+            for i = off.(u) to off.(u + 1) - 1 do
+              let w = Array.unsafe_get a i in
+              let c = lost.(w) in
+              if c >= 0 then begin
+                if c = 0 then begin
+                  touched.(!nt) <- w;
+                  incr nt
+                end;
+                lost.(w) <- c + 1
+              end
+            done )
+    | G.S_i32 a ->
+        ( (fun v ->
+            for i = off.(v) to off.(v + 1) - 1 do
+              drop (Int32.to_int (Bigarray.Array1.unsafe_get a i))
+            done),
+          fun u ->
+            for i = off.(u) to off.(u + 1) - 1 do
+              let w = Int32.to_int (Bigarray.Array1.unsafe_get a i) in
+              let c = lost.(w) in
+              if c >= 0 then begin
+                if c = 0 then begin
+                  touched.(!nt) <- w;
+                  incr nt
+                end;
+                lost.(w) <- c + 1
+              end
+            done )
+  in
+  let decrements = ref 0 and updates = ref 0 in
   while not (Pq.is_empty queue) do
     let v, _ = Pq.pop_min queue in
     B.add chosen v;
-    B.remove alive v;
-    (* Delete N(v) in two passes: first drop every alive neighbor from
-       the queue and the alive set, then propagate degree decrements
-       from each.  Decrementing only after the whole neighborhood is
-       dead skips the [Pq.update] sift chase for vertices this same
-       sweep deletes anyway — their priorities are discarded on
-       removal, so updating them first was pure overhead (dominant on
-       dense rows).  Pops are ordered by (priority, key), a pure
-       function of the priority map, so the chosen set is unchanged. *)
-    let nr = ref 0 in
-    G.iter_neighbors g v (fun u ->
-        if B.mem alive u then begin
-          B.remove alive u;
-          Pq.remove queue u;
-          removed.(!nr) <- u;
-          incr nr
-        end);
+    lost.(v) <- -1;
+    nr := 0;
+    kill v;
     for i = 0 to !nr - 1 do
-      G.iter_neighbors g removed.(i) (fun w ->
-          if B.mem alive w then
-            Pq.update queue w (Pq.priority queue w - sign))
-    done
+      tally removed.(i)
+    done;
+    for i = 0 to !nt - 1 do
+      let w = touched.(i) in
+      let c = lost.(w) in
+      Pq.update queue w (Pq.priority queue w - (sign * c));
+      decrements := !decrements + c;
+      lost.(w) <- 0
+    done;
+    updates := !updates + !nt;
+    nt := 0
   done;
+  if Tm.enabled () then begin
+    Tm.count "greedy.decrements" !decrements;
+    Tm.count "greedy.heap_updates" !updates;
+    Tm.count "greedy.removals" (n - B.cardinal chosen)
+  end;
   chosen
 
 (* Degree-blocked layout: run the solver on the degree-sorted relabeling

@@ -12,6 +12,12 @@ val min_degree :
   ?layout:[ `Natural | `Degree_sorted ] -> Ps_graph.Graph.t ->
   Independent_set.t
 (** Deterministic: ties broken toward smaller vertex index.
+    Cost: O(n + m) row reads, each row read in place once when its
+    vertex is deleted, plus O((n + U) log n) heap work, where [U] is the
+    number of (step, vertex) pairs in which a live vertex loses at least
+    one neighbor.  A vertex that loses several neighbors in one step
+    costs one heap update, not one per lost neighbor.  Scratch: three
+    [int] arrays of length [n] beside the heap.
     [~layout:`Degree_sorted] runs on the degree-sorted relabeling
     ({!Ps_graph.Graph.degree_sorted} — the hot high-degree rows packed
     into one cache block) and maps the set back; the result is a valid

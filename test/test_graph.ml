@@ -670,6 +670,24 @@ let test_io_huge_header_m () =
   Alcotest.check_raises "read_file" want (fun () ->
       ignore (with_temp_file text Gio.read_file))
 
+(* A 20-byte input whose header promises 2^60 or 2^50 vertices.  2^60
+   is past [Sys.max_array_length]; 2^50 ints is more than any user
+   address space holds, so the CSR allocation fails at once.  Either
+   way both readers report line 1 instead of escaping. *)
+let test_io_huge_header_n () =
+  List.iter
+    (fun (n, why) ->
+      let text = Printf.sprintf "%d 1\n0 1\n" n in
+      let want = Failure (Printf.sprintf "Gio.of_edge_list: line 1: %s" why) in
+      Alcotest.check_raises "of_edge_list" want (fun () ->
+          ignore (Gio.of_edge_list text));
+      Alcotest.check_raises "read_file" want (fun () ->
+          ignore (with_temp_file text Gio.read_file)))
+    [ (1 lsl 60,
+       Printf.sprintf "vertex count %d exceeds the array limit %d" (1 lsl 60)
+         Sys.max_array_length);
+      (1 lsl 50, Printf.sprintf "vertex count %d: out of memory" (1 lsl 50)) ]
+
 (* Both front-ends, checked against the oracle: the same graph, or a
    [Failure] with exactly the oracle's message. *)
 let agrees_with_oracle text =
@@ -1166,6 +1184,8 @@ let suites =
           test_io_rejects_out_of_range_vertex;
         Alcotest.test_case "edge count mismatch" `Quick
           test_io_edge_count_mismatch;
+        Alcotest.test_case "huge header vertex count" `Quick
+          test_io_huge_header_n;
         Alcotest.test_case "huge header edge count" `Quick
           test_io_huge_header_m;
         Alcotest.test_case "dot export" `Quick test_io_dot;

@@ -359,6 +359,28 @@ let test_hio_huge_header_m () =
       Alcotest.check_raises "read_file" want (fun () ->
           ignore (Hio.read_file path)))
 
+(* A header promising 2^60 vertices (past [Sys.max_array_length]) or
+   2^50 (more than any user address space holds): both readers report
+   line 1 instead of escaping with [Invalid_argument] or
+   [Out_of_memory]. *)
+let test_hio_huge_header_n () =
+  List.iter
+    (fun (n, why) ->
+      let text = Printf.sprintf "%d 1\n2 0 1\n" n in
+      let want = Failure (Printf.sprintf "Hio.of_text: line 1: %s" why) in
+      Alcotest.check_raises "of_text" want (fun () -> ignore (Hio.of_text text));
+      let path = Filename.temp_file "pslocal" ".hg" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc text);
+          Alcotest.check_raises "read_file" want (fun () ->
+              ignore (Hio.read_file path))))
+    [ (1 lsl 60,
+       Printf.sprintf "vertex count %d exceeds the array limit %d" (1 lsl 60)
+         Sys.max_array_length);
+      (1 lsl 50, Printf.sprintf "vertex count %d: out of memory" (1 lsl 50)) ]
+
 let test_hio_file_roundtrip () =
   let h = sample () in
   let path = Filename.temp_file "pslocal" ".hg" in
@@ -559,6 +581,8 @@ let suites =
         Alcotest.test_case "overlong id" `Quick test_hio_rejects_overlong_id;
         Alcotest.test_case "huge header edge count" `Quick
           test_hio_huge_header_m;
+        Alcotest.test_case "huge header vertex count" `Quick
+          test_hio_huge_header_n;
         Alcotest.test_case "file roundtrip" `Quick test_hio_file_roundtrip ]
     );
     ("hypergraph.properties", props) ]

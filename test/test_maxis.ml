@@ -10,6 +10,11 @@ module Exact = Ps_maxis.Exact
 module Bounds = Ps_maxis.Bounds
 module Approx = Ps_maxis.Approx
 module Rng = Ps_util.Rng
+module B = Ps_util.Bitset
+module Tm = Ps_util.Telemetry
+module Cg = Ps_core.Conflict_graph
+module Hgen = Ps_hypergraph.Hgen
+module Pipeline = Ps_core.Pipeline
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -109,6 +114,125 @@ let test_greedy_in_order () =
   let g = Gen.path 4 in
   let s = Greedy.in_order g [| 1; 3; 0; 2 |] in
   Alcotest.(check (list int)) "first-fit along order" [ 1; 3 ] (Is.to_list s)
+
+(* ------------------------------------------------------------------ *)
+(* Batched greedy against the per-decrement oracle *)
+
+(* One graph per (family, seed): G(n,p), R-MAT, G_k of a uniform and of
+   an interval hypergraph, then the empty, star, complete and
+   disjoint-clique shapes. *)
+let oracle_graph family seed =
+  let rng = Rng.create seed in
+  match family with
+  | 0 -> Gen.gnp rng (1 + Rng.int rng 120) (0.02 +. Rng.float rng 0.3)
+  | 1 -> Gen.rmat rng ~scale:(2 + Rng.int rng 6) ~edges:(Rng.int rng 800)
+  | 2 ->
+      let n = 4 + Rng.int rng 20 in
+      let h =
+        Hgen.uniform_random rng ~n ~m:(1 + Rng.int rng 16)
+          ~k:(1 + Rng.int rng 4)
+      in
+      (Cg.build h ~k:(1 + Rng.int rng 4)).Cg.graph
+  | 3 ->
+      let n = 2 + Rng.int rng 40 in
+      let h =
+        Hgen.all_intervals_of_length ~n ~len:(1 + Rng.int rng (min n 12))
+      in
+      (Cg.build h ~k:(1 + Rng.int rng 4)).Cg.graph
+  | 4 -> G.empty (Rng.int rng 12)
+  | 5 -> Gen.star (1 + Rng.int rng 30)
+  | 6 -> Gen.complete (1 + Rng.int rng 16)
+  | _ -> Gen.disjoint_cliques (1 + Rng.int rng 8) (1 + Rng.int rng 7)
+
+let qcheck_greedy_matches_oracle =
+  QCheck.Test.make ~count:200
+    ~name:"min-degree and adversary greedy equal the per-decrement oracle"
+    QCheck.(pair (int_bound 7) (int_bound 1_000_000))
+    (fun (family, seed) ->
+      let g = oracle_graph family seed in
+      let arena, tails_intact = Test_kernel.arena_of g in
+      List.iter
+        (fun layout ->
+          let want_min = Greedy_oracle.min_degree ~layout g
+          and want_max = Greedy_oracle.max_degree_adversary ~layout g in
+          List.iter
+            (fun (width, h) ->
+              if not (B.equal (Greedy.min_degree ~layout h) want_min) then
+                QCheck.Test.fail_reportf "min_degree differs (%s)" width;
+              if not (B.equal (Greedy.max_degree_adversary ~layout h) want_max)
+              then QCheck.Test.fail_reportf "max_degree_adversary differs (%s)"
+                  width)
+            [ ("int", G.with_width g `Int); ("int32", G.with_width g `Int32);
+              ("arena", arena) ])
+        [ `Natural; `Degree_sorted ];
+      tails_intact ())
+
+(* Reduce-default-style instances: 4-uniform with n = 4m/3, and every
+   interval of length 10 on 170 points, at the k that [pslocal reduce]
+   derives.  Per instance: the size and hash of the min-degree set on
+   G_k (natural and degree-sorted layouts), of the adversary's set, and
+   [Pipeline.solve]'s colors_used with min-degree greedy as the MaxIS
+   oracle.  Recorded with the per-decrement greedy. *)
+let greedy_golden =
+  [ ("uniform m=96",
+     (fun () -> Hgen.uniform_random (Rng.create 1) ~n:128 ~m:96 ~k:4),
+     (96, 0x7cc5836ca0e34505L), (96, 0xed24e4834510508eL),
+     (89, 0xaaba5ab3d58ff0fcL), 4);
+    ("uniform m=768",
+     (fun () -> Hgen.uniform_random (Rng.create 1) ~n:1024 ~m:768 ~k:4),
+     (768, 0x18fb7652e5548ae5L), (768, 0xa15f91f88b5481cfL),
+     (709, 0x238af817ce7e1daaL), 4);
+    ("intervals n=170",
+     (fun () -> Hgen.all_intervals_of_length ~n:170 ~len:10),
+     (161, 0xd99f9734a2f25c47L), (161, 0xd99f9734a2f25c47L),
+     (161, 0x44cd129216b9d77L), 10) ]
+
+let test_greedy_golden_pins () =
+  let pin name (size, hash) s =
+    check (name ^ ": size") size (B.cardinal s);
+    Alcotest.(check int64) (name ^ ": hash") hash (Test_kernel.set_hash s)
+  in
+  List.iter
+    (fun (name, mk, natural, sorted, adversary, colors) ->
+      let h = mk () in
+      let k = Pipeline.choose_k Pipeline.From_conservative h in
+      let g = (Cg.build h ~k).Cg.graph in
+      pin (name ^ " min-degree") natural (Greedy.min_degree g);
+      pin (name ^ " degree-sorted") sorted
+        (Greedy.min_degree ~layout:`Degree_sorted g);
+      pin (name ^ " adversary") adversary (Greedy.max_degree_adversary g);
+      let r = Pipeline.solve ~solver:Approx.greedy_min_degree h in
+      check (name ^ ": colors_used") colors
+        r.Pipeline.reduction.Ps_core.Reduction.colors_used)
+    greedy_golden
+
+let test_greedy_counters () =
+  (* G_3 of a small uniform hypergraph: every deleted vertex is a
+     chosen vertex's neighbor, and a touched vertex costs one heap
+     update however many neighbors it lost. *)
+  let h = Hgen.uniform_random (Rng.create 7) ~n:40 ~m:20 ~k:3 in
+  let g = (Cg.build h ~k:3).Cg.graph in
+  let was = Tm.enabled () in
+  Tm.reset ();
+  Tm.set_enabled true;
+  let s, (decrements, updates, removals) =
+    Fun.protect
+      ~finally:(fun () ->
+        Tm.set_enabled was;
+        Tm.reset ())
+      (fun () ->
+        let s = Greedy.min_degree g in
+        ( s,
+          ( Tm.counter_value "greedy.decrements",
+            Tm.counter_value "greedy.heap_updates",
+            Tm.counter_value "greedy.removals" ) ))
+  in
+  check "removals" (G.n_vertices g - Is.size s) removals;
+  check_bool "updates <= decrements" true (updates <= decrements);
+  check_bool "batching saves updates" true (updates < decrements);
+  (* An edge is decremented at most once: when its first endpoint is
+     deleted as a neighbor while the other is still live. *)
+  check_bool "decrements <= m" true (decrements <= G.n_edges g)
 
 (* ------------------------------------------------------------------ *)
 (* Caro–Wei *)
@@ -456,7 +580,10 @@ let suites =
         Alcotest.test_case "star optimal" `Quick test_greedy_star_optimal;
         Alcotest.test_case "adversary valid" `Quick
           test_greedy_adversary_valid_but_weaker;
-        Alcotest.test_case "in-order" `Quick test_greedy_in_order ] );
+        Alcotest.test_case "in-order" `Quick test_greedy_in_order;
+        QCheck_alcotest.to_alcotest qcheck_greedy_matches_oracle;
+        Alcotest.test_case "golden pins" `Quick test_greedy_golden_pins;
+        Alcotest.test_case "traced counters" `Quick test_greedy_counters ] );
     ( "maxis.caro_wei",
       [ Alcotest.test_case "valid" `Quick test_caro_wei_valid;
         Alcotest.test_case "meets Turán on average" `Quick
