@@ -35,7 +35,7 @@ let conflict_graph_build_m384 =
 let conflict_graph_build_reference =
   let h = build_scaling_instance 24 in
   Test.make ~name:"conflict_graph.build_reference (m=24,k=3)"
-    (Staged.stage (fun () -> Ps_core.Conflict_graph.build_reference h ~k:3))
+    (Staged.stage (fun () -> Ps_oracle.Conflict_graph.build_reference h ~k:3))
 
 let conflict_graph_build_domains2 =
   let h = build_scaling_instance 384 in

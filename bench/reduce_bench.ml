@@ -1,6 +1,7 @@
-(* End-to-end reduction benchmark: the `Rebuild and `Incremental phase
-   engines head to head, across instance sizes and solver strengths,
-   written to BENCH_reduce.json.
+(* End-to-end reduction benchmark: the product's phase loop (build G_k
+   once, compact it in place) head to head with the rebuild-every-phase
+   oracle of [Ps_oracle.Reduction], across instance sizes and solver
+   strengths, written to BENCH_reduce.json.
 
    Solver strength controls the phase count and hence how much the
    incremental engine can possibly win: near-optimal solvers (the two
@@ -11,7 +12,7 @@
    (claim E3's trajectory, measured in wall-clock), which is where
    cross-phase reuse shows its full effect.
 
-   Every engine pair is asserted bit-identical (multicoloring and phase
+   Every rebuild/incremental pair is asserted bit-identical (multicoloring and phase
    records) before its timing is reported — benchmarking a divergent
    answer would be meaningless. *)
 
@@ -79,13 +80,11 @@ let run ?(quick = false) () =
         (fun (sname, solver) ->
           let reb, t_reb =
             best_of reps (fun () ->
-                Red.run ~seed:0 ~presolve:`None ~engine:`Rebuild ~solver ~k:3
-                  h)
+                Ps_oracle.Reduction.run ~seed:0 ~presolve:`None ~solver ~k:3 h)
           in
           let inc, t_inc =
             best_of reps (fun () ->
-                Red.run ~seed:0 ~presolve:`None ~engine:`Incremental ~solver
-                  ~k:3 h)
+                Red.run ~seed:0 ~presolve:`None ~solver ~k:3 h)
           in
           if
             reb.Red.multicoloring <> inc.Red.multicoloring
@@ -93,7 +92,8 @@ let run ?(quick = false) () =
           then
             failwith
               (Printf.sprintf
-                 "reduce bench: engines disagree at m=%d solver=%s" m sname);
+                 "reduce bench: rebuild oracle disagrees at m=%d solver=%s" m
+                 sname);
           let speedup = t_reb /. t_inc in
           let tag = Printf.sprintf "reduce (m=%d,k=3,%s)" m sname in
           push (tag ^ " rebuild ms") t_reb;

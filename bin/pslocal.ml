@@ -318,11 +318,13 @@ let gen_hypergraph_cmd =
 (* ------------------------------------------------------------------ *)
 (* reduce *)
 
-(* The server's registry is the single source of solver names. *)
-let solver_of_name name =
-  match Ps_server.Protocol.solver_of_name name with
-  | Some s -> s
-  | None -> failwith (Printf.sprintf "unknown solver %S" name)
+(* Solve options go through the server's decoder, so the CLI and the
+   wire accept the same names and give the same messages; a rejected
+   option is a user error like a malformed input file. *)
+let solve_spec ?solver ?presolve ?k ~seed () =
+  match Ps_server.Protocol.solve_spec ?solver ?presolve ?k ~seed () with
+  | Ok spec -> spec
+  | Error e -> raise (Bad_input e.Ps_server.Protocol.message)
 
 let solver_names_doc =
   "greedy, caro-wei, caro-wei-x8, adversarial, exact, clique-removal, \
@@ -334,48 +336,24 @@ let presolve_arg =
      reductions (degree-0/1, folding, simplicial, domination) before the \
      solver runs and lifts the answer back; $(b,none) runs the raw solver."
   in
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("kernel", (`Kernel : Ps_maxis.Kernel.choice)); ("none", `None) ])
-        `Kernel
-    & info [ "presolve" ] ~docv:"PRESOLVE" ~doc)
+  Arg.(value & opt string "kernel" & info [ "presolve" ] ~docv:"PRESOLVE" ~doc)
 
-let reduce input solver presolve k engine seed verbose trace json output cache
+let reduce input solver presolve k seed verbose trace json output cache
     no_cache =
   input_errors @@ fun () ->
   if verbose then
     Logs.Src.set_level Ps_core.Reduction.log_src (Some Logs.Debug);
+  let spec = solve_spec ~solver ~presolve ?k ~seed () in
   let h = read_hypergraph input in
-  let k_choice =
-    match k with
-    | None -> Ps_core.Pipeline.From_conservative
-    | Some k -> Ps_core.Pipeline.Fixed k
-  in
-  (* The cache's warm tier assumes the incremental engine; with the
-     rebuild oracle selected we solve uncached rather than key entries
-     by engine. *)
-  let cache =
-    match engine with
-    | `Incremental -> oneshot_cache ~cache ~no_cache
-    | `Rebuild -> None
-  in
   let result =
     with_trace trace (fun () ->
-        match cache with
+        match oneshot_cache ~cache ~no_cache with
         | None ->
-            Ps_core.Pipeline.solve ~seed ~k:k_choice ~engine ~presolve
-              ~solver:(solver_of_name solver) h
+            Ps_core.Pipeline.solve ~seed
+              ~k:(Ps_core.Solve_spec.k_choice spec)
+              ~presolve:spec.presolve ~solver:spec.solver h
         | Some c ->
-            let s = solver_of_name solver in
-            let effective_name =
-              (Ps_maxis.Kernel.apply presolve s).Ps_maxis.Approx.name
-            in
-            let result =
-              Ps_cache.Cache.solve c ~k ~presolve ~solver:s
-                ~solver_name:effective_name ~seed h
-            in
+            let result = Ps_cache.Cache.solve c spec h in
             (* Same contract as Pipeline.solve: a failed certificate is
                an error, not a result. *)
             if not result.Ps_core.Pipeline.certificate.Ps_core.Certify.all_ok
@@ -443,21 +421,6 @@ let reduce_cmd =
       & opt (some int) None
       & info [ "k" ] ~doc:"Palette size per phase (default: derived).")
   in
-  let engine =
-    let doc =
-      "Phase engine: $(b,incremental) compacts one conflict graph across \
-       phases, $(b,rebuild) reconstructs it each phase (the differential \
-       oracle).  Both produce bit-identical results."
-    in
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("incremental", (`Incremental : Ps_core.Reduction.engine));
-               ("rebuild", `Rebuild) ])
-          `Incremental
-      & info [ "engine" ] ~docv:"ENGINE" ~doc)
-  in
   let verbose =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Per-phase debug log.")
   in
@@ -468,7 +431,7 @@ let reduce_cmd =
           (iterated MaxIS approximation).")
     Term.(
       term_result
-        (const reduce $ input $ solver $ presolve_arg $ k $ engine $ seed_arg
+        (const reduce $ input $ solver $ presolve_arg $ k $ seed_arg
        $ verbose $ trace_arg $ json_arg $ output_arg $ cache_arg
        $ no_cache_arg))
 
@@ -537,11 +500,11 @@ let cached_graph_json cache ~kind ~solver_name ~seed g render =
    and certify (independent + maximal) on the original graph.  The
    portfolio races its entries and reports every lane.  Uncached: the
    point of this path is measuring the solve, not replaying it. *)
-let mis_with_solver g ~input ~name ~presolve ~seed ~json =
+let mis_with_solver g ~input ~name ~(spec : Ps_core.Solve_spec.t) ~json =
   let module Is = Ps_maxis.Independent_set in
   let module Kn = Ps_maxis.Kernel in
   let module Json = Ps_server.Json in
-  let rng = Ps_util.Rng.create seed in
+  let rng = Ps_util.Rng.create spec.seed in
   let set, solver_name, entries, kstats =
     if String.equal name "portfolio" then begin
       let o = Ps_maxis.Portfolio.race rng g in
@@ -551,9 +514,9 @@ let mis_with_solver g ~input ~name ~presolve ~seed ~json =
         Some o.Ps_maxis.Portfolio.kernel_stats )
     end
     else begin
-      let base = solver_of_name name in
-      let effective = (Kn.apply presolve base).Ps_maxis.Approx.name in
-      match presolve with
+      let base = spec.solver in
+      let effective = Ps_core.Solve_spec.solver_name spec in
+      match spec.presolve with
       | `Kernel when not (Kn.is_presolved base) ->
           let r = Kn.reduce g in
           let ks = base.Ps_maxis.Approx.solve rng (Kn.graph r) in
@@ -620,10 +583,14 @@ let mis_with_solver g ~input ~name ~presolve ~seed ~json =
 
 let mis input solver presolve seed trace json cache no_cache =
   input_errors @@ fun () ->
+  let spec =
+    Option.map (fun name -> (name, solve_spec ~solver:name ~presolve ~seed ()))
+      solver
+  in
   with_trace trace @@ fun () ->
   let g = read_graph input in
-  match solver with
-  | Some name -> mis_with_solver g ~input ~name ~presolve ~seed ~json
+  match spec with
+  | Some (name, spec) -> mis_with_solver g ~input ~name ~spec ~json
   | None ->
   if json then
     print_json_result
@@ -909,6 +876,7 @@ let ids_of_file path =
 let audit hypergraph graph coloring is_file ds_file solver k seed json =
   input_errors @@ fun () ->
   let module D = Ps_check.Diagnostic in
+  let spec = solve_spec ~solver ?k ~seed () in
   let finish ~checks diags =
     if json then
       print_json_result (Ps_server.Protocol.check_result ~checks diags)
@@ -937,14 +905,10 @@ let audit hypergraph graph coloring is_file ds_file solver k seed json =
       | None ->
           (* Run the Theorem 1.1 pipeline, then deep-audit its own run:
              conflict-freeness, per-phase decay, ρ and k·ρ budgets. *)
-          let k_choice =
-            match k with
-            | None -> Ps_core.Pipeline.From_conservative
-            | Some k -> Ps_core.Pipeline.Fixed k
-          in
           let result =
-            Ps_core.Pipeline.solve_unchecked ~seed ~k:k_choice
-              ~solver:(solver_of_name solver) h
+            Ps_core.Pipeline.solve_unchecked ~seed
+              ~k:(Ps_core.Solve_spec.k_choice spec)
+              ~presolve:spec.presolve ~solver:spec.solver h
           in
           let diags = Ps_core.Certify.diagnostics result.reduction in
           if not json then

@@ -31,6 +31,7 @@ module Pl = Ps_core.Pipeline
 module Rd = Ps_core.Reduction
 module Cf = Ps_core.Certify
 module Cg = Ps_core.Conflict_graph
+module Spec = Ps_core.Solve_spec
 module Fnv = Ps_util.Fnv
 module Rng = Ps_util.Rng
 
@@ -302,9 +303,9 @@ let drop_poisoned t key =
       try Sys.remove (disk_path dir key) with Sys_error _ -> ()));
   t.poisoned <- t.poisoned + 1
 
-let solve_key ~k ~solver_name ~seed h =
-  key_string ~kind:Solve ~hash:(hypergraph_hash h) ~k ~solver:solver_name
-    ~seed
+let solve_key (spec : Spec.t) h =
+  key_string ~kind:Solve ~hash:(hypergraph_hash h) ~k:spec.k
+    ~solver:(Spec.solver_name spec) ~seed:spec.seed
 
 (* Under [t.mu]: shared hit logic over an already-fetched entry, so the
    disk-backed and memory-only lookups stay one code path. *)
@@ -340,24 +341,24 @@ let solve_serve t key found =
         Some r
       end
 
-let find_solve t ~k ~solver_name ~seed h =
-  let key = solve_key ~k ~solver_name ~seed h in
+let find_solve t spec h =
+  let key = solve_key spec h in
   let found =
     locked t @@ fun () -> solve_probe_locked t h (find_entry_locked t key)
   in
   solve_serve t key found
 
-let find_solve_mem t ~k ~solver_name ~seed h =
-  let key = solve_key ~k ~solver_name ~seed h in
+let find_solve_mem t spec h =
+  let key = solve_key spec h in
   let found =
     locked t @@ fun () -> solve_probe_locked t h (find_entry_memory t key)
   in
   solve_serve t key found
 
-let store_solve t ~k ~solver_name ~seed (r : Pl.result) =
+let store_solve t spec (r : Pl.result) =
   if r.Pl.certificate.Cf.all_ok then
     store_entry t
-      (solve_key ~k ~solver_name ~seed r.Pl.reduction.Rd.hypergraph)
+      (solve_key spec r.Pl.reduction.Rd.hypergraph)
       (Solve_result r)
 
 (* ------------------------------------------------------------------ *)
@@ -382,16 +383,11 @@ let store_warm t ~hash ~k h snap =
 (* ------------------------------------------------------------------ *)
 (* Cached solve orchestration *)
 
-let solve t ?(cancel = fun () -> false) ?presolve ~k ~solver ~solver_name
-    ~seed h =
-  match find_solve t ~k ~solver_name ~seed h with
+let solve t ?(cancel = fun () -> false) (spec : Spec.t) h =
+  match find_solve t spec h with
   | Some r -> r
   | None ->
-      let kk =
-        Pl.choose_k
-          (match k with Some v -> Pl.Fixed v | None -> Pl.From_conservative)
-          h
-      in
+      let kk = Pl.choose_k (Spec.k_choice spec) h in
       let hash = hypergraph_hash h in
       let warm = find_warm t ~hash ~k:kk h in
       let on_phase0 =
@@ -400,10 +396,10 @@ let solve t ?(cancel = fun () -> false) ?presolve ~k ~solver ~solver_name
         | None -> Some (fun snap -> store_warm t ~hash ~k:kk h snap)
       in
       let result =
-        Pl.solve_unchecked ~cancel ~seed ?warm ?on_phase0 ?presolve
-          ~k:(Pl.Fixed kk) ~solver h
+        Pl.solve_unchecked ~cancel ~seed:spec.seed ?warm ?on_phase0
+          ~presolve:spec.presolve ~k:(Pl.Fixed kk) ~solver:spec.solver h
       in
-      store_solve t ~k ~solver_name ~seed result;
+      store_solve t spec result;
       result
 
 (* ------------------------------------------------------------------ *)

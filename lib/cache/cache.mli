@@ -82,28 +82,22 @@ val hypergraph_hash : Ps_hypergraph.Hypergraph.t -> int64
 val solve :
   t ->
   ?cancel:(unit -> bool) ->
-  ?presolve:Ps_maxis.Kernel.choice ->
-  k:int option ->
-  solver:Ps_maxis.Approx.solver ->
-  solver_name:string ->
-  seed:int ->
+  Ps_core.Solve_spec.t ->
   Ps_hypergraph.Hypergraph.t ->
   Ps_core.Pipeline.result
-(** The cached counterpart of {!Ps_core.Pipeline.solve_unchecked}
-    ([k = None] means [From_conservative], [Some v] means [Fixed v]):
-    serve a verified hit when possible, otherwise solve — warm-starting
-    from the snapshot tier when (hash, resolved k) is known — then
-    store the result (and the phase-0 snapshot) for the next request.
-    Bit-identical to the uncached call on every path.  [presolve] is
-    forwarded to the pipeline; [solver_name] must be the {e effective}
-    name ({!Ps_maxis.Kernel.apply} result) so kernel-on and kernel-off
-    entries never collide under one key. *)
+(** The cached counterpart of {!Ps_core.Pipeline.solve_unchecked} run
+    with the spec's solver, presolve, {!Ps_core.Solve_spec.k_choice} and
+    seed: serve a verified hit when possible, otherwise solve —
+    warm-starting from the snapshot tier when (hash, resolved k) is
+    known — then store the result (and the phase-0 snapshot) for the
+    next request.  Bit-identical to the uncached call on every path.
+    The key hashes the spec's {e effective} solver name
+    ({!Ps_core.Solve_spec.solver_name}), so kernel-on and kernel-off
+    entries never collide. *)
 
 val find_solve :
   t ->
-  k:int option ->
-  solver_name:string ->
-  seed:int ->
+  Ps_core.Solve_spec.t ->
   Ps_hypergraph.Hypergraph.t ->
   Ps_core.Pipeline.result option
 (** Lookup only (no solving): [Some] iff a stored result exists for
@@ -113,9 +107,7 @@ val find_solve :
 
 val find_solve_mem :
   t ->
-  k:int option ->
-  solver_name:string ->
-  seed:int ->
+  Ps_core.Solve_spec.t ->
   Ps_hypergraph.Hypergraph.t ->
   Ps_core.Pipeline.result option
 (** {!find_solve} restricted to the in-memory tier — a statically
@@ -123,15 +115,9 @@ val find_solve_mem :
     the engine's submit prefix; a memory miss there is re-consulted
     disk-and-all from a worker. *)
 
-val store_solve :
-  t ->
-  k:int option ->
-  solver_name:string ->
-  seed:int ->
-  Ps_core.Pipeline.result ->
-  unit
+val store_solve : t -> Ps_core.Solve_spec.t -> Ps_core.Pipeline.result -> unit
 (** Store a finished solve under the key derived from its embedded
-    hypergraph and the given request parameters.  Results whose
+    hypergraph and the spec it was solved under.  Results whose
     certificate failed are ignored.  The semantic content is {e not}
     re-checked here — that is what the sampled audit on the read side
     is for (and what the poisoned-cache tests exploit). *)

@@ -95,8 +95,9 @@ val build :
     and member arrays of surviving edges, the monotone renumbering
     assigns exactly the triple ids a fresh rebuild would — the
     compacted graph is bit-identical to [build (restrict_edges h alive)
-    ~k], which is what lets {!Reduction.run}'s [`Incremental] engine
-    promise bit-identical multicolorings to its [`Rebuild] baseline.
+    ~k], which is what lets {!Reduction.run} promise the multicolorings
+    of a rebuild-every-phase loop (the test suite's oracle) bit for
+    bit.
 
     The graph returned by {!graph} is an arena view over the current
     buffer pair: it stays valid until the {e next-but-one} {!compact}
@@ -167,13 +168,6 @@ module Incremental : sig
       only the slot-count is re-checked here ([Invalid_argument] on
       mismatch). *)
 end
-
-val build_reference : Ps_hypergraph.Hypergraph.t -> k:int -> t
-(** The straightforward list-based builder the CSR path replaced:
-    emits every family's pairs into an edge list and normalizes through
-    {!Ps_graph.Graph.of_edges}.  Kept as the differential-testing oracle
-    for {!build} (the property suite checks [Graph.equal] on random
-    hypergraphs) and as the micro-benchmark baseline. *)
 
 val adjacent : Ps_hypergraph.Hypergraph.t -> k:int -> Triple.t -> Triple.t -> bool
 (** Direct evaluation of the edge-family definitions, no graph needed —

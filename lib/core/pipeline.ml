@@ -27,19 +27,19 @@ type result = {
   k : int;
 }
 
-let solve_unchecked ?cancel ?seed ?engine ?domains ?warm ?on_phase0 ?presolve
+let solve_unchecked ?cancel ?seed ?domains ?warm ?on_phase0 ?presolve
     ?(k = From_conservative) ~solver h =
   let k = choose_k k h in
   let reduction =
-    Reduction.run ?cancel ?seed ?engine ?domains ?warm ?on_phase0 ?presolve
+    Reduction.run ?cancel ?seed ?domains ?warm ?on_phase0 ?presolve
       ~solver ~k h
   in
   { reduction; certificate = Certify.certify reduction; k }
 
-let solve ?cancel ?seed ?engine ?domains ?warm ?on_phase0 ?presolve ?k ~solver
+let solve ?cancel ?seed ?domains ?warm ?on_phase0 ?presolve ?k ~solver
     h =
   let result =
-    solve_unchecked ?cancel ?seed ?engine ?domains ?warm ?on_phase0 ?presolve
+    solve_unchecked ?cancel ?seed ?domains ?warm ?on_phase0 ?presolve
       ?k ~solver h
   in
   if not result.certificate.Certify.all_ok then

@@ -30,7 +30,6 @@ type result = {
 val solve :
   ?cancel:(unit -> bool) ->
   ?seed:int ->
-  ?engine:Reduction.engine ->
   ?domains:int ->
   ?warm:Conflict_graph.Incremental.snapshot ->
   ?on_phase0:(Conflict_graph.Incremental.snapshot -> unit) ->
@@ -41,17 +40,16 @@ val solve :
   result
 (** Run end to end ([k] defaults to [From_conservative]).  Raises
     [Failure] when the certificate fails — by Theorem 1.1 that can only
-    mean a bug, so it is loud.  [cancel], [engine], [domains], [warm],
-    [on_phase0] and [presolve] are forwarded to {!Reduction.run} (defaults there:
-    per-phase cooperative-cancellation poll off, [`Incremental],
-    automatic domain count, no warm start, no snapshot callback).
+    mean a bug, so it is loud.  [cancel], [domains], [warm], [on_phase0]
+    and [presolve] are forwarded to {!Reduction.run} (defaults there:
+    per-phase cooperative-cancellation poll off, automatic domain count,
+    no warm start, no snapshot callback, kernel presolve).
     Callers passing [warm] must resolve [k] with {!choose_k} first and
     pass [Fixed] so the snapshot's [k] is the one used. *)
 
 val solve_unchecked :
   ?cancel:(unit -> bool) ->
   ?seed:int ->
-  ?engine:Reduction.engine ->
   ?domains:int ->
   ?warm:Conflict_graph.Incremental.snapshot ->
   ?on_phase0:(Conflict_graph.Incremental.snapshot -> unit) ->

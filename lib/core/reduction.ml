@@ -26,8 +26,6 @@ type run = {
   colors_used : int;
 }
 
-type engine = [ `Rebuild | `Incremental ]
-
 exception Stalled of int
 exception Canceled
 
@@ -41,9 +39,8 @@ module Log = (val Logs.src_log log_src)
    well-formedness and every solver answer for independence before the
    phase commits.  A violation aborts loudly with the first positioned
    diagnostic — these invariants failing means a bug, not bad input.
-   Both engines run the same audits: the incremental path certifies its
-   compacted arena graph exactly as the rebuild path certifies its
-   fresh one. *)
+   The compacted arena graph of every phase is certified exactly as a
+   freshly built one would be. *)
 let debug_checks =
   match Sys.getenv_opt "PSLOCAL_DEBUG" with
   | None | Some "" | Some "0" | Some "false" -> false
@@ -60,19 +57,15 @@ let phase_boundary_checks ~phase graph is =
   fail "conflict graph" (Ps_check.Check_graph.csr graph);
   fail "solver output" (Ps_check.Check_set.independent graph is)
 
-let run ?max_phases ?(cancel = fun () -> false) ?(seed = 0)
-    ?(engine = (`Incremental : engine)) ?(domains = 0) ?warm ?on_phase0
-    ?(presolve = (`Kernel : Ps_maxis.Kernel.choice)) ~solver ~k h =
+let run ?max_phases ?(cancel = fun () -> false) ?(seed = 0) ?(domains = 0)
+    ?warm ?on_phase0 ?(presolve = (`Kernel : Ps_maxis.Kernel.choice))
+    ~solver ~k h =
   Tm.with_span "reduction.run" @@ fun () ->
   let solver = Ps_maxis.Kernel.apply presolve solver in
   let m = H.n_edges h in
   Tm.set_int "m" m;
   Tm.set_int "k" k;
   Tm.set_str "solver" solver.Ps_maxis.Approx.name;
-  let engine_name =
-    match engine with `Rebuild -> "rebuild" | `Incremental -> "incremental"
-  in
-  Tm.set_str "engine" engine_name;
   let max_phases =
     match max_phases with Some p -> p | None -> (4 * m) + 16
   in
@@ -89,20 +82,63 @@ let run ?max_phases ?(cancel = fun () -> false) ?(seed = 0)
   done;
   let n_remaining = ref m in
   let phase = ref 0 in
-  let phase_prologue () =
-    if !phase >= max_phases then raise (Stalled !phase);
-    if cancel () then raise Canceled
+  (* Build G_k once; every later phase reuses the compacted arena.
+     Per-phase this skips the hypergraph restriction, the indexer
+     rebuild and both CSR passes — compaction is one filtered copy of
+     the surviving rows.  Compaction reproduces the exact numbering a
+     fresh build over the surviving edges would assign (see
+     [Conflict_graph.Incremental]), so the solver sees the graph the
+     proof's G_k^i names and the test suite's rebuild-every-phase
+     oracle produces the same run bit for bit. *)
+  let st =
+    (* Warm start: skip the phase-0 CSR enumeration when the cache
+       supplies a snapshot taken over an equal hypergraph at the same
+       k; bit-identity with the cold path is the snapshot's contract. *)
+    match warm with
+    | Some snap ->
+        if Conflict_graph.Incremental.snapshot_k snap <> k then
+          invalid_arg "Reduction.run: warm snapshot built for another k";
+        Conflict_graph.Incremental.create_from_snapshot h snap
+    | None -> Conflict_graph.Incremental.create ~domains h ~k
   in
-  (* Everything downstream of the solved phase — publishing the phase's
-     colors on the global palette, recording the phase, retiring the
-     newly happy edges — is engine-independent given the phase coloring
-     and the happy list. *)
-  let commit_phase ~graph ~f_i ~is_size happy_global =
+  (match on_phase0 with
+  | Some f -> f (Conflict_graph.Incremental.snapshot st)
+  | None -> ());
+  let n_vertices = H.n_vertices h in
+  let happy_cnt = Cf.happy_scratch ~k in
+  while !n_remaining > 0 do
+    if !phase >= max_phases then raise (Stalled !phase);
+    if cancel () then raise Canceled;
+    Tm.with_span "phase" @@ fun () ->
+    Tm.set_int "phase" !phase;
+    let graph = Conflict_graph.Incremental.graph st in
+    let is =
+      Tm.with_span "solve" (fun () ->
+          Ps_maxis.Approx.solve_verified solver rng graph)
+    in
+    if debug_checks then phase_boundary_checks ~phase:!phase graph is;
+    let f_i =
+      Correspondence.coloring_of_is_with ~n_vertices
+        ~decode:(Conflict_graph.Incremental.decode st)
+        is
+    in
+    (* Publish the phase's colors on its fresh palette slice. *)
     Array.iteri
       (fun v c ->
         if c <> Cf.uncolored then
           Mc.add_color multicoloring v ((!phase * k) + c))
       f_i;
+    (* Happy scan over surviving edges only, against the original
+       hypergraph: global ids directly, no restriction to translate
+       back from. *)
+    let happy_global =
+      List.rev
+        (Bs.fold
+           (fun e acc ->
+             if Cf.happy_fast happy_cnt h f_i e then e :: acc else acc)
+           remaining [])
+    in
+    let is_size = Is.size is in
     let newly_happy = List.length happy_global in
     if newly_happy = 0 then raise (Stalled !phase);
     let edges_before = !n_remaining in
@@ -137,89 +173,11 @@ let run ?max_phases ?(cancel = fun () -> false) ?(seed = 0)
       :: !phases;
     List.iter (fun e -> Bs.remove remaining e) happy_global;
     n_remaining := !n_remaining - newly_happy;
-    incr phase
-  in
-  (match engine with
-  | `Rebuild ->
-      (* Seed path, kept verbatim in structure: restrict the hypergraph,
-         rebuild tables/indexer/CSR from scratch each phase.  This is the
-         oracle the incremental engine is differential-tested against. *)
-      while !n_remaining > 0 do
-        phase_prologue ();
-        Tm.with_span "phase" @@ fun () ->
-        Tm.set_int "phase" !phase;
-        Tm.set_str "build_mode" engine_name;
-        let hi, back = H.restrict_edges h (Bs.to_list remaining) in
-        let cg = Conflict_graph.build ~domains hi ~k in
-        let is =
-          Tm.with_span "solve" (fun () ->
-              Ps_maxis.Approx.solve_verified solver rng cg.graph)
-        in
-        if debug_checks then
-          phase_boundary_checks ~phase:!phase cg.Conflict_graph.graph is;
-        let f_i = Correspondence.coloring_of_is hi cg.indexer is in
-        let happy_local = Cf.happy_edges hi f_i in
-        let happy_global =
-          List.map (fun e_local -> back.(e_local)) happy_local
-        in
-        commit_phase ~graph:cg.Conflict_graph.graph ~f_i ~is_size:(Is.size is)
-          happy_global
-      done
-  | `Incremental ->
-      (* Build G_k once; every later phase reuses the compacted arena.
-         Per-phase this skips the hypergraph restriction, the indexer
-         rebuild and both CSR passes — compaction is one filtered copy
-         of the surviving rows.  Bit-identity with the rebuild path
-         holds because compaction reproduces the exact numbering a
-         rebuild would assign (see [Conflict_graph.Incremental]), so
-         the solver sees equal graphs and draws the same randomness. *)
-      let st =
-        (* Warm start: skip the phase-0 CSR enumeration when the cache
-           supplies a snapshot taken over an equal hypergraph at the
-           same k; bit-identity with the cold path is the snapshot's
-           contract. *)
-        match warm with
-        | Some snap ->
-            if Conflict_graph.Incremental.snapshot_k snap <> k then
-              invalid_arg "Reduction.run: warm snapshot built for another k";
-            Conflict_graph.Incremental.create_from_snapshot h snap
-        | None -> Conflict_graph.Incremental.create ~domains h ~k
-      in
-      (match on_phase0 with
-      | Some f -> f (Conflict_graph.Incremental.snapshot st)
-      | None -> ());
-      let n_vertices = H.n_vertices h in
-      let happy_cnt = Cf.happy_scratch ~k in
-      while !n_remaining > 0 do
-        phase_prologue ();
-        Tm.with_span "phase" @@ fun () ->
-        Tm.set_int "phase" !phase;
-        Tm.set_str "build_mode" engine_name;
-        let graph = Conflict_graph.Incremental.graph st in
-        let is =
-          Tm.with_span "solve" (fun () ->
-              Ps_maxis.Approx.solve_verified solver rng graph)
-        in
-        if debug_checks then phase_boundary_checks ~phase:!phase graph is;
-        let f_i =
-          Correspondence.coloring_of_is_with ~n_vertices
-            ~decode:(Conflict_graph.Incremental.decode st)
-            is
-        in
-        (* Happy scan over surviving edges only, against the original
-           hypergraph: global ids directly, no [back] translation. *)
-        let happy_global =
-          List.rev
-            (Bs.fold
-               (fun e acc ->
-                 if Cf.happy_fast happy_cnt h f_i e then e :: acc else acc)
-               remaining [])
-        in
-        commit_phase ~graph ~f_i ~is_size:(Is.size is) happy_global;
-        Conflict_graph.Incremental.retire_edges st happy_global;
-        Conflict_graph.Incremental.compact st;
-        if Tm.enabled () then Tm.incr "reduction.compactions"
-      done);
+    incr phase;
+    Conflict_graph.Incremental.retire_edges st happy_global;
+    Conflict_graph.Incremental.compact st;
+    if Tm.enabled () then Tm.incr "reduction.compactions"
+  done;
   let colors_used = Mc.total_colors multicoloring in
   Tm.set_int "total_phases" !phase;
   Tm.set_int "colors_used" colors_used;

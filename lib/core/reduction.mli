@@ -40,25 +40,6 @@ type run = {
   colors_used : int;          (** distinct colors actually appearing *)
 }
 
-type engine = [ `Rebuild | `Incremental ]
-(** How each phase obtains its conflict graph:
-
-    {ul
-    {- [`Rebuild] — the seed implementation: restrict the hypergraph to
-       the surviving edges and rebuild tables, indexer and CSR from
-       scratch every phase.  Kept as the differential-testing oracle.}
-    {- [`Incremental] (default) — build [G_k] once and compact it in
-       place after each phase ({!Conflict_graph.Incremental}): retired
-       edges' triples are dropped and survivors renumbered through a
-       reusable double-buffered arena, skipping the per-phase
-       restriction, indexer rebuild and CSR passes entirely.}}
-
-    The two engines are {e bit-identical}: compaction reassigns exactly
-    the triple ids a fresh rebuild would, so the solver sees equal
-    graphs, consumes the same randomness, and both engines produce the
-    same multicoloring, the same phase records and the same audit
-    verdicts (the property suite asserts all three). *)
-
 val log_src : Logs.src
 (** Per-phase progress is logged here at debug level — enable with
     [Logs.Src.set_level Reduction.log_src (Some Logs.Debug)] (the CLI's
@@ -76,7 +57,6 @@ val run :
   ?max_phases:int ->
   ?cancel:(unit -> bool) ->
   ?seed:int ->
-  ?engine:engine ->
   ?domains:int ->
   ?warm:Conflict_graph.Incremental.snapshot ->
   ?on_phase0:(Conflict_graph.Incremental.snapshot -> unit) ->
@@ -91,20 +71,22 @@ val run :
     multicoloring is conflict-free by construction; {!Certify} re-checks
     everything independently.
 
-    [engine] selects the phase-graph strategy (default [`Incremental],
-    see {!type-engine}); [domains] is forwarded to the conflict-graph
-    builder (default [0] — automatic, see {!Conflict_graph.build}) and
-    affects only construction speed, never the result.
+    Phase 0 builds [G_k] once ({!Conflict_graph.Incremental.create});
+    after each phase the retired edges' triples are dropped and the
+    survivors renumbered in place, reproducing exactly the ids a fresh
+    build over the surviving edges would assign, so each phase's solver
+    sees [G_k^i].  [domains] is forwarded to the conflict-graph builder
+    (default [0] — automatic, see {!Conflict_graph.build}) and affects
+    only construction speed, never the result.
 
-    [warm] hands the [`Incremental] engine a phase-0 CSR snapshot taken
+    [warm] hands the phase loop a phase-0 CSR snapshot taken
     over an {e equal} hypergraph at the same [k]
     ({!Conflict_graph.Incremental.create_from_snapshot}; equality is the
     caller's contract, [k] is checked — [Invalid_argument] on mismatch),
     replacing the phase-0 build with array copies; the run is
     bit-identical either way.  [on_phase0] is called once with a
     snapshot of the freshly built (or warm-started) phase-0 CSR, which
-    is how the solved-instance cache populates its warm tier.  Both are
-    ignored by the [`Rebuild] oracle, which has no cross-phase state.
+    is how the solved-instance cache populates its warm tier.
 
     [presolve] (default [`Kernel]) wraps the solver with
     {!Ps_maxis.Kernel.apply}: each phase's conflict graph is kernelized

@@ -23,8 +23,7 @@ type run = {
    1-hop exchanges in H). *)
 let coordination_rounds_per_phase = 2
 
-let run ?max_phases ?(cancel = fun () -> false) ?(seed = 0)
-    ?(engine = (`Incremental : Reduction.engine)) ~k h =
+let run ?max_phases ?(cancel = fun () -> false) ?(seed = 0) ~k h =
   Tm.with_span "reduction_local.run" @@ fun () ->
   let m = H.n_edges h in
   Tm.set_int "m" m;
@@ -38,11 +37,9 @@ let run ?max_phases ?(cancel = fun () -> false) ?(seed = 0)
      the conflict graph itself cannot be carried across phases: Luby
      runs on the {e implicit} G_k of the restricted hypergraph and its
      randomness is drawn per restricted-local id, so the per-phase
-     [restrict_edges] must stay for bit-identical answers.  The engines
-     therefore differ only in bookkeeping — [`Incremental] swaps the
-     List.filter prune and the [Cf.happy_edges] list for O(1) bitset
-     removal and a [Cf.happy_fast] walk over a scratch reused across
-     phases. *)
+     [restrict_edges] must stay for bit-identical answers; only the
+     bookkeeping is incremental — O(1) bitset removal and a
+     [Cf.happy_fast] walk over a scratch reused across phases. *)
   let remaining = Bs.create (max m 1) in
   for e = 0 to m - 1 do
     Bs.add remaining e
@@ -69,18 +66,14 @@ let run ?max_phases ?(cancel = fun () -> false) ?(seed = 0)
         if c <> Cf.uncolored then
           Mc.add_color multicoloring v ((!phase * k) + c))
       f_i;
+    (* Walk the restricted edges with the scratch counter and translate
+       to global ids as we go. *)
     let happy_global =
-      match engine with
-      | `Rebuild ->
-          List.map (fun e -> back.(e)) (Cf.happy_edges hi f_i)
-      | `Incremental ->
-          (* Same verdicts, no intermediate list: walk the restricted
-             edges with the scratch counter and translate as we go. *)
-          let acc = ref [] in
-          for e = H.n_edges hi - 1 downto 0 do
-            if Cf.happy_fast happy_cnt hi f_i e then acc := back.(e) :: !acc
-          done;
-          !acc
+      let acc = ref [] in
+      for e = H.n_edges hi - 1 downto 0 do
+        if Cf.happy_fast happy_cnt hi f_i e then acc := back.(e) :: !acc
+      done;
+      !acc
     in
     let newly_happy = List.length happy_global in
     if newly_happy = 0 then raise (Reduction.Stalled !phase);

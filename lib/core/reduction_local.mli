@@ -33,7 +33,6 @@ val run :
   ?max_phases:int ->
   ?cancel:(unit -> bool) ->
   ?seed:int ->
-  ?engine:Reduction.engine ->
   k:int ->
   Ps_hypergraph.Hypergraph.t ->
   run
@@ -43,10 +42,6 @@ val run :
     driver, and {!Reduction.Canceled} when [cancel] (polled once per
     phase, as in {!Reduction.run}) answers [true].
 
-    [engine] (default [`Incremental]) switches {e bookkeeping only}:
-    Luby draws its randomness per restricted-local triple id, so the
-    conflict graph cannot be carried across phases here and both
-    engines still restrict the hypergraph each phase — [`Incremental]
-    merely replaces the list-based edge prune and Hashtbl-backed
-    happiness scan with the bitset + scratch-counter fast path.  The
-    engines are bit-identical, as in {!Reduction.run}. *)
+    Unlike {!Reduction.run}, the conflict graph is not carried across
+    phases: Luby draws its randomness per restricted-local triple id,
+    so every phase restricts the hypergraph to its surviving edges. *)

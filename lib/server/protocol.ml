@@ -27,11 +27,7 @@ let error_code_string = function
 
 type solve_params = {
   hypergraph : H.t;
-  solver : Ps_maxis.Approx.solver;
-  solver_name : string;
-  presolve : Ps_maxis.Kernel.choice;
-  k : int option;
-  seed : int;
+  spec : Ps_core.Solve_spec.t;
   detail : bool;
 }
 
@@ -160,44 +156,33 @@ let graph_payload params =
   | g -> Ok g
   | exception Failure msg -> Error (err Invalid_request "graph payload: %s" msg)
 
+let solve_spec ?(solver = "greedy") ?(presolve = "kernel") ?k ?(seed = 0)
+    () =
+  let* solver =
+    match solver_of_name solver with
+    | Some s -> Ok s
+    | None -> Error (err Invalid_request "unknown solver %S" solver)
+  in
+  let* presolve =
+    match presolve_of_name presolve with
+    | Some c -> Ok c
+    | None ->
+        Error
+          (err Invalid_request "field \"presolve\" must be %S or %S" "kernel"
+             "none")
+  in
+  let* k = positive "k" k in
+  Ok { Ps_core.Solve_spec.solver; presolve; k; seed }
+
 let solve_params params =
   let* hypergraph = hypergraph_payload params in
-  let* solver_name = str_field params "solver" in
-  let solver_name = Option.value solver_name ~default:"greedy" in
-  let* solver =
-    match solver_of_name solver_name with
-    | Some s -> Ok s
-    | None -> Error (err Invalid_request "unknown solver %S" solver_name)
-  in
+  let* solver = str_field params "solver" in
   let* presolve = str_field params "presolve" in
-  let* presolve =
-    match presolve with
-    | None -> Ok `Kernel
-    | Some name -> (
-        match presolve_of_name name with
-        | Some c -> Ok c
-        | None ->
-            Error
-              (err Invalid_request "field \"presolve\" must be %S or %S"
-                 "kernel" "none"))
-  in
   let* k = int_field params "k" in
-  let* k = positive "k" k in
   let* seed = int_field params "seed" in
+  let* spec = solve_spec ?solver ?presolve ?k ?seed () in
   let* detail = bool_field params "detail" in
-  (* The effective name is what run records report and cache keys hash:
-     kernel-on and kernel-off results must never alias. *)
-  let solver_name =
-    (Ps_maxis.Kernel.apply presolve solver).Ps_maxis.Approx.name
-  in
-  Ok
-    { hypergraph;
-      solver;
-      solver_name;
-      presolve;
-      k;
-      seed = Option.value seed ~default:0;
-      detail = Option.value detail ~default:false }
+  Ok { hypergraph; spec; detail = Option.value detail ~default:false }
 
 (* [check] payloads: vertex/color lists arrive as JSON arrays of
    integers.  Shape errors (non-arrays, non-integers) are protocol-level

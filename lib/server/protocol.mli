@@ -42,14 +42,7 @@ val error_code_string : error_code -> string
 
 type solve_params = {
   hypergraph : Ps_hypergraph.Hypergraph.t;
-  solver : Ps_maxis.Approx.solver;
-  solver_name : string;
-      (** the {e effective} name — carries the ["kernel+"] prefix when
-          [presolve] is [`Kernel] and the solver does not already own
-          its kernelization; run records and cache keys use it *)
-  presolve : Ps_maxis.Kernel.choice;
-  k : int option;       (** [None]: derive k from the conservative CF coloring *)
-  seed : int;
+  spec : Ps_core.Solve_spec.t;  (** decoded by {!solve_spec} *)
   detail : bool;        (** include per-phase records and the multicoloring *)
 }
 
@@ -112,6 +105,20 @@ val method_name : call -> string
 val solver_of_name : string -> Ps_maxis.Approx.solver option
 (** The CLI's solver registry, shared: greedy, caro-wei, caro-wei-x8,
     adversarial, exact, clique-removal, portfolio. *)
+
+val solve_spec :
+  ?solver:string ->
+  ?presolve:string ->
+  ?k:int ->
+  ?seed:int ->
+  unit ->
+  (Ps_core.Solve_spec.t, error) result
+(** The one decoder of solve options, shared by the [reduce] and
+    [certify] params and by the CLI's [reduce], [audit] and
+    [mis --solver]: defaults are solver ["greedy"], presolve
+    ["kernel"], derived [k] and seed [0].  An unknown solver or presolve
+    name and a non-positive [k] are {!Invalid_request} errors whose
+    messages the CLI prints verbatim. *)
 
 val presolve_of_name : string -> Ps_maxis.Kernel.choice option
 (** ["kernel"] or ["none"] — the wire/CLI names of the presolve knob. *)

@@ -1,10 +1,10 @@
 module P = Protocol
 module Is = Ps_maxis.Independent_set
 
-let solve ~cancel (p : P.solve_params) =
-  Ps_core.Pipeline.solve_unchecked ~cancel ~seed:p.seed
-    ?k:(Option.map (fun k -> Ps_core.Pipeline.Fixed k) p.k)
-    ~presolve:p.presolve ~solver:p.solver p.hypergraph
+let solve ~cancel ({ hypergraph; spec; _ } : P.solve_params) =
+  Ps_core.Pipeline.solve_unchecked ~cancel ~seed:spec.seed
+    ~k:(Ps_core.Solve_spec.k_choice spec)
+    ~presolve:spec.presolve ~solver:spec.solver hypergraph
 
 let mis_one ~seed g = function
   | P.Mis_greedy ->
@@ -82,9 +82,7 @@ let handle ~stats ~cancel (req : P.request) =
 module Cache = Ps_cache.Cache
 
 let solve_cached ~cache ~cancel (p : P.solve_params) =
-  Cache.solve cache ~cancel ~k:p.k ~presolve:p.presolve ~solver:p.solver
-    ~solver_name:p.solver_name
-    ~seed:p.seed p.hypergraph
+  Cache.solve cache ~cancel p.spec p.hypergraph
 
 (* Deterministic given the graph; no seed or solver choice in the key. *)
 let decompose_key_seed = 0
@@ -103,13 +101,11 @@ let cached_lookup cache (call : P.call) =
   | P.Reduce p ->
       Option.map
         (P.reduce_result ~detail:p.detail)
-        (Cache.find_solve_mem cache ~k:p.k ~solver_name:p.solver_name
-           ~seed:p.seed p.hypergraph)
+        (Cache.find_solve_mem cache p.spec p.hypergraph)
   | P.Certify p ->
       Option.map
         (fun r -> P.certificate_json r.Ps_core.Pipeline.certificate)
-        (Cache.find_solve_mem cache ~k:p.k ~solver_name:p.solver_name
-           ~seed:p.seed p.hypergraph)
+        (Cache.find_solve_mem cache p.spec p.hypergraph)
   | P.Mis { graph; algo; seed } ->
       Option.bind
         (Cache.find_graph_result_mem cache ~kind:Cache.Mis

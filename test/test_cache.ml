@@ -204,6 +204,14 @@ let test_lru_directed () =
 (* ------------------------------------------------------------------ *)
 (* Bit-identity: hits and warm starts vs fresh solves *)
 
+let greedy = Ps_maxis.Approx.greedy_min_degree
+let caro_wei = Ps_maxis.Approx.caro_wei
+
+(* Kernel presolve and derived k unless given: the defaults of a wire
+   request that names only a solver and a seed. *)
+let spec ?(presolve = `Kernel) ?k ~seed solver =
+  { Ps_core.Solve_spec.solver; presolve; k; seed }
+
 let result_fingerprint r =
   (* The full wire rendering: multicoloring, phase records, certificate
      verdicts.  Byte equality here is the "bit-identical" contract. *)
@@ -223,12 +231,10 @@ let test_hit_bit_identical () =
       in
       let cache = Cache.create () in
       let miss =
-        Cache.solve cache ~k:None ~solver:Ps_maxis.Approx.greedy_min_degree
-          ~solver_name:"greedy" ~seed:3 h
+        Cache.solve cache (spec ~seed:3 greedy) h
       in
       let hit =
-        Cache.solve cache ~k:None ~solver:Ps_maxis.Approx.greedy_min_degree
-          ~solver_name:"greedy" ~seed:3 h
+        Cache.solve cache (spec ~seed:3 greedy) h
       in
       check_string (name ^ ": miss = fresh") (result_fingerprint fresh)
         (result_fingerprint miss);
@@ -245,14 +251,12 @@ let test_warm_start_bit_identical () =
       let cache = Cache.create () in
       (* Prime result + warm tiers with one solver... *)
       ignore
-        (Cache.solve cache ~k:None ~solver:Ps_maxis.Approx.greedy_min_degree
-           ~solver_name:"greedy" ~seed:0 h
+        (Cache.solve cache (spec ~seed:0 greedy) h
           : Pl.result);
       (* ...then solve with a different solver: result-tier miss, but
          the phase-0 CSR replays from the warm tier. *)
       let warmed =
-        Cache.solve cache ~k:None ~solver:Ps_maxis.Approx.caro_wei
-          ~solver_name:"caro-wei" ~seed:5 h
+        Cache.solve cache (spec ~seed:5 caro_wei) h
       in
       let fresh = Pl.solve_unchecked ~seed:5 ~solver:Ps_maxis.Approx.caro_wei h in
       check_string (name ^ ": warm-started = fresh")
@@ -275,8 +279,7 @@ let qcheck_cached_solve_bit_identical =
       in
       let cache = Cache.create () in
       let solve () =
-        Cache.solve cache ~k:None ~solver:Ps_maxis.Approx.caro_wei
-          ~solver_name:"caro-wei" ~seed h
+        Cache.solve cache (spec ~seed:seed caro_wei) h
       in
       let miss = solve () in
       let hit = solve () in
@@ -306,11 +309,11 @@ let test_poisoned_entry_dropped () =
     Pl.solve_unchecked ~seed:0 ~solver:Ps_maxis.Approx.greedy_min_degree h
   in
   let cache = Cache.create ~config:audit_all_config () in
-  Cache.store_solve cache ~k:None ~solver_name:"greedy" ~seed:0 (poison good);
+  Cache.store_solve cache (spec ~seed:0 greedy) (poison good);
   check_int "poisoned entry stored" 1 (Cache.stats cache).Cache.entries;
   (* The audit-on-hit must reject it and fall through to a miss... *)
   check_bool "find returns nothing" true
-    (Cache.find_solve cache ~k:None ~solver_name:"greedy" ~seed:0 h = None);
+    (Cache.find_solve cache (spec ~seed:0 greedy) h = None);
   let s = Cache.stats cache in
   check_int "audit ran" 1 s.Cache.audits;
   check_int "entry poisoned" 1 s.Cache.poisoned;
@@ -318,8 +321,7 @@ let test_poisoned_entry_dropped () =
   check_int "never served as a hit" 0 s.Cache.hits;
   (* ...and a full cached solve now recomputes a correct result. *)
   let r =
-    Cache.solve cache ~k:None ~solver:Ps_maxis.Approx.greedy_min_degree
-      ~solver_name:"greedy" ~seed:0 h
+    Cache.solve cache (spec ~seed:0 greedy) h
   in
   check_string "recovered result is the fresh one" (result_fingerprint good)
     (result_fingerprint r)
@@ -328,13 +330,12 @@ let test_clean_entry_survives_audit () =
   let h = Hgen.sunflower ~n_petals:8 ~core:3 ~petal:3 in
   let cache = Cache.create ~config:audit_all_config () in
   ignore
-    (Cache.solve cache ~k:None ~solver:Ps_maxis.Approx.greedy_min_degree
-       ~solver_name:"greedy" ~seed:0 h
+    (Cache.solve cache (spec ~seed:0 greedy) h
       : Pl.result);
   (* Every hit is audited at rate 1.0; a clean entry keeps serving. *)
   for _ = 1 to 3 do
     check_bool "served" true
-      (Cache.find_solve cache ~k:None ~solver_name:"greedy" ~seed:0 h <> None)
+      (Cache.find_solve cache (spec ~seed:0 greedy) h <> None)
   done;
   let s = Cache.stats cache in
   check_int "three audits" 3 s.Cache.audits;
@@ -348,18 +349,17 @@ let test_key_separation () =
   let h = Hgen.sunflower ~n_petals:8 ~core:3 ~petal:3 in
   let cache = Cache.create () in
   ignore
-    (Cache.solve cache ~k:None ~solver:Ps_maxis.Approx.greedy_min_degree
-       ~solver_name:"greedy" ~seed:0 h
+    (Cache.solve cache (spec ~seed:0 greedy) h
       : Pl.result);
   (* Different solver, seed, or k must all miss. *)
   check_bool "other solver misses" true
-    (Cache.find_solve cache ~k:None ~solver_name:"caro-wei" ~seed:0 h = None);
+    (Cache.find_solve cache (spec ~seed:0 caro_wei) h = None);
   check_bool "other seed misses" true
-    (Cache.find_solve cache ~k:None ~solver_name:"greedy" ~seed:1 h = None);
+    (Cache.find_solve cache (spec ~seed:1 greedy) h = None);
   check_bool "explicit k misses" true
-    (Cache.find_solve cache ~k:(Some 3) ~solver_name:"greedy" ~seed:0 h = None);
+    (Cache.find_solve cache (spec ~k:3 ~seed:0 greedy) h = None);
   check_bool "same request hits" true
-    (Cache.find_solve cache ~k:None ~solver_name:"greedy" ~seed:0 h <> None)
+    (Cache.find_solve cache (spec ~seed:0 greedy) h <> None)
 
 let test_graph_tier () =
   let g = G.of_edges 6 [ (0, 1); (1, 2); (2, 3); (4, 5) ] in
@@ -405,8 +405,7 @@ let test_disk_tier_roundtrip () =
   let config = { Cache.default_config with dir = Some dir } in
   let c1 = Cache.create ~config () in
   let r1 =
-    Cache.solve c1 ~k:None ~solver:Ps_maxis.Approx.greedy_min_degree
-      ~solver_name:"greedy" ~seed:0 h
+    Cache.solve c1 (spec ~seed:0 greedy) h
   in
   let entries, bytes = Cache.dir_stats dir in
   check_int "one entry on disk" 1 entries;
@@ -414,8 +413,7 @@ let test_disk_tier_roundtrip () =
   (* A fresh process (new cache over the same dir) reads it back. *)
   let c2 = Cache.create ~config () in
   let r2 =
-    Cache.solve c2 ~k:None ~solver:Ps_maxis.Approx.greedy_min_degree
-      ~solver_name:"greedy" ~seed:0 h
+    Cache.solve c2 (spec ~seed:0 greedy) h
   in
   check_string "disk hit bit-identical" (result_fingerprint r1)
     (result_fingerprint r2);
@@ -426,14 +424,32 @@ let test_disk_tier_roundtrip () =
   check_int "dir_clear removes it" 1 (Cache.dir_clear dir);
   check_bool "dir empty" true (Cache.dir_stats dir = (0, 0))
 
+(* The persisted key format, byte for byte: entries written by an older
+   build must keep matching.  Both strings were read back from a build
+   whose callers passed the effective solver name by hand. *)
+let test_disk_keys_pinned () =
+  with_temp_dir @@ fun dir ->
+  let h = Hgen.sunflower ~n_petals:8 ~core:3 ~petal:3 in
+  let cache =
+    Cache.create ~config:{ Cache.default_config with dir = Some dir } ()
+  in
+  let store spec = ignore (Cache.solve cache spec h : Pl.result) in
+  store (spec ~seed:0 greedy);
+  store (spec ~presolve:`None ~k:3 ~seed:5 caro_wei);
+  check_string "engine version" "2" Cache.engine_version;
+  Alcotest.(check (list string))
+    "keys"
+    [ "v2:solve:86563ec64c72bbc6:k3:caro-wei:s5";
+      "v2:solve:86563ec64c72bbc6:kauto:kernel+greedy-min-degree:s0" ]
+    (List.sort String.compare (List.map fst (Cache.dir_list dir)))
+
 let test_disk_tier_corruption_ignored () =
   with_temp_dir @@ fun dir ->
   let h = Hgen.sunflower ~n_petals:8 ~core:3 ~petal:3 in
   let config = { Cache.default_config with dir = Some dir } in
   let c1 = Cache.create ~config () in
   ignore
-    (Cache.solve c1 ~k:None ~solver:Ps_maxis.Approx.greedy_min_degree
-       ~solver_name:"greedy" ~seed:0 h
+    (Cache.solve c1 (spec ~seed:0 greedy) h
       : Pl.result);
   (* Flip bytes in the middle of the entry file: the checksum must
      reject it and the cache must fall back to a fresh solve. *)
@@ -454,8 +470,7 @@ let test_disk_tier_corruption_ignored () =
     (Sys.readdir dir);
   let c2 = Cache.create ~config () in
   let r =
-    Cache.solve c2 ~k:None ~solver:Ps_maxis.Approx.greedy_min_degree
-      ~solver_name:"greedy" ~seed:0 h
+    Cache.solve c2 (spec ~seed:0 greedy) h
   in
   check_bool "recovered with a fresh, certified solve" true
     r.Pl.certificate.Ps_core.Certify.all_ok;
@@ -487,5 +502,6 @@ let suites =
         Alcotest.test_case "graph tier" `Quick test_graph_tier ] );
     ( "cache:disk",
       [ Alcotest.test_case "roundtrip" `Quick test_disk_tier_roundtrip;
+        Alcotest.test_case "keys pinned" `Quick test_disk_keys_pinned;
         Alcotest.test_case "corruption ignored" `Quick
           test_disk_tier_corruption_ignored ] ) ]

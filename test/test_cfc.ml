@@ -511,6 +511,27 @@ let prop_verifiers_match_per_edge_happy =
              (Printf.sprintf "Cf_coloring.verify_exn: edge %d is unhappy")
              first_unhappy)
 
+(* [happy_fast] is the phase loop's inner scan, so it gets a direct
+   check: one scratch reused across every edge (its all-zero restore is
+   part of the contract), random partial colorings with colors below
+   the scratch's k, uncolored vertices included. *)
+let prop_happy_fast_matches_happy =
+  QCheck.Test.make ~count:300
+    ~name:"happy_fast (one shared scratch) = happy, every edge"
+    (QCheck.triple arbitrary_family_hg QCheck.small_nat (QCheck.int_range 1 6))
+    (fun (params, cseed, k) ->
+      let h = family_hg params in
+      let rng = Rng.create cseed in
+      let f =
+        Array.init (H.n_vertices h) (fun _ ->
+            if Rng.int rng 3 = 0 then Cf.uncolored else Rng.int rng k)
+      in
+      let scratch = Cf.happy_scratch ~k in
+      List.for_all
+        (fun e -> Bool.equal (Cf.happy_fast scratch h f e) (Cf.happy h f e))
+        (List.init (H.n_edges h) (fun e -> e))
+      && Array.for_all (fun c -> c = 0) scratch)
+
 let prop_multicolor_lift_preserves_happiness =
   QCheck.Test.make ~count:100
     ~name:"single-coloring happiness = lifted multicolor happiness"
@@ -530,7 +551,8 @@ let props =
       prop_multicolor_lift_preserves_happiness;
       prop_conservative_matches_reference;
       prop_conservative_proper_on_colored;
-      prop_verifiers_match_per_edge_happy ]
+      prop_verifiers_match_per_edge_happy;
+      prop_happy_fast_matches_happy ]
 
 let suites =
   [ ( "cfc.happiness",

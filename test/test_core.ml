@@ -190,7 +190,9 @@ let test_csr_builder_matches_reference () =
     (fun h ->
       List.iter
         (fun k ->
-          let reference = (Cg.build_reference h ~k).Cg.graph in
+          let reference =
+            (Ps_oracle.Conflict_graph.build_reference h ~k).Cg.graph
+          in
           check_bool "csr = reference" true
             (G.equal (Cg.build h ~k).Cg.graph reference);
           check_bool "csr domains=2 = reference" true
@@ -529,9 +531,9 @@ let test_reduction_seed_behavior_sunflower () =
     (phase_rows r);
   (* Degraded solver: the multi-phase trajectory, pinned number by number.
      [r] runs on the default [`Incremental] engine, so these rows double
-     as the engine's regression pin: any drift in compaction renumbering
-     or the fast happiness scan shows up against numbers captured from
-     the original rebuild-every-phase implementation. *)
+     as the phase loop's regression pin: any drift in compaction
+     renumbering or the fast happiness scan shows up against numbers
+     captured from the original rebuild-every-phase implementation. *)
   let solver = Approx.degrade ~keep:0.3 Approx.greedy_min_degree in
   let r = Red.run ~seed:0 ~presolve:`None ~solver ~k:2 h in
   check "phases (degraded)" 4 r.Red.total_phases;
@@ -543,8 +545,10 @@ let test_reduction_seed_behavior_sunflower () =
       [ 2; 7; 84; 1596; 1; 1 ];
       [ 3; 6; 72; 1206; 3; 6 ] ]
     (phase_rows r);
-  (* The explicit rebuild engine must agree bit for bit. *)
-  let r_rebuild = Red.run ~seed:0 ~presolve:`None ~engine:`Rebuild ~solver ~k:2 h in
+  (* The rebuild-every-phase oracle must agree bit for bit. *)
+  let r_rebuild =
+    Ps_oracle.Reduction.run ~seed:0 ~presolve:`None ~solver ~k:2 h
+  in
   check_bool "engines agree (multicoloring)" true
     (r.Red.multicoloring = r_rebuild.Red.multicoloring);
   check_bool "engines agree (phase records)" true
@@ -736,16 +740,28 @@ let test_reduction_local_empty () =
   check "zero phases" 0 result.RL.cost.RL.phases;
   check "zero rounds" 0 result.RL.cost.RL.host_rounds
 
+(* Golden pin of the message-passing run, captured from the list-based
+   bookkeeping (per-phase [Cf.happy_edges] + translation) that the
+   bitset + [Cf.happy_fast] walk replaced. *)
 let test_reduction_local_engines_agree () =
   let rng = Rng.create 23 in
   let h = Hgen.uniform_random rng ~n:14 ~m:10 ~k:3 in
-  let a = RL.run ~seed:3 ~engine:`Rebuild ~k:2 h in
-  let b = RL.run ~seed:3 ~engine:`Incremental ~k:2 h in
-  check_bool "same multicoloring" true
-    (a.RL.reduction.Red.multicoloring = b.RL.reduction.Red.multicoloring);
-  check_bool "same phase records" true
-    (a.RL.reduction.Red.phases = b.RL.reduction.Red.phases);
-  check "same rounds" a.RL.cost.RL.virtual_rounds b.RL.cost.RL.virtual_rounds
+  let r = RL.run ~seed:3 ~k:2 h in
+  let mc_hash mc =
+    Array.fold_left
+      (fun s cs ->
+        List.fold_left Ps_util.Fnv.int (Ps_util.Fnv.int s (List.length cs)) cs)
+      Ps_util.Fnv.init mc
+    |> Ps_util.Fnv.finish |> Ps_util.Fnv.to_hex
+  in
+  Alcotest.(check string)
+    "multicoloring hash" "ede2f80c2b209dc2"
+    (mc_hash r.RL.reduction.Red.multicoloring);
+  Alcotest.(check (list (list int)))
+    "phase records"
+    [ [ 0; 10; 60; -1; 10; 10 ] ]
+    (phase_rows r.RL.reduction);
+  check "virtual rounds" 4 r.RL.cost.RL.virtual_rounds
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline k choices *)
@@ -836,7 +852,7 @@ let prop_csr_build_matches_reference =
       let h = hg_of params in
       let _, _, _, k = params in
       let k = min k (max 1 (H.n_vertices h)) in
-      let oracle = (Cg.build_reference h ~k).Cg.graph in
+      let oracle = (Ps_oracle.Conflict_graph.build_reference h ~k).Cg.graph in
       G.equal (Cg.build h ~k).Cg.graph oracle
       && G.equal (Cg.build ~domains:2 h ~k).Cg.graph oracle)
 
@@ -852,7 +868,7 @@ let prop_engines_bit_identical =
       (* A degraded solver forces a multi-phase trajectory, so several
          compactions actually happen and stay comparable. *)
       let solver = Approx.degrade ~keep:0.4 Approx.greedy_min_degree in
-      let base = Red.run ~seed:7 ~engine:`Rebuild ~domains:1 ~solver ~k h in
+      let base = Ps_oracle.Reduction.run ~seed:7 ~domains:1 ~solver ~k h in
       let base_diag = Ps_core.Certify.diagnostics base in
       List.for_all
         (fun r ->
@@ -860,9 +876,9 @@ let prop_engines_bit_identical =
           && r.Red.phases = base.Red.phases
           && r.Red.colors_used = base.Red.colors_used
           && Ps_core.Certify.diagnostics r = base_diag)
-        [ Red.run ~seed:7 ~engine:`Incremental ~domains:1 ~solver ~k h;
-          Red.run ~seed:7 ~engine:`Incremental ~domains:2 ~solver ~k h;
-          Red.run ~seed:7 ~engine:`Rebuild ~domains:2 ~solver ~k h ])
+        [ Red.run ~seed:7 ~domains:1 ~solver ~k h;
+          Red.run ~seed:7 ~domains:2 ~solver ~k h;
+          Ps_oracle.Reduction.run ~seed:7 ~domains:2 ~solver ~k h ])
 
 let props =
   List.map QCheck_alcotest.to_alcotest

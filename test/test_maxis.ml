@@ -153,8 +153,8 @@ let qcheck_greedy_matches_oracle =
       let arena, tails_intact = Test_kernel.arena_of g in
       List.iter
         (fun layout ->
-          let want_min = Greedy_oracle.min_degree ~layout g
-          and want_max = Greedy_oracle.max_degree_adversary ~layout g in
+          let want_min = Ps_oracle.Greedy.min_degree ~layout g
+          and want_max = Ps_oracle.Greedy.max_degree_adversary ~layout g in
           List.iter
             (fun (width, h) ->
               if not (B.equal (Greedy.min_degree ~layout h) want_min) then

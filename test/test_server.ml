@@ -747,8 +747,12 @@ let test_service_decompose () =
   | j -> Alcotest.failf "clusters: %s" (Json.to_string j)
 
 let solve_params_of h =
-  { P.hypergraph = h; solver = Ps_maxis.Approx.greedy_min_degree;
-    solver_name = "greedy"; presolve = `None; k = None; seed = 7;
+  { P.hypergraph = h;
+    spec =
+      { Ps_core.Solve_spec.solver = Ps_maxis.Approx.greedy_min_degree;
+        presolve = `None;
+        k = None;
+        seed = 7 };
     detail = false }
 
 let test_service_reduce_and_certify () =

@@ -666,9 +666,14 @@ let expect_cli_error args needle =
     Alcotest.failf "pslocal %s: expected failure, got exit 0"
       (String.concat " " args);
   check_contains "error message" out needle;
-  (* A clean diagnostic, not an escaped exception. *)
-  if contains out "Raised at" || contains out "backtrace" then
-    Alcotest.failf "raw exception leaked: %s" out
+  (* A clean diagnostic, not an escaped exception: cmdliner reports an
+     uncaught one as "internal error" with exit 125 and no backtrace. *)
+  if
+    code = 125
+    || contains out "internal error"
+    || contains out "Raised at"
+    || contains out "backtrace"
+  then Alcotest.failf "raw exception leaked (exit %d): %s" code out
 
 let test_cli_bad_flags () =
   expect_cli_error [ "serve"; "--shards"; "0" ] "--shards must be positive";
@@ -679,7 +684,22 @@ let test_cli_bad_flags () =
   expect_cli_error [ "serve"; "--binary" ] "requires --socket";
   expect_cli_error [ "serve"; "--quota-rps"; "0"; "--socket"; "/tmp/x" ]
     "--quota-rps must be positive";
-  expect_cli_error [ "serve"; "--quota-burst"; "4" ] "needs --quota-rps"
+  expect_cli_error [ "serve"; "--quota-burst"; "4" ] "needs --quota-rps";
+  (* Solve options share the wire's decoder and its messages. *)
+  let hg = "../data/sunflower_12.hg" in
+  let el = Filename.temp_file "pslocal_cli" ".el" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove el)
+    (fun () ->
+      Out_channel.with_open_text el (fun oc -> output_string oc "2 1\n0 1\n");
+      expect_cli_error [ "reduce"; "--solver"; "bogus"; hg ]
+        "unknown solver \"bogus\"";
+      expect_cli_error [ "mis"; "--solver"; "bogus"; el ]
+        "unknown solver \"bogus\"";
+      expect_cli_error [ "audit"; "--solver"; "bogus"; hg ]
+        "unknown solver \"bogus\"";
+      expect_cli_error [ "reduce"; "-k"; "0"; hg ] "must be positive";
+      expect_cli_error [ "audit"; "-k"; "0"; hg ] "must be positive")
 
 (* ------------------------------------------------------------------ *)
 (* Live integration: real processes, real sockets *)
