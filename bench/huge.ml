@@ -94,10 +94,9 @@ let run_instance rows inst =
   let build_ns = t1 -. t0 and solve_ns = t2 -. t1 and check_ns = t3 -. t2 in
   let eps = float_of_int m /. ((build_ns +. solve_ns) /. 1e9) in
   Printf.printf
-    "%s: n=%d m=%d width=%s build=%.2fs solve=%.2fs check=%.2fs \
-     %.2fMe/s is=%d rss=%.0fMB\n%!"
+    "%s: n=%d m=%d build=%.2fs solve=%.2fs check=%.2fs %.2fMe/s is=%d \
+     rss=%.0fMB\n%!"
     inst.label (G.n_vertices g) m
-    (match G.width g with `Int -> "int" | `Int32 -> "i32")
     (build_ns /. 1e9) (solve_ns /. 1e9) (check_ns /. 1e9) (eps /. 1e6)
     (Is.size set) (peak_rss_mb ());
   rows :=

@@ -21,7 +21,7 @@ let csr g =
   let v = G.csr_view g in
   let n = v.G.v_n in
   let offsets = v.G.v_offsets in
-  let get = v.G.v_get in
+  let get i = Int32.to_int (Bigarray.Array1.get v.G.v_store i) in
   let store_len = v.G.v_store_len in
   let off_len = Array.length offsets in
   if (if v.G.v_exact then off_len <> n + 1 else off_len < n + 1) then begin

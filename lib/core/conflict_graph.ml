@@ -197,40 +197,7 @@ let count_slot tb sc ~k deg s =
 (* Fill pass for one slot: sort its neighbor slots once, then write its
    k rows in place with a linear walk — ascending slots × ascending
    colors keep every row strictly increasing. *)
-let fill_slot tb sc ~k offsets adj s =
-  collect_slots tb sc s;
-  Ps_util.Intsort.sort_range sc.slots.data 0 sc.slots.len;
-  for c = 0 to k - 1 do
-    let w = ref offsets.((s * k) + c) in
-    for i = 0 to sc.slots.len - 1 do
-      let x = sc.slots.data.(i) in
-      let m = Char.code (Bytes.get sc.mask x) in
-      let base = x * k in
-      if x = s || m land edge_bit = 0 && m land samev_bit <> 0 then
-        for c' = 0 to k - 1 do
-          if c' <> c then begin
-            adj.(!w) <- base + c';
-            incr w
-          end
-        done
-      else if m land edge_bit <> 0 then
-        for c' = 0 to k - 1 do
-          adj.(!w) <- base + c';
-          incr w
-        done
-      else begin
-        adj.(!w) <- base + c;
-        incr w
-      end
-    done
-  done;
-  clear_slots sc
-
-(* Same fill pass writing an int32 Bigarray store.  Kept as a literal
-   sibling of [fill_slot] rather than abstracted over a [set] closure:
-   this loop touches every adjacency entry of G_k and a per-entry
-   closure call would cost more than the duplication saves. *)
-let fill_slot_i32 tb sc ~k offsets (adj : G.i32) s =
+let fill_slot tb sc ~k offsets (adj : G.i32) s =
   collect_slots tb sc s;
   Ps_util.Intsort.sort_range sc.slots.data 0 sc.slots.len;
   for c = 0 to k - 1 do
@@ -268,21 +235,19 @@ let effective_domains ~requested ~nslots ~k =
   Ps_util.Parallel.effective_domains ~requested ~units:(nslots * k)
     ~slices:nslots
 
-(* Physical width of the G_k adjacency store.  Triple ids go up to
-   nslots·k, so the narrow store is valid exactly when that fits int32;
-   [`Auto] picks it whenever it does (which is every realistic instance
-   — 2^31 triples would not fit in memory at any width). *)
-type width = [ `Auto | `Int | `Int32 ]
-
-type adj_store = A_int of int array | A_i32 of G.i32
-
-let resolve_width (w : width) ~total : [ `Int | `Int32 ] =
-  match w with
-  | (`Int | `Int32) as w -> w
-  | `Auto -> if total <= 0x7FFF_FFFF then `Int32 else `Int
-
 let i32_create len =
-  Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (max len 1)
+  Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout len
+
+(* Triple ids s·k + c are vertex ids of G_k, so the triple count nslots·k
+   must fit the int32 store.  Checked before anything is sized by it, as
+   k > limit / nslots: the product itself can wrap for a huge k. *)
+let check_triples tb ~k =
+  if tb.nslots > 0 && k > G.max_vertices / tb.nslots then
+    invalid_arg
+      (Printf.sprintf
+         "Conflict_graph: k * sum|e| = %d * %d triples exceeds the int32 id \
+          limit %d"
+         k tb.nslots G.max_vertices)
 
 (* Compute the CSR arrays of G_k, exactly sized.  [domains] must already
    be effective (>= 1, <= nslots).  Parallel runs use a single staged
@@ -294,9 +259,8 @@ let i32_create len =
    chunk claim a cross-core cache-line bounce.  Every slot's rows are
    written to a disjoint region whichever domain claims it, so the
    arrays are bit-identical for any domain count and any schedule. *)
-let csr_arrays ~k ~domains ~width tb =
+let csr_arrays ~k ~domains tb =
   let total = tb.nslots * k in
-  let pick = resolve_width width ~total in
   let deg = Array.make (max total 1) 0 in
   let offsets = Array.make (total + 1) 0 in
   let prefix_sum () =
@@ -304,13 +268,8 @@ let csr_arrays ~k ~domains ~width tb =
       offsets.(i + 1) <- offsets.(i) + deg.(i)
     done
   in
-  let adj = ref (A_int [||]) in
-  let alloc_adj () =
-    adj :=
-      (match pick with
-      | `Int -> A_int (Array.make (max offsets.(total) 1) 0)
-      | `Int32 -> A_i32 (i32_create offsets.(total)))
-  in
+  let adj = ref (i32_create 0) in
+  let alloc_adj () = adj := i32_create offsets.(total) in
   if domains <= 1 then begin
     let sc = scratch_create tb.nslots in
     Tm.with_span "count_pass" (fun () ->
@@ -320,15 +279,9 @@ let csr_arrays ~k ~domains ~width tb =
     prefix_sum ();
     alloc_adj ();
     Tm.with_span "fill_pass" (fun () ->
-        match !adj with
-        | A_int a ->
-            for s = 0 to tb.nslots - 1 do
-              fill_slot tb sc ~k offsets a s
-            done
-        | A_i32 a ->
-            for s = 0 to tb.nslots - 1 do
-              fill_slot_i32 tb sc ~k offsets a s
-            done)
+        for s = 0 to tb.nslots - 1 do
+          fill_slot tb sc ~k offsets !adj s
+        done)
   end
   else begin
     let module Cur = Ps_util.Parallel.Sharded_cursor in
@@ -349,43 +302,34 @@ let csr_arrays ~k ~domains ~width tb =
         alloc_adj ();
         t2 := Tm.now_ns ())
       ~stage2:(fun d ->
-        let sc = scratches.(d) in
-        match !adj with
-        | A_int a -> Cur.drain cursor2 d (fill_slot tb sc ~k offsets a)
-        | A_i32 a -> Cur.drain cursor2 d (fill_slot_i32 tb sc ~k offsets a));
+        Cur.drain cursor2 d (fill_slot tb scratches.(d) ~k offsets !adj));
     if Tm.enabled () then begin
       let t3 = Tm.now_ns () in
       Tm.add_completed_span ~name:"count_pass" ~start_ns:t0 ~stop_ns:!t1 [];
       Tm.add_completed_span ~name:"fill_pass" ~start_ns:!t2 ~stop_ns:t3 []
     end
   end;
-  (* The store was sized [max _ 1] so an edgeless graph still gets a live
-     array; [offsets.(total)] is the logical size. *)
   (offsets, !adj)
 
-let prefix_graph total ~offsets store =
-  match store with
-  | A_int adj -> G.of_csr_prefix total ~offsets ~adj
-  | A_i32 adj -> G.of_csr_prefix_i32 total ~offsets ~adj
-
-let csr_graph ~k ~domains ~width tb =
+let csr_graph ~k ~domains tb =
   let total = tb.nslots * k in
-  let offsets, adj = csr_arrays ~k ~domains ~width tb in
+  let offsets, adj = csr_arrays ~k ~domains tb in
   Tm.set_int "csr_rows" total;
   Tm.set_int "csr_edges" (offsets.(total) / 2);
-  prefix_graph total ~offsets adj
+  G.of_csr_prefix total ~offsets ~adj
 
-let build ?(domains = 1) ?(width = `Auto) h ~k =
+let build ?(domains = 1) h ~k =
   Tm.with_span "conflict_graph.build" @@ fun () ->
   Tm.set_int "k" k;
   Tm.set_int "domains" domains;
   Tm.set_int "hyperedges" (H.n_edges h);
   let ix = Ix.make h ~k in
   let tb = Tm.with_span "tables" (fun () -> tables_of h) in
+  check_triples tb ~k;
   Tm.set_int "slots" tb.nslots;
   let domains = effective_domains ~requested:domains ~nslots:tb.nslots ~k in
   Tm.set_int "domains_effective" domains;
-  let graph = csr_graph ~k ~domains ~width tb in
+  let graph = csr_graph ~k ~domains tb in
   if Tm.enabled () then begin
     Tm.incr "conflict_graph.builds";
     Tm.count "conflict_graph.csr_rows" (G.n_vertices graph);
@@ -431,20 +375,21 @@ module Incremental = struct
     slot_map : int array;           (* compaction scratch: old cur slot -> new *)
     triple_map : int array;         (* compaction scratch: old cur triple -> new *)
     mutable cur_offsets : int array;
-    mutable cur_adj : adj_store;
+    mutable cur_adj : G.i32;
     mutable spare_offsets : int array; (* [||] until the first compact *)
-    mutable spare_adj : adj_store;     (* same width as cur_adj *)
+    mutable spare_adj : G.i32;
     mutable graph : G.t;
     mutable dirty : bool;           (* retirements since the last compact *)
   }
 
-  let create ?(domains = 0) ?(width = `Auto) h ~k =
+  let create ?(domains = 0) h ~k =
     Tm.with_span "conflict_graph.incremental.create" @@ fun () ->
     let m = H.n_edges h in
     let tb = tables_of h in
+    check_triples tb ~k;
     let domains = effective_domains ~requested:domains ~nslots:tb.nslots ~k in
     Tm.set_int "domains_effective" domains;
-    let offsets, adj = csr_arrays ~k ~domains ~width tb in
+    let offsets, adj = csr_arrays ~k ~domains tb in
     { k;
       tb;
       edge_alive = Bytes.make (max m 1) '\001';
@@ -456,8 +401,8 @@ module Incremental = struct
       cur_offsets = offsets;
       cur_adj = adj;
       spare_offsets = [||];
-      spare_adj = A_int [||];
-      graph = prefix_graph (tb.nslots * k) ~offsets adj;
+      spare_adj = i32_create 0;
+      graph = G.of_csr_prefix (tb.nslots * k) ~offsets ~adj;
       dirty = false }
 
   let graph st = st.graph
@@ -481,15 +426,13 @@ module Incremental = struct
     snap_k : int;
     snap_nslots : int;
     snap_offsets : int array;
-    snap_adj : adj_store;
+    snap_adj : G.i32;
   }
 
-  let copy_store = function
-    | A_int a -> A_int (Array.copy a)
-    | A_i32 a ->
-        let b = i32_create (Bigarray.Array1.dim a) in
-        Bigarray.Array1.blit a b;
-        A_i32 b
+  let copy_store a =
+    let b = i32_create (Bigarray.Array1.dim a) in
+    Bigarray.Array1.blit a b;
+    b
 
   let snapshot st =
     if st.dirty || st.nslots_cur <> st.tb.nslots then
@@ -502,11 +445,7 @@ module Incremental = struct
   let snapshot_k s = s.snap_k
 
   let snapshot_bytes s =
-    (8 * Array.length s.snap_offsets)
-    +
-    match s.snap_adj with
-    | A_int a -> 8 * Array.length a
-    | A_i32 a -> 4 * Bigarray.Array1.dim a
+    (8 * Array.length s.snap_offsets) + (4 * Bigarray.Array1.dim s.snap_adj)
 
   let create_from_snapshot h snap =
     Tm.with_span "conflict_graph.incremental.warm_create" @@ fun () ->
@@ -534,8 +473,8 @@ module Incremental = struct
       cur_offsets = offsets;
       cur_adj = adj;
       spare_offsets = [||];
-      spare_adj = A_int [||];
-      graph = prefix_graph (tb.nslots * k) ~offsets adj;
+      spare_adj = i32_create 0;
+      graph = G.of_csr_prefix (tb.nslots * k) ~offsets ~adj;
       dirty = false }
 
   (* Current conflict-graph vertex id -> triple over the ORIGINAL
@@ -571,18 +510,12 @@ module Incremental = struct
         (* First compact: allocate the write buffers once, sized like
            the phase-0 arrays — the graph only ever shrinks. *)
         st.spare_offsets <- Array.make (Array.length st.cur_offsets) 0;
-        st.spare_adj <-
-          (match st.cur_adj with
-          | A_int a -> A_int (Array.make (Array.length a) 0)
-          | A_i32 a -> A_i32 (i32_create (Bigarray.Array1.dim a)))
+        st.spare_adj <- i32_create (Bigarray.Array1.dim st.cur_adj)
       end
       else if Tm.enabled () then
         Tm.count "conflict_graph.reused_bytes"
           ((8 * Array.length st.spare_offsets)
-          +
-          match st.spare_adj with
-          | A_int a -> 8 * Array.length a
-          | A_i32 a -> 4 * Bigarray.Array1.dim a);
+          + (4 * Bigarray.Array1.dim st.spare_adj));
       let k = st.k in
       (* Monotone renumbering of surviving slots, expanded to triple ids
          in [triple_map] so the copy loop below remaps with one array
@@ -609,53 +542,28 @@ module Incremental = struct
       done;
       (* Filter + remap every surviving row into the spare buffers.
          Increasing old slots map to increasing new slots, so rows stay
-         sorted without re-sorting.  The copy loop is duplicated per
-         store width (both buffers share one width by construction):
-         it touches every surviving adjacency entry, so no per-entry
-         dispatch or closure belongs here. *)
+         sorted without re-sorting. *)
       let woff = st.spare_offsets in
       let roff = st.cur_offsets in
+      let radj = st.cur_adj and wadj = st.spare_adj in
       let w = ref 0 in
       woff.(0) <- 0;
-      (match (st.cur_adj, st.spare_adj) with
-      | A_int radj, A_int wadj ->
-          for s = 0 to st.nslots_cur - 1 do
-            let s' = st.slot_map.(s) in
-            if s' >= 0 then
-              for c = 0 to k - 1 do
-                let row = (s * k) + c in
-                for i = roff.(row) to roff.(row + 1) - 1 do
-                  let x' = tmap.(radj.(i)) in
-                  if x' >= 0 then begin
-                    wadj.(!w) <- x';
-                    incr w
-                  end
-                done;
-                woff.((s' * k) + c + 1) <- !w
-              done
+      for s = 0 to st.nslots_cur - 1 do
+        let s' = st.slot_map.(s) in
+        if s' >= 0 then
+          for c = 0 to k - 1 do
+            let row = (s * k) + c in
+            for i = roff.(row) to roff.(row + 1) - 1 do
+              let x = Int32.to_int (Bigarray.Array1.unsafe_get radj i) in
+              let x' = tmap.(x) in
+              if x' >= 0 then begin
+                Bigarray.Array1.unsafe_set wadj !w (Int32.of_int x');
+                incr w
+              end
+            done;
+            woff.((s' * k) + c + 1) <- !w
           done
-      | A_i32 radj, A_i32 wadj ->
-          for s = 0 to st.nslots_cur - 1 do
-            let s' = st.slot_map.(s) in
-            if s' >= 0 then
-              for c = 0 to k - 1 do
-                let row = (s * k) + c in
-                for i = roff.(row) to roff.(row + 1) - 1 do
-                  let x =
-                    Int32.to_int (Bigarray.Array1.unsafe_get radj i)
-                  in
-                  let x' = tmap.(x) in
-                  if x' >= 0 then begin
-                    Bigarray.Array1.unsafe_set wadj !w (Int32.of_int x');
-                    incr w
-                  end
-                done;
-                woff.((s' * k) + c + 1) <- !w
-              done
-          done
-      | (A_int _ | A_i32 _), _ ->
-          (* Buffers are allocated pairwise at the first compact. *)
-          assert false);
+      done;
       (* Compact [slot_orig] in place: new ids never exceed old ids, so
          the increasing walk cannot clobber unread entries. *)
       for s = 0 to st.nslots_cur - 1 do
@@ -672,7 +580,7 @@ module Incremental = struct
       let total = !nslots' * k in
       Tm.set_int "csr_rows" total;
       Tm.set_int "csr_edges" (st.cur_offsets.(total) / 2);
-      st.graph <- prefix_graph total ~offsets:st.cur_offsets st.cur_adj
+      st.graph <- G.of_csr_prefix total ~offsets:st.cur_offsets ~adj:st.cur_adj
     end
 end
 

@@ -33,20 +33,16 @@ type t = {
   k : int;
 }
 
-type width = [ `Auto | `Int | `Int32 ]
-(** Physical width of the materialized adjacency store (see
-    {!Ps_graph.Graph.width}).  [`Auto] — the default everywhere — picks
-    the int32 Bigarray store whenever the triple count [k·Σ|e|] fits in
-    int32 (halving the memory traffic of every solver scan over [G_k]),
-    and the plain int store otherwise.  [`Int] forces the int store;
-    it is the differential oracle the property suite compares the
-    narrow store against — the resulting graphs are bit-identical
-    ({!Ps_graph.Graph.equal}) by construction and by test. *)
-
-val build :
-  ?domains:int -> ?width:width -> Ps_hypergraph.Hypergraph.t -> k:int -> t
+val build : ?domains:int -> Ps_hypergraph.Hypergraph.t -> k:int -> t
 (** Materialize [G_k].  Size is polynomial:
     [|V| = k·Σ|e|] and [|E| = O(k² · Σ_e |e|² · max-degree)].
+
+    Triple ids are the vertex ids of [G_k]'s int32 adjacency store, so
+    [build] raises [Invalid_argument] naming the triple count when
+    [k·Σ|e|] exceeds {!Ps_graph.Graph.max_vertices}, before it
+    allocates anything sized by [k].  The list-based reference builder
+    [Ps_oracle.Conflict_graph.build_reference] (test suite only) is the
+    differential oracle for this CSR build.
 
     Builds the CSR representation directly: a counting pass sizes every
     adjacency row by enumerating each triple's neighborhood (as encoded
@@ -108,13 +104,10 @@ val build :
 module Incremental : sig
   type state
 
-  val create :
-    ?domains:int -> ?width:width -> Ps_hypergraph.Hypergraph.t -> k:int ->
-    state
+  val create : ?domains:int -> Ps_hypergraph.Hypergraph.t -> k:int -> state
   (** Build phase-0 [G_k] and the arena bookkeeping.  [domains] as in
-      {!build}, but defaulting to [0] (automatic); [width] as in
-      {!build} — both arena buffer pairs share the chosen width, and
-      compaction is bit-identical across widths. *)
+      {!build}, but defaulting to [0] (automatic); the triple-count
+      limit as in {!build}. *)
 
   val graph : state -> Ps_graph.Graph.t
   (** The current conflict graph (see validity caveat above). *)

@@ -171,10 +171,10 @@ let parse ~max_edges w =
   in
   if n < 0 then fail_line lineno "vertex count must be nonnegative";
   if m < 0 then fail_line lineno "edge count must be nonnegative";
-  if n >= Sys.max_array_length then
+  if n > Graph.max_vertices then
     fail_line lineno
-      (Printf.sprintf "vertex count %d exceeds the array limit %d" n
-         Sys.max_array_length);
+      (Printf.sprintf "vertex count %d exceeds the int32 id limit %d" n
+         Graph.max_vertices);
   let cap = max (min m max_edges) 16 in
   let us = ref (Array.make cap 0) in
   let vs = ref (Array.make cap 0) in
@@ -213,7 +213,8 @@ let parse ~max_edges w =
       (Printf.sprintf "Gio.of_edge_list: header promises %d edges, found %d" m
          !len);
   (* The CSR's per-vertex arrays are the one allocation the header's
-     [n] sizes; a 20-byte file can ask for more than the host has. *)
+     [n] sizes; even below the id limit, a 20-byte file can ask for more
+     than the host has. *)
   try Graph.of_unnormalized_pairs n ~u:!us ~v:!vs ~len:!len
   with Out_of_memory ->
     fail_line lineno (Printf.sprintf "vertex count %d: out of memory" n)

@@ -11,10 +11,9 @@
     scanner parses each plain ["u v"] line in place, allocating nothing
     per line, straight into endpoint scratch arrays, and finishes
     through {!Graph.of_unnormalized_pairs} — so peak memory is the
-    endpoint arrays plus the CSR being built (and the resulting graph
-    takes the int32 adjacency store when the vertex ids fit).  Any
-    other line (hex or [_]-separated ids, malformed text) goes through
-    a tokenizer with the same rules.  {!write_file} and
+    endpoint arrays plus the CSR being built.  Any other line (hex or
+    [_]-separated ids, malformed text) goes through a tokenizer with the
+    same rules.  {!write_file} and
     {!write_edges_file} format through a fixed-size buffer flushed to
     the channel, never materializing the file as one string. *)
 
@@ -24,9 +23,9 @@ val of_edge_list : string -> Graph.t
     a bad header or edge line, an id that does not fit an [int] (it is
     rejected, never wrapped), an id out of [[0, n)], a self-loop, a
     header edge count that the lines do not match, or a header vertex
-    count that is at least [Sys.max_array_length] or whose arrays do
-    not fit in memory (reported on the header's line, not as
-    [Out_of_memory]). *)
+    count past the int32 id limit {!Graph.max_vertices} (rejected on
+    line 1 before anything is allocated) or whose arrays do not fit in
+    memory (also reported on line 1, not as [Out_of_memory]). *)
 
 val to_dot : ?name:string -> ?labels:(int -> string) -> Graph.t -> string
 (** Undirected DOT; [labels] overrides vertex labels (default: the id). *)

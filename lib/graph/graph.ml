@@ -1,34 +1,22 @@
-(* Width-aware CSR.  The adjacency store — the hot array every solver
-   scan walks — comes in two physical widths:
+(* CSR with an int32 adjacency store.  The store — the 2m-entry array
+   every solver scan walks — is a Bigarray of int32, 4 bytes per entry:
+   half the memory traffic of an [int array] on the scans that dominate
+   at 10^7+ edges.  ocamlopt eliminates the box/unbox pair in
+   [Int32.to_int (Array1.get a i)], so a read costs a 32-bit load plus a
+   sign-extend and allocates nothing.
 
-   - [S_int]: plain [int array], one 8-byte word per entry.  The
-     original representation, kept as the differential oracle and for
-     the (hypothetical) n >= 2^31 regime.
-   - [S_i32]: a Bigarray of int32, 4 bytes per entry — half the memory
-     traffic on the scans that dominate at 10^7+ edges.  ocamlopt
-     eliminates the box/unbox pair in [Int32.to_int (Array1.get a i)],
-     so reads cost a 32-bit load plus a sign-extend, no allocation
-     (verified: 0.0 minor words/read; a sequential sum runs ~1.4x
-     faster than the int-array loop once the array leaves cache).
-
-   The [offsets] array stays [int]: it has n+1 entries against the
-   store's 2m and its values (up to 2m) must exceed 32 bits exactly when
-   m >= 2^31.  Every observable behavior is identical across widths —
-   [equal] compares logical content, constructors pick a width without
-   changing results — which is what the width-agreement qcheck suite
-   pins down. *)
+   Entries are vertex ids, so every constructor rejects [n] past
+   [max_vertices] = 2^31 - 1 before it allocates.  The [offsets] array
+   stays [int]: it has n+1 entries against the store's 2m, and its
+   values (up to 2m) exceed 32 bits exactly when m >= 2^31. *)
 
 type i32 = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type store = S_int of int array | S_i32 of i32
-
-type width = [ `Int | `Int32 ]
 
 type t = {
   n : int;
   offsets : int array; (* length >= n+1; row u is store indices
                           [offsets.(u), offsets.(u+1)) *)
-  adj : store;         (* concatenated sorted adjacency rows; the logical
+  adj : i32;           (* concatenated sorted adjacency rows; the logical
                           content is the prefix of length offsets.(n) = 2m —
                           arena-backed graphs ([of_csr_prefix]) may carry
                           spare capacity beyond it *)
@@ -36,21 +24,31 @@ type t = {
                           arena views carrying spare capacity. *)
 }
 
-let width g = match g.adj with S_int _ -> `Int | S_i32 _ -> `Int32
+let max_vertices = 0x7FFF_FFFF
 
-let store_length = function
-  | S_int a -> Array.length a
-  | S_i32 a -> Bigarray.Array1.dim a
+let check_n fn n =
+  if n < 0 then invalid_arg (fn ^ ": negative vertex count");
+  if n > max_vertices then
+    invalid_arg
+      (Printf.sprintf "%s: vertex count %d exceeds the int32 id limit %d" fn n
+         max_vertices)
 
-(* Generic bounds-checked store read, for cold paths; hot loops below
-   dispatch once on the constructor and loop monomorphically. *)
-let store_get st i =
-  match st with
-  | S_int a -> a.(i)
-  | S_i32 a -> Int32.to_int (Bigarray.Array1.get a i)
+(* The annotation matters: it lets ocamlopt compile the read to an
+   inline load instead of a call to the generic C accessor. *)
+let[@inline] get (a : i32) i = Int32.to_int (Bigarray.Array1.get a i)
 
 let i32_create len =
-  Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (max len 1)
+  Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout len
+
+(* The one narrowing step of the int-array builders: their scratch
+   store's first offsets.(n) entries become the graph's int32 store. *)
+let narrow n offsets a =
+  let total = offsets.(n) in
+  let a32 = i32_create total in
+  for i = 0 to total - 1 do
+    Bigarray.Array1.unsafe_set a32 i (Int32.of_int (Array.unsafe_get a i))
+  done;
+  { n; offsets; adj = a32; exact = true }
 
 let n_vertices g = g.n
 
@@ -87,7 +85,7 @@ let of_normalized_edges n edges =
   for v = 0 to n - 1 do
     Ps_util.Intsort.sort_range adj offsets.(v) (offsets.(v) + deg.(v))
   done;
-  { n; offsets; adj = S_int adj; exact = true }
+  narrow n offsets adj
 
 let normalize n edges =
   (* Dedup on the int-pair encoding u·n + v (u < v): monomorphic int
@@ -108,42 +106,29 @@ let normalize n edges =
     edges
 
 let of_edges n edges =
-  if n < 0 then invalid_arg "Graph.of_edges: negative vertex count";
+  check_n "Graph.of_edges" n;
   of_normalized_edges n (normalize n edges)
 
-(* Always copies (and widens an int32 store): external auditors get
+(* Always copies (widening the int32 store): external auditors get
    arrays they may probe freely, and arena-backed graphs are trimmed to
    their logical content.  [csr_view] below is the zero-copy
    alternative. *)
 let to_csr g =
-  let total = g.offsets.(g.n) in
-  let offsets = Array.sub g.offsets 0 (g.n + 1) in
-  let adj =
-    match g.adj with
-    | S_int a -> Array.sub a 0 total
-    | S_i32 a ->
-        Array.init total (fun i -> Int32.to_int (Bigarray.Array1.get a i))
-  in
-  (offsets, adj)
+  (Array.sub g.offsets 0 (g.n + 1), Array.init g.offsets.(g.n) (get g.adj))
 
 type view = {
   v_n : int;
   v_offsets : int array;
   v_store_len : int;
   v_exact : bool;
-  v_get : int -> int;
-  v_store : store;
+  v_store : i32;
 }
 
 let csr_view g =
   { v_n = g.n;
     v_offsets = g.offsets;
-    v_store_len = store_length g.adj;
+    v_store_len = Bigarray.Array1.dim g.adj;
     v_exact = g.exact;
-    v_get =
-      (match g.adj with
-      | S_int a -> fun i -> a.(i)
-      | S_i32 a -> fun i -> Int32.to_int (Bigarray.Array1.get a i));
     v_store = g.adj }
 
 let of_edge_array n edges = of_edges n (Array.to_list edges)
@@ -167,15 +152,12 @@ let validate_csr ?(exact = true) g =
     if g.offsets.(v + 1) < g.offsets.(v) then
       invalid_arg "Graph.of_csr: offsets not monotone"
   done;
-  let store_len = store_length g.adj in
+  let store_len = Bigarray.Array1.dim g.adj in
   if
     if exact then g.offsets.(g.n) <> store_len
     else g.offsets.(g.n) > store_len
   then invalid_arg "Graph.of_csr: offsets.(n) <> |adj|";
-  let get = match g.adj with
-    | S_int a -> fun i -> a.(i)
-    | S_i32 a -> fun i -> Int32.to_int (Bigarray.Array1.get a i)
-  in
+  let get = get g.adj in
   for v = 0 to g.n - 1 do
     for i = g.offsets.(v) to g.offsets.(v + 1) - 1 do
       let u = get i in
@@ -203,26 +185,20 @@ let validate_csr ?(exact = true) g =
   done
 
 let make_csr ?validate ~exact n ~offsets ~adj =
-  if n < 0 then invalid_arg "Graph.of_csr: negative vertex count";
+  check_n "Graph.of_csr" n;
   let g = { n; offsets; adj; exact } in
   let validate = match validate with Some v -> v | None -> debug_validation in
   if validate then validate_csr ~exact g;
   g
 
 let of_csr ?validate n ~offsets ~adj =
-  make_csr ?validate ~exact:true n ~offsets ~adj:(S_int adj)
+  make_csr ?validate ~exact:true n ~offsets ~adj
 
 let of_csr_prefix ?validate n ~offsets ~adj =
-  make_csr ?validate ~exact:false n ~offsets ~adj:(S_int adj)
-
-let of_csr_i32 ?validate n ~offsets ~adj =
-  make_csr ?validate ~exact:true n ~offsets ~adj:(S_i32 adj)
-
-let of_csr_prefix_i32 ?validate n ~offsets ~adj =
-  make_csr ?validate ~exact:false n ~offsets ~adj:(S_i32 adj)
+  make_csr ?validate ~exact:false n ~offsets ~adj
 
 let of_sorted_edge_array ?validate n edges =
-  if n < 0 then invalid_arg "Graph.of_sorted_edge_array: negative vertex count";
+  check_n "Graph.of_sorted_edge_array" n;
   (let validate = match validate with Some v -> v | None -> debug_validation in
    if validate then
      Array.iteri
@@ -259,7 +235,7 @@ let of_sorted_edge_array ?validate n edges =
       adj.(cursor.(v)) <- u;
       cursor.(v) <- cursor.(v) + 1)
     edges;
-  { n; offsets; adj = S_int adj; exact = true }
+  narrow n offsets adj
 
 (* Direct-to-CSR from unnormalized endpoint arrays — the streaming
    constructor behind [Gio.read_file] and the huge generators.  Each
@@ -268,8 +244,8 @@ let of_sorted_edge_array ?validate n edges =
    the CSR being built (no lists, no hash tables): count, fill, per-row
    sort (skipped for rows already in order), in-place adjacent dedup.
    O(n + m log maxdeg); O(n + m) when every row arrives sorted. *)
-let of_unnormalized_pairs ?(width = `Auto) n ~u ~v ~len =
-  if n < 0 then invalid_arg "Graph.of_unnormalized_pairs: negative vertex count";
+let of_unnormalized_pairs n ~u ~v ~len =
+  check_n "Graph.of_unnormalized_pairs" n;
   if len < 0 || len > Array.length u || len > Array.length v then
     invalid_arg "Graph.of_unnormalized_pairs: bad length";
   let deg = Array.make (max n 1) 0 in
@@ -319,45 +295,7 @@ let of_unnormalized_pairs ?(width = `Auto) n ~u ~v ~len =
     done
   done;
   offsets.(n) <- !w;
-  let total = !w in
-  let pick =
-    match width with
-    | (`Int | `Int32) as w -> w
-    | `Auto -> if n < 0x4000_0000 * 2 then `Int32 else `Int
-  in
-  match pick with
-  | `Int ->
-      (* The scratch array may carry dedup slack past [total]; keep it
-         as an arena-style prefix rather than paying a trimming copy. *)
-      { n; offsets; adj = S_int adj; exact = total = Array.length adj }
-  | `Int32 ->
-      let a32 = i32_create total in
-      for i = 0 to total - 1 do
-        Bigarray.Array1.unsafe_set a32 i (Int32.of_int (Array.unsafe_get adj i))
-      done;
-      { n; offsets; adj = S_i32 a32; exact = total = Bigarray.Array1.dim a32 }
-
-(* Re-encode the adjacency store at the given width (no-op when already
-   there).  The int -> int32 direction requires n < 2^31. *)
-let with_width g (target : width) =
-  match (g.adj, target) with
-  | S_int _, `Int | S_i32 _, `Int32 -> g
-  | S_int a, `Int32 ->
-      if g.n > 0x7FFF_FFFF then
-        invalid_arg "Graph.with_width: vertex ids exceed int32";
-      let total = g.offsets.(g.n) in
-      let a32 = i32_create total in
-      for i = 0 to total - 1 do
-        Bigarray.Array1.unsafe_set a32 i (Int32.of_int (Array.unsafe_get a i))
-      done;
-      { g with adj = S_i32 a32; exact = total = Bigarray.Array1.dim a32 }
-  | S_i32 a, `Int ->
-      let total = g.offsets.(g.n) in
-      let ai = Array.make (max total 1) 0 in
-      for i = 0 to total - 1 do
-        Array.unsafe_set ai i (Int32.to_int (Bigarray.Array1.unsafe_get a i))
-      done;
-      { g with adj = S_int ai; exact = total = Array.length ai }
+  narrow n offsets adj
 
 let empty n = of_edges n []
 
@@ -379,45 +317,25 @@ let has_edge g u v =
   let u, v = if degree g u <= degree g v then (u, v) else (v, u) in
   let lo = ref g.offsets.(u) and hi = ref (g.offsets.(u + 1) - 1) in
   let found = ref false in
-  (match g.adj with
-  | S_int a ->
-      while (not !found) && !lo <= !hi do
-        let mid = (!lo + !hi) / 2 in
-        let w = a.(mid) in
-        if w = v then found := true
-        else if w < v then lo := mid + 1
-        else hi := mid - 1
-      done
-  | S_i32 a ->
-      while (not !found) && !lo <= !hi do
-        let mid = (!lo + !hi) / 2 in
-        let w = Int32.to_int (Bigarray.Array1.get a mid) in
-        if w = v then found := true
-        else if w < v then lo := mid + 1
-        else hi := mid - 1
-      done);
+  while (not !found) && !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    let w = get g.adj mid in
+    if w = v then found := true
+    else if w < v then lo := mid + 1
+    else hi := mid - 1
+  done;
   !found
 
 let neighbors g v =
   check_vertex g v;
-  match g.adj with
-  | S_int a -> Array.sub a g.offsets.(v) (degree g v)
-  | S_i32 a ->
-      let lo = g.offsets.(v) in
-      Array.init (degree g v) (fun i ->
-          Int32.to_int (Bigarray.Array1.get a (lo + i)))
+  let lo = g.offsets.(v) in
+  Array.init (degree g v) (fun i -> get g.adj (lo + i))
 
 let iter_neighbors g v f =
   check_vertex g v;
-  match g.adj with
-  | S_int a ->
-      for i = g.offsets.(v) to g.offsets.(v + 1) - 1 do
-        f a.(i)
-      done
-  | S_i32 a ->
-      for i = g.offsets.(v) to g.offsets.(v + 1) - 1 do
-        f (Int32.to_int (Bigarray.Array1.get a i))
-      done
+  for i = g.offsets.(v) to g.offsets.(v + 1) - 1 do
+    f (get g.adj i)
+  done
 
 let fold_neighbors g v f init =
   let acc = ref init in
@@ -450,8 +368,8 @@ let vertices g = List.init g.n (fun i -> i)
    compact block of cache lines instead of being scattered across the
    whole array — and row lengths decay monotonically, so a scan's
    working set shrinks as it advances.  Returns the relabelled graph
-   (same width) and the permutation [perm], with [perm.(i)] the original
-   id of new vertex [i]. *)
+   and the permutation [perm], with [perm.(i)] the original id of new
+   vertex [i]. *)
 let degree_sorted g =
   let n = g.n in
   let maxdeg = max_degree g in
@@ -480,45 +398,22 @@ let degree_sorted g =
     let v = perm.(i) in
     offsets.(i + 1) <- offsets.(i) + (g.offsets.(v + 1) - g.offsets.(v))
   done;
-  let total = offsets.(n) in
-  let fill_row write =
-    for i = 0 to n - 1 do
-      let v = perm.(i) in
-      let w = ref offsets.(i) in
-      iter_neighbors g v (fun x ->
-          write !w inv.(x);
-          incr w)
+  (* Relabelling scrambles row order: sort each row in an int scratch
+     buffer, then narrow it into place. *)
+  let adj = i32_create offsets.(n) in
+  let row = Array.make (max maxdeg 1) 0 in
+  for i = 0 to n - 1 do
+    let len = ref 0 in
+    iter_neighbors g perm.(i) (fun x ->
+        row.(!len) <- inv.(x);
+        incr len);
+    Ps_util.Intsort.sort_range row 0 !len;
+    let base = offsets.(i) in
+    for j = 0 to !len - 1 do
+      Bigarray.Array1.unsafe_set adj (base + j) (Int32.of_int row.(j))
     done
-  in
-  let adj =
-    match g.adj with
-    | S_int _ ->
-        let a = Array.make (max total 1) 0 in
-        fill_row (fun i x -> a.(i) <- x);
-        (* Relabelling scrambles row order; restore sortedness. *)
-        for i = 0 to n - 1 do
-          Ps_util.Intsort.sort_range a offsets.(i) offsets.(i + 1)
-        done;
-        S_int a
-    | S_i32 _ ->
-        (* Sort in an int scratch row buffer, then narrow. *)
-        let a32 = i32_create total in
-        let row = Array.make (max (if n = 0 then 0 else maxdeg) 1) 0 in
-        for i = 0 to n - 1 do
-          let v = perm.(i) in
-          let len = ref 0 in
-          iter_neighbors g v (fun x ->
-              row.(!len) <- inv.(x);
-              incr len);
-          Ps_util.Intsort.sort_range row 0 !len;
-          let base = offsets.(i) in
-          for j = 0 to !len - 1 do
-            Bigarray.Array1.unsafe_set a32 (base + j) (Int32.of_int row.(j))
-          done
-        done;
-        S_i32 a32
-  in
-  ({ n; offsets; adj; exact = total = store_length adj }, perm)
+  done;
+  ({ n; offsets; adj; exact = true }, perm)
 
 let induced_subgraph g vs =
   let vs = List.sort_uniq Int.compare vs in
@@ -570,8 +465,7 @@ let is_subgraph g h =
   !ok
 
 (* Compare logical content only: arena-backed graphs may carry spare
-   store capacity past offsets.(n), and the two widths must compare
-   equal whenever they hold the same entries. *)
+   store capacity past offsets.(n). *)
 let equal g h =
   g.n = h.n
   &&
@@ -579,45 +473,25 @@ let equal g h =
   for v = 0 to g.n do
     if g.offsets.(v) <> h.offsets.(v) then ok := false
   done;
-  (if !ok then
-     match (g.adj, h.adj) with
-     | S_int a, S_int b ->
-         for i = 0 to g.offsets.(g.n) - 1 do
-           if a.(i) <> b.(i) then ok := false
-         done
-     | S_i32 a, S_i32 b ->
-         for i = 0 to g.offsets.(g.n) - 1 do
-           if not (Int32.equal (Bigarray.Array1.get a i) (Bigarray.Array1.get b i))
-           then ok := false
-         done
-     | (S_int _ | S_i32 _), _ ->
-         let ga = store_get g.adj and gb = store_get h.adj in
-         for i = 0 to g.offsets.(g.n) - 1 do
-           if ga i <> gb i then ok := false
-         done);
+  if !ok then
+    for i = 0 to g.offsets.(g.n) - 1 do
+      if get g.adj i <> get h.adj i then ok := false
+    done;
   !ok
 
 (* Content-addressed digest over the same logical content [equal]
    compares: n, the offsets prefix, and the adjacency entries below
-   offsets.(n), each hashed as a logical int value.  Both physical
-   widths (and arena views with spare capacity) of the same graph
-   therefore produce the same digest; distinct CSRs differ up to
-   64-bit collisions (qcheck'd against [equal]). *)
+   offsets.(n), each hashed as an int value.  Arena views with spare
+   capacity therefore hash like their exact copies; distinct CSRs differ
+   up to 64-bit collisions (qcheck'd against [equal]). *)
 let content_hash g =
   let h = ref (Ps_util.Fnv.int Ps_util.Fnv.init g.n) in
   for v = 0 to g.n do
     h := Ps_util.Fnv.int !h g.offsets.(v)
   done;
-  let total = g.offsets.(g.n) in
-  (match g.adj with
-  | S_int a ->
-      for i = 0 to total - 1 do
-        h := Ps_util.Fnv.int !h a.(i)
-      done
-  | S_i32 a ->
-      for i = 0 to total - 1 do
-        h := Ps_util.Fnv.int !h (Int32.to_int (Bigarray.Array1.get a i))
-      done);
+  for i = 0 to g.offsets.(g.n) - 1 do
+    h := Ps_util.Fnv.int !h (get g.adj i)
+  done;
   Ps_util.Fnv.finish !h
 
 let pp ppf g =
@@ -630,6 +504,5 @@ let pp ppf g =
       done;
       !m
   in
-  Format.fprintf ppf "graph(n=%d, m=%d, w=%s, deg=[%d..%d])" g.n (n_edges g)
-    (match g.adj with S_int _ -> "int" | S_i32 _ -> "i32")
-    lo (max_degree g)
+  Format.fprintf ppf "graph(n=%d, m=%d, deg=[%d..%d])" g.n (n_edges g) lo
+    (max_degree g)

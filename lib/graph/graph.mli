@@ -6,31 +6,24 @@
     and the conflict-graph construction.  Adjacency rows are sorted, which
     makes [has_edge] logarithmic and neighbor iteration cache-friendly.
 
-    {b Width-aware adjacency store.}  The offsets array is always [int],
-    but the adjacency store — the 2m-entry array every solver scan
-    walks — exists in two physical widths: plain [int array] (8 bytes
-    per entry) and an int32 Bigarray (4 bytes per entry, halving memory
-    traffic at the 10^7–10^8-edge scale, valid whenever n < 2^31).
-    Every observable behavior is identical across widths; [`Auto]
-    selection picks int32 exactly when the vertex ids fit.  The
-    list-based constructors below build int-backed graphs (they are the
-    differential oracle); the streaming constructors take a [?width]
-    argument. *)
+    {b One int32 adjacency store.}  The offsets array is [int]; the
+    adjacency store — the 2m-entry array every solver scan walks — is an
+    int32 Bigarray, 4 bytes per entry.  Its entries are vertex ids, so
+    every constructor raises [Invalid_argument] for [n > ]{!max_vertices}
+    before it allocates; {!Gio} turns an edge-list header past that
+    limit into a line-1 error.  The list constructors ({!of_edges},
+    {!of_edge_array}) normalize through a hash table and are the
+    differential oracle for the streaming constructor
+    {!of_unnormalized_pairs}. *)
 
 type t
 
 type i32 = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** The narrow adjacency store: an unboxed int32 Bigarray. *)
+(** The adjacency store: an unboxed int32 Bigarray. *)
 
-type width = [ `Int | `Int32 ]
-
-val width : t -> width
-(** Physical width of the adjacency store. *)
-
-val with_width : t -> width -> t
-(** [with_width g w] is [g] re-encoded at width [w] (returned physically
-    unchanged when already there).  Raises [Invalid_argument] when
-    narrowing a graph whose vertex ids exceed int32 range. *)
+val max_vertices : int
+(** [2^31 - 1]: the largest vertex count whose ids fit the int32
+    store. *)
 
 (** {1 Construction} *)
 
@@ -42,7 +35,7 @@ val of_edges : int -> (int * int) list -> t
 val of_edge_array : int -> (int * int) array -> t
 (** Array variant of {!of_edges}. *)
 
-val of_csr : ?validate:bool -> int -> offsets:int array -> adj:int array -> t
+val of_csr : ?validate:bool -> int -> offsets:int array -> adj:i32 -> t
 (** [of_csr n ~offsets ~adj] adopts already-built CSR data with {e no}
     normalization pass: [offsets] must have length [n+1] with
     [offsets.(0) = 0], and each row [adj.(offsets.(v) ..
@@ -53,11 +46,10 @@ val of_csr : ?validate:bool -> int -> offsets:int array -> adj:int array -> t
     environment variable), in which case every precondition is checked
     and [Invalid_argument] raised; otherwise construction is O(1). *)
 
-val of_csr_prefix :
-  ?validate:bool -> int -> offsets:int array -> adj:int array -> t
+val of_csr_prefix : ?validate:bool -> int -> offsets:int array -> adj:i32 -> t
 (** Arena variant of {!of_csr}: the arrays may be {e longer} than their
     logical content — only [offsets.(0 .. n)] and
-    [adj.(0 .. offsets.(n) - 1)] are meaningful, and the spare capacity
+    [adj.{0 .. offsets.(n) - 1}] are meaningful, and the spare capacity
     beyond them is ignored by every operation (including {!to_csr},
     which returns exact-size copies, and {!equal}, which compares
     logical content only).  This lets a caller that repeatedly shrinks a
@@ -68,23 +60,7 @@ val of_csr_prefix :
     Validation as in {!of_csr} (default: the [PSLOCAL_DEBUG] environment
     variable), with the length checks relaxed to [>=]. *)
 
-val of_csr_i32 : ?validate:bool -> int -> offsets:int array -> adj:i32 -> t
-(** {!of_csr} over an int32 adjacency store.  Same contract: the arrays
-    are adopted, preconditions are the caller's responsibility unless
-    [validate] is set. *)
-
-val of_csr_prefix_i32 :
-  ?validate:bool -> int -> offsets:int array -> adj:i32 -> t
-(** {!of_csr_prefix} (arena variant, spare capacity allowed past the
-    logical prefix) over an int32 adjacency store. *)
-
-val of_unnormalized_pairs :
-  ?width:[ `Auto | `Int | `Int32 ] ->
-  int ->
-  u:int array ->
-  v:int array ->
-  len:int ->
-  t
+val of_unnormalized_pairs : int -> u:int array -> v:int array -> len:int -> t
 (** [of_unnormalized_pairs n ~u ~v ~len] builds CSR directly from the
     first [len] endpoint pairs [(u.(i), v.(i))] — any orientation, any
     order, duplicates collapsed — without materializing lists or hash
@@ -96,8 +72,7 @@ val of_unnormalized_pairs :
     generators.  Self-loops and out-of-range endpoints raise
     [Invalid_argument] (always — this path replaces normalization, so it
     cannot defer validation).  [u] and [v] are scratch owned by the
-    caller and remain untouched.  [width] defaults to [`Auto]: int32
-    when [n] < 2^31, int otherwise. *)
+    caller and remain untouched. *)
 
 val of_sorted_edge_array : ?validate:bool -> int -> (int * int) array -> t
 (** [of_sorted_edge_array n edges] builds CSR directly from an edge array
@@ -114,18 +89,10 @@ val to_csr : t -> int array * int array
 (** [(offsets, adj)] — {e copies} of the internal CSR content, never
     aliases: mutating the returned arrays cannot corrupt the graph, and
     the caller always receives exact-length [int] arrays regardless of
-    the adjacency width or of arena spare capacity ([offsets] has length
-    [n+1], [adj] length [offsets.(n)]; an int32 store is widened
-    entry-by-entry).  This contract is pinned by a unit test.  For
-    allocation-free auditing use {!csr_view}. *)
-
-type store = private S_int of int array | S_i32 of i32
-(** The adjacency store as the graph holds it, at its physical width.
-    Exposed only through {!csr_view}, for hot loops that read rows in
-    place with one width dispatch per pass instead of one closure call
-    per entry.  Read-only: graphs are immutable and stores are shared
-    (across solver lanes, cache entries and derived graphs), so writing
-    into one corrupts every graph that aliases it. *)
+    arena spare capacity ([offsets] has length [n+1], [adj] length
+    [offsets.(n)]; the int32 store is widened entry-by-entry).  This
+    contract is pinned by a unit test.  For allocation-free auditing use
+    {!csr_view}. *)
 
 type view = {
   v_n : int;
@@ -135,17 +102,19 @@ type view = {
   v_store_len : int;  (** Physical store length (>= [v_offsets.(v_n)]). *)
   v_exact : bool;
       (** Whether the physical lengths equal the logical ones —
-          [false] for graphs built by {!of_csr_prefix} /
-          {!of_csr_prefix_i32} carrying spare arena capacity. *)
-  v_get : int -> int;  (** Bounds-checked read of store index [i]. *)
-  v_store : store;
-      (** The store itself, aliased — read-only, like [v_offsets]. *)
+          [false] for graphs built by {!of_csr_prefix} carrying spare
+          arena capacity. *)
+  v_store : i32;
+      (** The store itself, aliased — read-only, like [v_offsets]:
+          graphs are immutable and stores are shared (across solver
+          lanes, cache entries and derived graphs), so writing into one
+          corrupts every graph that aliases it. *)
 }
 (** Zero-copy window onto the internal representation, for auditors that
     must certify what is actually stored (not a reconstruction) without
     paying the O(n + m) copy of {!to_csr} on 10^8-edge instances, and
     for hot loops (the kernel's working graph, the maximality pass)
-    that read rows in place at the store's own width. *)
+    that read rows in place with no call per entry. *)
 
 val csr_view : t -> view
 
@@ -179,12 +148,11 @@ val vertices : t -> int list
 
 val degree_sorted : t -> t * int array
 (** [degree_sorted g] relabels vertices by decreasing degree (stable
-    within ties) and rebuilds the CSR in that order, preserving the
-    adjacency width.  The hot high-degree rows land in one compact cache
-    block at the front of the store, and row lengths decay monotonically
-    along any scan.  Returns [(g', perm)] where [perm.(i)] is the
-    original id of new vertex [i]; a result on [g'] maps back through
-    [perm]. *)
+    within ties) and rebuilds the CSR in that order.  The hot
+    high-degree rows land in one compact cache block at the front of
+    the store, and row lengths decay monotonically along any scan.
+    Returns [(g', perm)] where [perm.(i)] is the original id of new
+    vertex [i]; a result on [g'] maps back through [perm]. *)
 
 val induced_subgraph : t -> int list -> t * int array
 (** [induced_subgraph g vs] is the subgraph induced by the distinct
@@ -211,15 +179,13 @@ val is_subgraph : t -> t -> bool
 
 val equal : t -> t -> bool
 (** Logical-content equality: compares the offsets prefix and the
-    adjacency entries, ignoring arena spare capacity {e and} physical
-    width — an int-backed and an int32-backed graph holding the same
-    rows are equal. *)
+    adjacency entries, ignoring arena spare capacity. *)
 
 val content_hash : t -> int64
 (** Content-addressed 64-bit digest of the logical CSR (FNV-1a over
     [n], the offsets prefix and the adjacency entries, avalanched).
-    Hashes the {e logical} int values, so the digest is independent of
-    the physical store width and of arena spare capacity:
+    Hashes the {e logical} content, so the digest is independent of
+    arena spare capacity:
     [equal g h] implies [content_hash g = content_hash h], and the
     converse holds up to 64-bit collisions.  Stable across processes —
     safe to use as a persistent cache key. *)

@@ -6,19 +6,18 @@ module Tm = Ps_util.Telemetry
 (* Shared core: repeatedly pop the extreme-degree vertex, add it to the
    set, delete its closed neighborhood, updating residual degrees.
 
-   A step reads rows in place from the CSR store, with the width
-   dispatched once per call.  [kill v] deletes v's live neighbors;
-   [tally u] then walks the row of each deleted [u] and counts, per live
-   vertex, the neighbors it lost this step.  The tally is the hot loop
-   (it reads every deleted vertex's row once), so it is written out per
-   width with no call per entry.  Once the sweep ends, one [Pq.update]
-   per touched vertex applies its whole count.  On conflict graphs,
-   whose rows are hyperedge cliques, a live vertex loses many neighbors
-   in one step: over the 15 G_k of a seed-1 reduce-default cycle, 5.53 M
-   decrements land as 0.89 M heap updates.  Pops are ordered by
-   (priority, key), a pure function of the priority map, and all of a
-   step's decrements land before the next pop, so the chosen set is the
-   one a per-decrement update gives. *)
+   A step reads rows in place from the CSR store.  [kill v] deletes v's
+   live neighbors; [tally u] then walks the row of each deleted [u] and
+   counts, per live vertex, the neighbors it lost this step.  The tally
+   is the hot loop (it reads every deleted vertex's row once), so it is
+   a plain loop with no call per entry.  Once the sweep ends, one
+   [Pq.update] per touched vertex applies its whole count.  On conflict
+   graphs, whose rows are hyperedge cliques, a live vertex loses many
+   neighbors in one step: over the 15 G_k of a seed-1 reduce-default
+   cycle, 5.53 M decrements land as 0.89 M heap updates.  Pops are
+   ordered by (priority, key), a pure function of the priority map, and
+   all of a step's decrements land before the next pop, so the chosen
+   set is the one a per-decrement update gives. *)
 let by_degree ~invert g =
   let n = G.n_vertices g in
   let queue = Pq.create n in
@@ -36,7 +35,7 @@ let by_degree ~invert g =
   let removed = Array.make (max n 1) 0 and nr = ref 0 in
   let touched = Array.make (max n 1) 0 and nt = ref 0 in
   let view = G.csr_view g in
-  let off = view.G.v_offsets in
+  let off = view.G.v_offsets and a = view.G.v_store in
   let drop u =
     if lost.(u) >= 0 then begin
       lost.(u) <- -1;
@@ -45,42 +44,23 @@ let by_degree ~invert g =
       incr nr
     end
   in
-  let kill, tally =
-    match view.G.v_store with
-    | G.S_int a ->
-        ( (fun v ->
-            for i = off.(v) to off.(v + 1) - 1 do
-              drop (Array.unsafe_get a i)
-            done),
-          fun u ->
-            for i = off.(u) to off.(u + 1) - 1 do
-              let w = Array.unsafe_get a i in
-              let c = lost.(w) in
-              if c >= 0 then begin
-                if c = 0 then begin
-                  touched.(!nt) <- w;
-                  incr nt
-                end;
-                lost.(w) <- c + 1
-              end
-            done )
-    | G.S_i32 a ->
-        ( (fun v ->
-            for i = off.(v) to off.(v + 1) - 1 do
-              drop (Int32.to_int (Bigarray.Array1.unsafe_get a i))
-            done),
-          fun u ->
-            for i = off.(u) to off.(u + 1) - 1 do
-              let w = Int32.to_int (Bigarray.Array1.unsafe_get a i) in
-              let c = lost.(w) in
-              if c >= 0 then begin
-                if c = 0 then begin
-                  touched.(!nt) <- w;
-                  incr nt
-                end;
-                lost.(w) <- c + 1
-              end
-            done )
+  let kill v =
+    for i = off.(v) to off.(v + 1) - 1 do
+      drop (Int32.to_int (Bigarray.Array1.unsafe_get a i))
+    done
+  in
+  let tally u =
+    for i = off.(u) to off.(u + 1) - 1 do
+      let w = Int32.to_int (Bigarray.Array1.unsafe_get a i) in
+      let c = lost.(w) in
+      if c >= 0 then begin
+        if c = 0 then begin
+          touched.(!nt) <- w;
+          incr nt
+        end;
+        lost.(w) <- c + 1
+      end
+    done
   in
   let decrements = ref 0 and updates = ref 0 in
   while not (Pq.is_empty queue) do

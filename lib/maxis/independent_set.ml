@@ -21,30 +21,19 @@ let size = B.cardinal
 
 (* The one maximality loop's probe: [touches g s v] says whether some
    neighbor of [v] is in [s], walking [v]'s row in the CSR store in
-   place.  The store width is dispatched once, when the probe is built;
-   a probe is then a plain loop, with no closure call per entry and no
-   exception to leave it. *)
+   place — a plain loop, with no closure call per entry and no exception
+   to leave it. *)
 let touches g s =
   let view = G.csr_view g in
-  let off = view.G.v_offsets in
-  match view.G.v_store with
-  | G.S_int a ->
-      fun v ->
-        let i = ref off.(v) and hi = off.(v + 1) in
-        while !i < hi && not (B.mem s (Array.unsafe_get a !i)) do
-          incr i
-        done;
-        !i < hi
-  | G.S_i32 a ->
-      fun v ->
-        let i = ref off.(v) and hi = off.(v + 1) in
-        while
-          !i < hi
-          && not (B.mem s (Int32.to_int (Bigarray.Array1.unsafe_get a !i)))
-        do
-          incr i
-        done;
-        !i < hi
+  let off = view.G.v_offsets and a = view.G.v_store in
+  fun v ->
+    let i = ref off.(v) and hi = off.(v + 1) in
+    while
+      !i < hi && not (B.mem s (Int32.to_int (Bigarray.Array1.unsafe_get a !i)))
+    do
+      incr i
+    done;
+    !i < hi
 
 let is_independent g s =
   B.capacity s = G.n_vertices g

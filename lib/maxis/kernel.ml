@@ -53,7 +53,7 @@ let default_rule_cap = 16
    which other readers may share (portfolio lanes, the serve cache), is
    never written, and a pass where no rule fires copies nothing.  An
    owned row is never empty, which is what tells the two apart; [entry]
-   is the one read path for both, over either store width.
+   is the one read path for both.
 
    Rows are never physically cleaned — dead entries are skipped through
    [alive] — so [deg] (the count of live entries) is the authoritative
@@ -64,9 +64,7 @@ type work = {
   alive : bool array;
   deg : int array;
   offsets : int array;  (* the input's, read-only *)
-  wide : int array;  (* the input store at int width, else [||] *)
-  narrow : G.i32;  (* the input store at int32 width, else empty *)
-  is_narrow : bool;
+  store : G.i32;  (* the input's, read-only *)
   own : int array array;  (* [||] while borrowed *)
   len : int array;  (* physical row length, >= live count *)
   mutable owned : int;  (* rows copied so far *)
@@ -86,9 +84,7 @@ type work = {
    [r] and [base] once per row walk. *)
 let[@inline] entry w r base i =
   if Array.length r > 0 then Array.unsafe_get r i
-  else if w.is_narrow then
-    Int32.to_int (Bigarray.Array1.unsafe_get w.narrow (base + i))
-  else Array.unsafe_get w.wide (base + i)
+  else Int32.to_int (Bigarray.Array1.unsafe_get w.store (base + i))
 
 (* Install [r] (non-empty) as [v]'s owned row. *)
 let adopt w v r =
@@ -203,9 +199,9 @@ let witness w a v gen =
   go 0
 
 (* Write the survivors' live rows as the kernel CSR, renumbered
-   through the monotone [to_kernel] map, straight into the store that
-   [`Auto] width selection picks (int32 whenever the ids fit).  Live
-   rows are duplicate-free, so each is written once with no dedup.
+   through the monotone [to_kernel] map, straight into an int32 store
+   (kernel ids are below the input's, so they fit).  Live rows are
+   duplicate-free, so each is written once with no dedup.
    Renumbering keeps the input CSR's sorted order, so only rows a fold
    touched — a merged vertex's union row, or a row the merged vertex
    was appended to — can come out unsorted; those alone are sorted, in
@@ -236,30 +232,16 @@ let emit w ~to_kernel ~to_orig =
     done;
     if not !sorted then Ps_util.Intsort.sort_range buf 0 !len
   in
-  if n_k < 0x8000_0000 then begin
-    let adj = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout total in
-    for k = 0 to n_k - 1 do
-      gather to_orig.(k);
-      let base = offsets.(k) in
-      for j = 0 to offsets.(k + 1) - base - 1 do
-        Bigarray.Array1.unsafe_set adj (base + j)
-          (Int32.of_int (Array.unsafe_get buf j))
-      done
-    done;
-    G.of_csr_i32 n_k ~offsets ~adj
-  end
-  else begin
-    let adj = Array.make total 0 in
-    for k = 0 to n_k - 1 do
-      gather to_orig.(k);
-      Array.blit buf 0 adj offsets.(k) (offsets.(k + 1) - offsets.(k))
-    done;
-    G.of_csr n_k ~offsets ~adj
-  end
-
-(* The [narrow] field of a working graph over an int-width input. *)
-let no_narrow : G.i32 =
-  Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout 0
+  let adj = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout total in
+  for k = 0 to n_k - 1 do
+    gather to_orig.(k);
+    let base = offsets.(k) in
+    for j = 0 to offsets.(k + 1) - base - 1 do
+      Bigarray.Array1.unsafe_set adj (base + j)
+        (Int32.of_int (Array.unsafe_get buf j))
+    done
+  done;
+  G.of_csr n_k ~offsets ~adj
 
 let reduce ?(rule_cap = default_rule_cap) g =
   Tm.with_span "kernel.reduce" @@ fun () ->
@@ -267,18 +249,11 @@ let reduce ?(rule_cap = default_rule_cap) g =
   let view = G.csr_view g in
   let offsets = view.G.v_offsets in
   let deg = Array.init n (fun v -> offsets.(v + 1) - offsets.(v)) in
-  let wide, narrow, is_narrow =
-    match view.G.v_store with
-    | G.S_int a -> (a, no_narrow, false)
-    | G.S_i32 a -> ([||], a, true)
-  in
   let w =
     { alive = Array.make n true;
       deg;
       offsets;
-      wide;
-      narrow;
-      is_narrow;
+      store = view.G.v_store;
       own = Array.make n [||];
       len = Array.copy deg;
       owned = 0;

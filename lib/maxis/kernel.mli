@@ -28,19 +28,15 @@
     repair pass restores maximality on the original vertex ids.
 
     {b Copy-on-write over the input CSR.}  The working graph reads every
-    row in place from the input graph's adjacency store (through
-    {!Ps_graph.Graph.csr_view}, at either store width: int32 for files
-    and [G_k] arenas, int for [of_edges] graphs), and gives a vertex its
-    own row array only when a rule rewrites that row — the merged row of
-    a fold, a row the merged vertex is appended to, a row compacted once
-    its dead entries outnumber the live ones.  The input store is never
+    row in place from the input graph's int32 adjacency store (through
+    {!Ps_graph.Graph.csr_view}), and gives a vertex its own row array
+    only when a rule rewrites that row — the merged row of a fold, a row
+    the merged vertex is appended to, a row compacted once its dead
+    entries outnumber the live ones.  The input store is never
     written, so it stays safe to share read-only (portfolio lanes, the
     serve cache), and a pass where no rule fires copies no row.  A
-    traced run counts the copied rows as [kernel.rows_owned].  Rows are
-    visited in the same order either way, so int- and int32-backed
-    inputs give the same kernel, journal and stats.  The kernel itself
-    is written straight into a CSR store of automatic width (int32
-    whenever the ids fit). *)
+    traced run counts the copied rows as [kernel.rows_owned].  The
+    kernel itself is written straight into an int32 CSR store. *)
 
 type stats = {
   original_vertices : int;

@@ -12,9 +12,7 @@ let byte (h : state) (b : int) : state =
   Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) prime
 
 (* Native ints are hashed as their 8 little-endian bytes of the two's
-   complement representation, so the same logical value hashes
-   identically whether it arrived via an [int array] or an int32
-   store widened with [Int32.to_int]. *)
+   complement representation. *)
 let int (h : state) (v : int) : state =
   let h = ref h in
   for i = 0 to 7 do

@@ -1,5 +1,5 @@
 (* Tests for the solved-instance cache: the canonical content hash
-   (width- and representation-independent, agreeing exactly with
+   (arena- and representation-independent, agreeing exactly with
    [Graph.equal]), the byte-budget LRU against an assoc-list reference
    model, bit-identity of cache hits and warm-started solves with fresh
    solves, the sampled-audit rejection of a poisoned entry, and the
@@ -37,16 +37,14 @@ let graph_gen =
       let edges = List.filter (fun (u, v) -> u <> v) raw in
       return (n, edges, salt))
 
-let qcheck_hash_width_independent =
+let qcheck_hash_arena_independent =
   QCheck.Test.make ~count:100
-    ~name:"content_hash is width-independent"
+    ~name:"content_hash is arena-independent"
     graph_gen
     (fun (n, edges, _) ->
       let g = G.of_edges n edges in
-      let narrow = G.with_width g `Int32 in
-      let wide = G.with_width g `Int in
-      Int64.equal (G.content_hash g) (G.content_hash narrow)
-      && Int64.equal (G.content_hash g) (G.content_hash wide))
+      let arena, _ = Test_kernel.arena_of g in
+      Int64.equal (G.content_hash g) (G.content_hash arena))
 
 let qcheck_hash_iff_equal =
   (* Over pairs from the same family: hash equality must coincide with
@@ -483,7 +481,7 @@ let test_disk_tier_corruption_ignored () =
 let suites =
   [ ( "cache:hash",
       List.map QCheck_alcotest.to_alcotest
-        [ qcheck_hash_width_independent; qcheck_hash_iff_equal;
+        [ qcheck_hash_arena_independent; qcheck_hash_iff_equal;
           qcheck_hash_permutation ]
       @ [ Alcotest.test_case "hypergraph hash" `Quick test_hypergraph_hash ] );
     ( "cache:lru",

@@ -65,7 +65,8 @@ let test_csr_valid_constructions () =
   assert_clean "gnp" (Cg.csr (Gen.gnp (Rng.create 11) 40 0.2));
   check_bool "csr_ok" true (Cg.csr_ok (Gen.grid 4 5))
 
-let corrupt ~n ~offsets ~adj = G.of_csr ~validate:false n ~offsets ~adj
+let corrupt ~n ~offsets ~adj =
+  G.of_csr ~validate:false n ~offsets ~adj:(Test_graph.i32 adj)
 
 let test_csr_corruptions () =
   (* self-loop *)

@@ -206,6 +206,32 @@ let test_csr_builder_matches_reference () =
       Hgen.sunflower ~n_petals:5 ~core:2 ~petal:2;
       Hgen.random_intervals rng ~n:20 ~m:12 ~min_len:2 ~max_len:6 ]
 
+(* A k whose triple count k·Σ|e| passes the int32 id limit is refused
+   by both entry points before anything is sized by it: the check runs
+   on a quotient, so k = max_int cannot wrap the product either. *)
+let test_triple_limit () =
+  let h = H.of_edges 2 [ [ 0; 1 ] ] in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun (name, build) ->
+          let before = Gc.allocated_bytes () in
+          (match build k with
+          | () -> Alcotest.failf "%s accepted k = %d" name k
+          | exception Invalid_argument msg ->
+              Alcotest.(check string) (name ^ ": names the triple count")
+                (Printf.sprintf
+                   "Conflict_graph: k * sum|e| = %d * 2 triples exceeds the \
+                    int32 id limit 2147483647"
+                   k)
+                msg);
+          check_bool (name ^ ": nothing sized by k") true
+            (Gc.allocated_bytes () -. before < 1e6))
+        [ ("build", fun k -> ignore (Cg.build h ~k));
+          ("Incremental.create", fun k -> ignore (Cg.Incremental.create h ~k))
+        ])
+    [ 1 lsl 30; max_int ]
+
 (* ------------------------------------------------------------------ *)
 (* Structure-aware exact solver for G_k *)
 
@@ -907,7 +933,9 @@ let suites =
         Alcotest.test_case "vertex count formula" `Quick
           test_vertex_count_formula;
         Alcotest.test_case "CSR = reference" `Quick
-          test_csr_builder_matches_reference ] );
+          test_csr_builder_matches_reference;
+        Alcotest.test_case "triple count past the id limit" `Quick
+          test_triple_limit ] );
     ( "core.exact_gk",
       [ Alcotest.test_case "matches generic" `Quick
           test_exact_gk_matches_generic;

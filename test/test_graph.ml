@@ -11,6 +11,11 @@ module Rng = Ps_util.Rng
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* An int32 adjacency store holding [a], for the raw-CSR constructors. *)
+let i32 a =
+  Bigarray.Array1.of_array Bigarray.int32 Bigarray.c_layout
+    (Array.map Int32.of_int a)
+
 (* ------------------------------------------------------------------ *)
 (* Graph core *)
 
@@ -670,23 +675,44 @@ let test_io_huge_header_m () =
   Alcotest.check_raises "read_file" want (fun () ->
       ignore (with_temp_file text Gio.read_file))
 
-(* A 20-byte input whose header promises 2^60 or 2^50 vertices.  2^60
-   is past [Sys.max_array_length]; 2^50 ints is more than any user
-   address space holds, so the CSR allocation fails at once.  Either
-   way both readers report line 1 instead of escaping. *)
+(* A 20-byte input whose header promises more vertices than int32 ids
+   can name: 2^60, 2^50 and the boundary 2^31.  Both readers report
+   line 1 before allocating anything sized by the header.  (A header of
+   2^31 - 1 passes this check and can only fail by running out of
+   memory, which the CLI smoke test exercises under an address-space
+   limit.) *)
 let test_io_huge_header_n () =
   List.iter
-    (fun (n, why) ->
+    (fun n ->
       let text = Printf.sprintf "%d 1\n0 1\n" n in
-      let want = Failure (Printf.sprintf "Gio.of_edge_list: line 1: %s" why) in
+      let want =
+        Failure
+          (Printf.sprintf
+             "Gio.of_edge_list: line 1: vertex count %d exceeds the int32 id \
+              limit 2147483647"
+             n)
+      in
       Alcotest.check_raises "of_edge_list" want (fun () ->
           ignore (Gio.of_edge_list text));
       Alcotest.check_raises "read_file" want (fun () ->
           ignore (with_temp_file text Gio.read_file)))
-    [ (1 lsl 60,
-       Printf.sprintf "vertex count %d exceeds the array limit %d" (1 lsl 60)
-         Sys.max_array_length);
-      (1 lsl 50, Printf.sprintf "vertex count %d: out of memory" (1 lsl 50)) ]
+    [ 1 lsl 60; 1 lsl 50; 1 lsl 31 ]
+
+(* The constructors enforce the same limit, before allocating. *)
+let test_constructors_reject_huge_n () =
+  let n = G.max_vertices + 1 in
+  List.iter
+    (fun (name, build) ->
+      check_bool name true
+        (try
+           ignore (build ());
+           false
+         with Invalid_argument _ -> true))
+    [ ("of_edges", fun () -> G.of_edges n []);
+      ("of_sorted_edge_array", fun () -> G.of_sorted_edge_array n [||]);
+      ("of_unnormalized_pairs",
+       fun () -> G.of_unnormalized_pairs n ~u:[||] ~v:[||] ~len:0);
+      ("of_csr", fun () -> G.of_csr n ~offsets:[| 0 |] ~adj:(i32 [||])) ]
 
 (* Both front-ends, checked against the oracle: the same graph, or a
    [Failure] with exactly the oracle's message. *)
@@ -787,7 +813,8 @@ let test_of_sorted_edge_array_rejects_unsorted () =
 let test_of_csr () =
   (* path 0 - 1 - 2 as raw CSR *)
   let g =
-    G.of_csr ~validate:true 3 ~offsets:[| 0; 1; 3; 4 |] ~adj:[| 1; 0; 2; 1 |]
+    G.of_csr ~validate:true 3 ~offsets:[| 0; 1; 3; 4 |]
+      ~adj:(i32 [| 1; 0; 2; 1 |])
   in
   check_bool "equal to of_edges" true
     (G.equal g (G.of_edges 3 [ (0, 1); (1, 2) ]))
@@ -795,19 +822,20 @@ let test_of_csr () =
 let test_of_csr_rejects_invalid () =
   check_bool "asymmetric rejected" true
     (try
-       ignore (G.of_csr ~validate:true 2 ~offsets:[| 0; 1; 1 |] ~adj:[| 1 |]);
+       ignore
+         (G.of_csr ~validate:true 2 ~offsets:[| 0; 1; 1 |] ~adj:(i32 [| 1 |]));
        false
      with Invalid_argument _ -> true);
   check_bool "unsorted row rejected" true
     (try
        ignore
          (G.of_csr ~validate:true 3 ~offsets:[| 0; 2; 3; 4 |]
-            ~adj:[| 2; 1; 0; 0 |]);
+            ~adj:(i32 [| 2; 1; 0; 0 |]));
        false
      with Invalid_argument _ -> true);
   check_bool "bad offsets length rejected" true
     (try
-       ignore (G.of_csr ~validate:true 2 ~offsets:[| 0; 0 |] ~adj:[||]);
+       ignore (G.of_csr ~validate:true 2 ~offsets:[| 0; 0 |] ~adj:(i32 [||]));
        false
      with Invalid_argument _ -> true)
 
@@ -815,7 +843,7 @@ let test_of_csr_prefix () =
   (* Arena-backed view: arrays longer than their logical content; the
      spare tails (99 / 77 sentinels) must be invisible everywhere. *)
   let offsets = [| 0; 1; 3; 4; 99; 99 |] in
-  let adj = [| 1; 0; 2; 1; 77; 77 |] in
+  let adj = i32 [| 1; 0; 2; 1; 77; 77 |] in
   let g = G.of_csr_prefix ~validate:true 3 ~offsets ~adj in
   check "n" 3 (G.n_vertices g);
   check "m" 2 (G.n_edges g);
@@ -1186,6 +1214,8 @@ let suites =
           test_io_edge_count_mismatch;
         Alcotest.test_case "huge header vertex count" `Quick
           test_io_huge_header_n;
+        Alcotest.test_case "constructors reject n past the id limit" `Quick
+          test_constructors_reject_huge_n;
         Alcotest.test_case "huge header edge count" `Quick
           test_io_huge_header_m;
         Alcotest.test_case "dot export" `Quick test_io_dot;

@@ -302,7 +302,6 @@ let test_emit_fold_rows () =
       let k = Kn.graph r in
       check_bool "folds fired" true ((Kn.stats r).Kn.folds > 0);
       check_bool "nonempty kernel" true (G.n_vertices k > 0);
-      check_bool "int32 store" true (G.width k = `Int32);
       check_bool "exact store" true (G.csr_view k).G.v_exact;
       check_bool "certified CSR" true (Ps_check.Check_graph.csr_ok k);
       check_bool "canonical rows" true
@@ -321,7 +320,7 @@ let greedy_lift r =
   let k = Kn.graph r in
   Kn.lift r (Ps_maxis.Greedy.in_order k (Array.init (G.n_vertices k) Fun.id))
 
-(* [g] re-adopted as an int32 arena the way the incremental G_k engine
+(* [g] re-adopted as an arena the way the incremental G_k engine
    holds it: offsets and store longer than their logical prefixes, the
    spare tails filled with junk.  Returns the graph and a check that the
    tails are still intact. *)
@@ -345,18 +344,16 @@ let arena_of g =
     done;
     !ok
   in
-  (G.of_csr_prefix_i32 ~validate:true n ~offsets:off' ~adj:adj', tails_intact)
+  (G.of_csr_prefix ~validate:true n ~offsets:off' ~adj:adj', tails_intact)
 
 let test_reduce_leaves_input_untouched () =
   (* Folds and compactions rewrite rows; the copies they make must be
-     the kernel's own, never the caller's store, at either width and on
+     the kernel's own, never the caller's store, on an exact CSR and on
      an arena with spare capacity. *)
   List.iter
     (fun g ->
       let arena, tails_intact = arena_of g in
-      let ref_kernel =
-        G.content_hash (Kn.graph (Kn.reduce (G.with_width g `Int)))
-      in
+      let ref_kernel = G.content_hash (Kn.graph (Kn.reduce g)) in
       List.iter
         (fun (name, h) ->
           let before = G.content_hash h in
@@ -369,27 +366,10 @@ let test_reduce_leaves_input_untouched () =
             (G.content_hash h);
           Alcotest.(check int64) (name ^ ": same kernel") ref_kernel
             (G.content_hash (Kn.graph r)))
-        [ ("int", G.with_width g `Int); ("int32", G.with_width g `Int32);
-          ("arena", arena) ];
+        [ ("exact", g); ("arena", arena) ];
       check_bool "arena tails intact" true (tails_intact ()))
     [ path_with_chords 2 1000 300; ring_of_cliques 30 4 2;
       Gen.gnp (Rng.create 11) 3000 0.001 ]
-
-let test_width_agreement_golden () =
-  List.iter
-    (fun (name, mk, _, _, _, _) ->
-      let g = mk () in
-      let r = Kn.reduce (G.with_width g `Int)
-      and r32 = Kn.reduce (G.with_width g `Int32) in
-      Alcotest.(check int64) (name ^ ": kernel hash")
-        (G.content_hash (Kn.graph r))
-        (G.content_hash (Kn.graph r32));
-      Alcotest.(check (list int)) (name ^ ": stats")
-        (stats_list (Kn.stats r))
-        (stats_list (Kn.stats r32));
-      check_bool (name ^ ": lift") true
-        (B.equal (greedy_lift r) (greedy_lift r32)))
-    golden
 
 (* A spine path of [n] vertices, each carrying [legs] pendant leaves,
    plus [chords] short chords between spine vertices. *)
@@ -584,9 +564,9 @@ let prop_kernel_lift_valid_maximal =
       let s = (Kn.presolve Approx.greedy_min_degree).Approx.solve rng g in
       Is.is_independent g s && Is.is_maximal g s)
 
-let prop_kernel_width_layout_invariant =
+let prop_kernel_arena_layout_invariant =
   QCheck.Test.make ~count:60
-    ~name:"kernel is width-invariant; lift valid on relabeled layouts"
+    ~name:"kernel is arena-invariant; lift valid on relabeled layouts"
     arbitrary_gnp (fun params ->
       let g = graph_of params in
       let seed = Hashtbl.hash params in
@@ -594,17 +574,14 @@ let prop_kernel_width_layout_invariant =
         (Kn.presolve Approx.greedy_min_degree).Approx.solve (Rng.create seed)
           gg
       in
-      let s_int = lifted g in
-      (* Same instance at int32 width: identical reduction, identical
-         answer. *)
-      let width_ok =
-        B.equal s_int (lifted (G.with_width g `Int32))
-      in
+      (* Same instance adopted as an arena with spare capacity:
+         identical reduction, identical answer. *)
+      let arena_ok = B.equal (lifted g) (lifted (fst (arena_of g))) in
       (* Degree-sorted relabeling is a different instance (new ids) but
          the lift contract must hold there too. *)
       let gs, _perm = G.degree_sorted g in
       let s_sorted = lifted gs in
-      width_ok
+      arena_ok
       && Is.is_independent gs s_sorted
       && Is.is_maximal gs s_sorted)
 
@@ -661,7 +638,7 @@ let prop_portfolio_valid =
 
 let props =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_kernel_lift_valid_maximal; prop_kernel_width_layout_invariant;
+    [ prop_kernel_lift_valid_maximal; prop_kernel_arena_layout_invariant;
       prop_path_cycle_roundtrip; prop_kernel_alpha_preserving;
       prop_vertex_addition_monotone_maximal; prop_portfolio_valid ]
 
@@ -685,8 +662,6 @@ let suites =
         Alcotest.test_case "emit sorts fold rows" `Quick test_emit_fold_rows;
         Alcotest.test_case "reduce leaves its input untouched" `Quick
           test_reduce_leaves_input_untouched;
-        Alcotest.test_case "width agreement on the golden corpus" `Quick
-          test_width_agreement_golden;
         Alcotest.test_case "fold-heavy copy-on-write" `Quick
           test_cow_fold_heavy;
         Alcotest.test_case "rows_owned counter" `Quick

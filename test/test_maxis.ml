@@ -156,14 +156,13 @@ let qcheck_greedy_matches_oracle =
           let want_min = Ps_oracle.Greedy.min_degree ~layout g
           and want_max = Ps_oracle.Greedy.max_degree_adversary ~layout g in
           List.iter
-            (fun (width, h) ->
+            (fun (store, h) ->
               if not (B.equal (Greedy.min_degree ~layout h) want_min) then
-                QCheck.Test.fail_reportf "min_degree differs (%s)" width;
+                QCheck.Test.fail_reportf "min_degree differs (%s)" store;
               if not (B.equal (Greedy.max_degree_adversary ~layout h) want_max)
               then QCheck.Test.fail_reportf "max_degree_adversary differs (%s)"
-                  width)
-            [ ("int", G.with_width g `Int); ("int32", G.with_width g `Int32);
-              ("arena", arena) ])
+                  store)
+            [ ("exact", g); ("arena", arena) ])
         [ `Natural; `Degree_sorted ];
       tails_intact ())
 
@@ -513,8 +512,8 @@ let prop_make_maximal_extends =
       Ps_util.Bitset.subset seed extended && Is.is_maximal g extended)
 
 (* The direct-CSR maximality loop against the definitions, written with
-   the closure accessors, at both store widths: random sets (mostly
-   dependent), random independent sets, and their greedy completions. *)
+   the closure accessors: random sets (mostly dependent), random
+   independent sets, and their greedy completions. *)
 let prop_maximality_loop_matches_definitions =
   QCheck.Test.make ~count:100
     ~name:"is_independent/is_maximal/complete match their definitions"
@@ -543,14 +542,11 @@ let prop_maximality_loop_matches_definitions =
         if Rng.int rng 4 = 0 && not (touches sparse v) then B.add sparse v
       done;
       List.for_all
-        (fun gw ->
-          List.for_all
-            (fun s ->
-              Bool.equal (Is.is_independent gw s) (independent s)
-              && Bool.equal (Is.is_maximal gw s) (maximal s)
-              && B.equal (Is.complete gw s) (complete s))
-            [ random; sparse; complete sparse ])
-        [ G.with_width g `Int; G.with_width g `Int32 ])
+        (fun s ->
+          Bool.equal (Is.is_independent g s) (independent s)
+          && Bool.equal (Is.is_maximal g s) (maximal s)
+          && B.equal (Is.complete g s) (complete s))
+        [ random; sparse; complete sparse ])
 
 let props =
   List.map QCheck_alcotest.to_alcotest

@@ -1,8 +1,8 @@
-(* Tests for the at-scale machinery: width-aware CSR stores, the
-   zero-copy view and the to_csr copy contract, degree-sorted layout,
-   sharded parallel cursors, streaming Gio/Hio, and the huge-instance
-   generators.  The int-array store is the oracle throughout: every
-   int32 path must produce a Graph.equal result. *)
+(* Tests for the at-scale machinery: the zero-copy view and the to_csr
+   copy contract, degree-sorted layout, sharded parallel cursors,
+   streaming Gio/Hio, and the huge-instance generators.  The list
+   constructors are the oracle throughout: every streaming path must
+   produce a Graph.equal result. *)
 
 module G = Ps_graph.Graph
 module Gen = Ps_graph.Gen
@@ -37,14 +37,6 @@ let test_to_csr_copies () =
   let o2, a2 = G.to_csr g in
   check_bool "second copy pristine" true (o2.(0) = 0 && (a2 = snd (G.to_csr reference)))
 
-let test_to_csr_widens_i32 () =
-  (* An int32-backed graph still hands out plain int arrays. *)
-  let g = Gen.gnp (Rng.create 4) 25 0.3 in
-  let g32 = G.with_width g `Int32 in
-  check_bool "is i32" true (G.width g32 = `Int32);
-  let o, a = G.to_csr g and o32, a32 = G.to_csr g32 in
-  check_bool "same csr either width" true (o = o32 && a = a32)
-
 let test_csr_view_zero_copy () =
   let g = Gen.gnp (Rng.create 5) 20 0.3 in
   let v = G.csr_view g in
@@ -52,19 +44,21 @@ let test_csr_view_zero_copy () =
   check_bool "offsets aliased, not copied" true (v.G.v_offsets == v'.G.v_offsets);
   check_bool "exact graph flagged exact" true v.G.v_exact;
   check "store length" (2 * G.n_edges g) v.G.v_store_len;
-  (* The getter must read the same adjacency the accessors expose. *)
+  (* The store must hold the same adjacency the accessors expose. *)
   let ok = ref true in
   for x = 0 to G.n_vertices g - 1 do
     let row = G.neighbors g x in
     let lo = v.G.v_offsets.(x) in
-    Array.iteri (fun i u -> if v.G.v_get (lo + i) <> u then ok := false) row
+    Array.iteri
+      (fun i u -> if Int32.to_int v.G.v_store.{lo + i} <> u then ok := false)
+      row
   done;
-  check_bool "view getter matches neighbors" true !ok
+  check_bool "view store matches neighbors" true !ok
 
 let test_csr_view_prefix () =
   (* Arena-backed prefix: spare capacity visible as store_len slack. *)
   let offsets = [| 0; 1; 3; 4; 99; 99 |] in
-  let adj = [| 1; 0; 2; 1; 77; 77 |] in
+  let adj = Test_graph.i32 [| 1; 0; 2; 1; 77; 77 |] in
   let g = G.of_csr_prefix ~validate:true 3 ~offsets ~adj in
   let v = G.csr_view g in
   check_bool "prefix flagged inexact" true (not v.G.v_exact);
@@ -73,20 +67,11 @@ let test_csr_view_prefix () =
   check_bool "certifier accepts prefix" true (Ps_check.Check_graph.csr_ok g)
 
 let test_check_accepts_i32 () =
-  let g = G.with_width (Gen.gnp (Rng.create 6) 40 0.15) `Int32 in
+  let g = Gen.gnp (Rng.create 6) 40 0.15 in
   check_bool "certifier audits i32 store" true (Ps_check.Check_graph.csr_ok g)
 
 (* ------------------------------------------------------------------ *)
-(* Width round-trips and degree-sorted layout *)
-
-let test_width_roundtrip () =
-  let g = Gen.gnp (Rng.create 7) 50 0.1 in
-  let g32 = G.with_width g `Int32 in
-  check_bool "widths differ" true (G.width g = `Int && G.width g32 = `Int32);
-  check_bool "equal across widths" true (G.equal g g32);
-  check_bool "narrow then widen is identity" true
-    (G.equal g (G.with_width g32 `Int));
-  check_bool "same width returns same graph" true (G.with_width g `Int == g)
+(* Degree-sorted layout *)
 
 let perm_valid n perm =
   Array.length perm = n
@@ -116,9 +101,7 @@ let test_degree_sorted () =
   G.iter_edges g' (fun u v ->
       if not (G.has_edge g perm.(u) perm.(v)) then ok := false);
   check_bool "edges map back through perm" true !ok;
-  let g32', _ = G.degree_sorted (G.with_width g `Int32) in
-  check_bool "width preserved" true (G.width g32' = `Int32);
-  check_bool "layout independent of width" true (G.equal g' g32')
+  check_bool "certified csr" true (Ps_check.Check_graph.csr_ok g')
 
 (* ------------------------------------------------------------------ *)
 (* Sharded cursor *)
@@ -195,21 +178,17 @@ let test_effective_domains_clamps () =
 
 let test_gio_streaming_roundtrip_1e6 () =
   (* ~10^6-edge round trip through the streaming writer and parser; the
-     read-back lands in the auto (int32) store and must equal the
-     generator's graph across widths. *)
+     read-back must equal the generator's graph. *)
   let n = 2000 in
   let g = Gen.huge_gnp (Rng.create 11) n 0.5 in
   check_bool "instance is ~1e6 edges" true (G.n_edges g > 900_000);
-  check_bool "auto store is i32" true (G.width g = `Int32);
   let path = Filename.temp_file "pslocal_scale" ".el" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Gio.write_file path g;
       let back = Gio.read_file path in
-      check_bool "roundtrip equal" true (G.equal g back);
-      check_bool "roundtrip equal to int oracle" true
-        (G.equal (G.with_width g `Int) back))
+      check_bool "roundtrip equal" true (G.equal g back))
 
 let test_gio_write_edges_file_stream () =
   (* Generator -> sink -> parser without materializing a graph on the
@@ -289,7 +268,7 @@ let graph_of (seed, n, p) =
 
 let prop_unnormalized_pairs_oracle =
   QCheck.Test.make ~count:100
-    ~name:"of_unnormalized_pairs = of_edges (both widths)" arbitrary_gnp
+    ~name:"of_unnormalized_pairs = of_edges" arbitrary_gnp
     (fun ((seed, n, _) as params) ->
       let g = graph_of params in
       (* Re-emit each edge in a random orientation, with random
@@ -306,11 +285,7 @@ let prop_unnormalized_pairs_oracle =
       let pairs = Array.of_list !pairs in
       let len = Array.length pairs in
       let u = Array.map fst pairs and v = Array.map snd pairs in
-      let from_int = G.of_unnormalized_pairs ~width:`Int n ~u ~v ~len in
-      let from_i32 = G.of_unnormalized_pairs ~width:`Int32 n ~u ~v ~len in
-      G.equal g from_int && G.equal g from_i32
-      && G.width from_int = `Int
-      && G.width from_i32 = `Int32)
+      G.equal g (G.of_unnormalized_pairs n ~u ~v ~len))
 
 let prop_degree_sorted_layout_solvers =
   QCheck.Test.make ~count:100
@@ -327,33 +302,29 @@ let arbitrary_hypergraph =
     ~print:(fun (seed, n, m) -> Printf.sprintf "hg seed=%d n=%d m=%d" seed n m)
     QCheck.Gen.(triple (int_bound 1000) (int_range 5 14) (int_range 1 10))
 
-let prop_conflict_graph_width_oracle =
+let prop_conflict_graph_domains =
   QCheck.Test.make ~count:30
-    ~name:"conflict graph: i32 store = int oracle across domain counts"
+    ~name:"conflict graph: i32 store identical across domain counts"
     arbitrary_hypergraph (fun (seed, n, m) ->
       let h =
         Hgen.almost_uniform_random (Rng.create seed) ~n ~m ~k:3 ~eps:0.5
       in
       let k = 2 in
+      let seq = (Cg.build ~domains:1 h ~k).Cg.graph in
       List.for_all
-        (fun domains ->
-          let a = (Cg.build ~domains ~width:`Int h ~k).Cg.graph in
-          let b = (Cg.build ~domains ~width:`Int32 h ~k).Cg.graph in
-          let auto = (Cg.build ~domains h ~k).Cg.graph in
-          G.equal a b && G.equal a auto
-          && (G.n_vertices a = 0 || G.width b = `Int32))
-        [ 1; 2; 0 ])
+        (fun domains -> G.equal seq (Cg.build ~domains h ~k).Cg.graph)
+        [ 2; 0 ])
 
-let prop_incremental_width_oracle =
+let prop_incremental_domains =
   QCheck.Test.make ~count:30
-    ~name:"incremental compaction: i32 arena = int arena" arbitrary_hypergraph
-    (fun (seed, n, m) ->
+    ~name:"incremental compaction: identical arenas across domain counts"
+    arbitrary_hypergraph (fun (seed, n, m) ->
       let h =
         Hgen.almost_uniform_random (Rng.create seed) ~n ~m ~k:3 ~eps:0.5
       in
       let k = 2 in
-      let a = Cg.Incremental.create ~width:`Int h ~k in
-      let b = Cg.Incremental.create ~width:`Int32 h ~k in
+      let a = Cg.Incremental.create ~domains:1 h ~k in
+      let b = Cg.Incremental.create ~domains:2 h ~k in
       let retired =
         List.filteri (fun i _ -> i mod 2 = 0) (List.init m Fun.id)
       in
@@ -367,18 +338,16 @@ let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_unnormalized_pairs_oracle;
       prop_degree_sorted_layout_solvers;
-      prop_conflict_graph_width_oracle;
-      prop_incremental_width_oracle ]
+      prop_conflict_graph_domains;
+      prop_incremental_domains ]
 
 let suites =
   [ ( "scale.csr",
       [ Alcotest.test_case "to_csr copies" `Quick test_to_csr_copies;
-        Alcotest.test_case "to_csr widens i32" `Quick test_to_csr_widens_i32;
         Alcotest.test_case "csr_view zero-copy" `Quick
           test_csr_view_zero_copy;
         Alcotest.test_case "csr_view prefix" `Quick test_csr_view_prefix;
         Alcotest.test_case "check audits i32" `Quick test_check_accepts_i32;
-        Alcotest.test_case "width roundtrip" `Quick test_width_roundtrip;
         Alcotest.test_case "degree sorted" `Quick test_degree_sorted ] );
     ( "scale.cursor",
       [ Alcotest.test_case "coverage with stealing" `Quick
