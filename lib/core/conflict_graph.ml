@@ -37,17 +37,16 @@ let adjacent h ~k (t1 : Triple.t) (t2 : Triple.t) =
    test/oracle) materializes a duplicate-heavy edge list (every pair is
    emitted by up to three families) and pays for boxed tuples,
    polymorphic hashing and list sorting in [Graph.of_edges].  This
-   builder instead flattens [H] into int tables once, then for every
-   triple enumerates its neighborhood directly as encoded ids into
-   a reusable buffer — sort + adjacent-dedup replaces the hash table.
-   Two passes over the triples (a counting pass sizing [offsets], a fill
-   pass writing [adj] in place) yield the CSR arrays with no
-   intermediate edge list, making the build linear in the size of its
-   output (up to the constant duplicate factor ≤ 4 and the per-row
-   sort).  Both passes split the slot range across domains when
-   [domains > 1]; every row is computed independently and written to a
-   disjoint region, so the output is bit-identical for any domain
-   count. *)
+   builder instead flattens [H] into int tables once, then enumerates
+   every slot's neighbor slots straight from that layout, already in
+   ascending order apart from one short run it sorts (see the table
+   below).  Two passes over the slots (a counting pass sizing [offsets]
+   from a closed form, a fill pass writing [adj] in place) yield the CSR
+   arrays with no intermediate edge list and no dedup, so the build is
+   linear in the size of its output.  Both passes split the slot range
+   across domains when [domains > 1]; every row is computed
+   independently and written to a disjoint region, so the output is
+   bit-identical for any domain count. *)
 
 (* Flat integer tables describing H.  A "slot" is a (edge, member)
    position — slot s of edge e holds the p-th vertex of e where
@@ -107,124 +106,118 @@ let buf_push b x =
   b.data.(b.len) <- x;
   b.len <- b.len + 1
 
-(* The k triples living in a slot all see the same neighbor *slots*, and
-   which colors of a neighbor slot are adjacent depends only on which
-   families relate the two slots — so the builder works per slot, not
-   per triple.  For the triple (s, c) and a neighbor slot x:
+(* The k triples living in a slot s = (e, v) all see the same neighbor
+   *slots*; only the colors each neighbor contributes depend on c.  The
+   neighbor slots split into two disjoint sets:
 
-   - x = s (same edge, same vertex):           colors c' ≠ c   (k-1)
-   - x in the same edge (E_edge, u ≠ v):       all colors      (k)
-   - x holds the same vertex elsewhere
-     (E_vertex; never also E_edge or E_color): colors c' ≠ c   (k-1)
-   - x only E_color-related (u ≠ v, u ∈ e or
-     v ∈ g; never also E_vertex):              color c          (1)
+   A. every slot of every edge g ∋ v (e included).  v's incidences in
+      [vslot] are in increasing edge order and each edge owns a
+      contiguous slot range, so walking them yields A in ascending
+      order.  Per slot x of A, for the row of (s, c):
+      - x = s:                          colors c' ≠ c   (k-1)
+      - x in e, x ≠ s (E_edge):         all colors      (k)
+      - x holds v, g ≠ e (E_vertex):    colors c' ≠ c   (k-1)
+      - x holds u ≠ v, g ≠ e
+        (E_color via {u,v} ⊆ g):        color c         (1)
+   B. the slots (g, u) with u ∈ e \ {v}, g ∋ u and v ∉ g: E_color via
+      {u,v} ⊆ e, color c only.  Each slot holds one vertex, so no slot
+      is reached twice and B needs no dedup; "v ∉ g" keeps B out of A.
 
-   Row lengths are therefore the same for every color of a slot, and a
-   row is emitted sorted by one walk over the slot's sorted neighbor
-   list — no per-row sort, no pair-level dedup.  Families are unioned
-   with per-slot bitmasks in a byte table; the list of touched slots is
-   kept in a reusable buffer, so clearing is proportional to the row. *)
+   E_color needs u ≠ v: two edges nominating the same vertex with the
+   same color are NOT adjacent (Lemma 2.1), which is why the slot holding
+   v in g ≠ e gets c' ≠ c and never c.  Row lengths are the same for
+   every color of a slot:
+     (k-1) + k(|e|-1) + (k-1)(deg v - 1) + Σ_{g∋v, g≠e} (|g|-1) + |B|.
+   B is the only part that is not born sorted; it is short (Σ deg u over
+   u ∈ e) and sorted once, then merged into the A walk between ranges. *)
 
-let edge_bit = 1
-let samev_bit = 2
+(* [emask] marks the edges holding the current slot's vertex. *)
+type scratch = { emask : Bytes.t; b : buf }
 
-type scratch = { mask : Bytes.t; slots : buf }
+let scratch_create tb =
+  { emask = Bytes.make (max (Array.length tb.start - 1) 1) '\000';
+    b = buf_create () }
 
-let scratch_create nslots =
-  { mask = Bytes.make (max nslots 1) '\000'; slots = buf_create () }
-
-let touch sc x bit =
-  let m = Char.code (Bytes.get sc.mask x) in
-  if m = 0 then buf_push sc.slots x;
-  Bytes.set sc.mask x (Char.chr (m lor bit))
-
-(* Record every neighbor slot of [s] with its family mask (ecolor-only
-   slots carry mask bit 4, but only "no other bit" matters for them). *)
-let collect_slots tb sc s =
-  sc.slots.len <- 0;
-  let e = tb.slot_edge.(s) and v = tb.slot_vertex.(s) in
-  (* E_edge: all slots of edge e (including s itself). *)
-  for s' = tb.start.(e) to tb.start.(e + 1) - 1 do
-    touch sc s' edge_bit
-  done;
-  (* E_vertex: every slot holding v (including s itself). *)
+let mark_edges tb sc v flag =
   for j = tb.voff.(v) to tb.voff.(v + 1) - 1 do
-    touch sc tb.vslot.(j) samev_bit
-  done;
-  (* E_color, {u,v} ⊆ e: u ∈ e \ {v} in any of u's slots. *)
-  for s' = tb.start.(e) to tb.start.(e + 1) - 1 do
-    let u = tb.slot_vertex.(s') in
-    if u <> v then
+    Bytes.unsafe_set sc.emask tb.slot_edge.(tb.vslot.(j)) flag
+  done
+
+(* Gather B of slot [s] (see above) into [sc.b], in no particular order. *)
+let collect_b tb sc s =
+  let e = tb.slot_edge.(s) and v = tb.slot_vertex.(s) in
+  mark_edges tb sc v '\001';
+  sc.b.len <- 0;
+  for x = tb.start.(e) to tb.start.(e + 1) - 1 do
+    if x <> s then begin
+      let u = tb.slot_vertex.(x) in
       for j = tb.voff.(u) to tb.voff.(u + 1) - 1 do
-        touch sc tb.vslot.(j) 4
+        let y = tb.vslot.(j) in
+        if Bytes.unsafe_get sc.emask tb.slot_edge.(y) = '\000' then
+          buf_push sc.b y
       done
+    end
   done;
-  (* E_color, {u,v} ⊆ g: slots of edges g ∋ v, minus v's own slots. *)
+  mark_edges tb sc v '\000'
+
+let edge_size tb g = tb.start.(g + 1) - tb.start.(g)
+
+(* Count the k rows of slot [s]: write their shared degree, the closed
+   form above, into [deg]. *)
+let count_slot tb sc ~k deg s =
+  let e = tb.slot_edge.(s) and v = tb.slot_vertex.(s) in
+  collect_b tb sc s;
+  let d = ref ((k - 1) + (k * (edge_size tb e - 1)) + sc.b.len) in
   for j = tb.voff.(v) to tb.voff.(v + 1) - 1 do
     let g = tb.slot_edge.(tb.vslot.(j)) in
-    for s' = tb.start.(g) to tb.start.(g + 1) - 1 do
-      if tb.slot_vertex.(s') <> v then touch sc s' 4
-    done
-  done
-
-let clear_slots sc =
-  for i = 0 to sc.slots.len - 1 do
-    Bytes.set sc.mask sc.slots.data.(i) '\000'
-  done
-
-(* Shared row length of slot [s]'s k rows (see the table above). *)
-let slot_degree sc ~k s =
-  let d = ref 0 in
-  for i = 0 to sc.slots.len - 1 do
-    let x = sc.slots.data.(i) in
-    let m = Char.code (Bytes.get sc.mask x) in
-    if x = s then d := !d + (k - 1)
-    else if m land edge_bit <> 0 then d := !d + k
-    else if m land samev_bit <> 0 then d := !d + (k - 1)
-    else incr d
+    if g <> e then d := !d + (k - 1) + (edge_size tb g - 1)
   done;
-  !d
-
-(* Count the k rows of slot [s]: write their shared degree into [deg]. *)
-let count_slot tb sc ~k deg s =
-  collect_slots tb sc s;
-  let ds = slot_degree sc ~k s in
-  clear_slots sc;
   for c = 0 to k - 1 do
-    deg.((s * k) + c) <- ds
+    deg.((s * k) + c) <- !d
   done
 
-(* Fill pass for one slot: sort its neighbor slots once, then write its
-   k rows in place with a linear walk — ascending slots × ascending
-   colors keep every row strictly increasing. *)
+(* Fill pass for one slot: sort B once (a max_int sentinel ends it),
+   then write each of the k rows by walking A's ranges in order and
+   emitting the B slots that fall before each range — ascending slots ×
+   ascending colors keep every row strictly increasing. *)
 let fill_slot tb sc ~k offsets (adj : G.i32) s =
-  collect_slots tb sc s;
-  Ps_util.Intsort.sort_range sc.slots.data 0 sc.slots.len;
+  collect_b tb sc s;
+  Ps_util.Intsort.sort_range sc.b.data 0 sc.b.len;
+  buf_push sc.b max_int;
+  let b = sc.b.data in
+  let e = tb.slot_edge.(s) and v = tb.slot_vertex.(s) in
   for c = 0 to k - 1 do
-    let w = ref offsets.((s * k) + c) in
-    for i = 0 to sc.slots.len - 1 do
-      let x = sc.slots.data.(i) in
-      let m = Char.code (Bytes.get sc.mask x) in
-      let base = x * k in
-      if x = s || m land edge_bit = 0 && m land samev_bit <> 0 then
-        for c' = 0 to k - 1 do
-          if c' <> c then begin
-            Bigarray.Array1.unsafe_set adj !w (Int32.of_int (base + c'));
-            incr w
-          end
-        done
-      else if m land edge_bit <> 0 then
-        for c' = 0 to k - 1 do
-          Bigarray.Array1.unsafe_set adj !w (Int32.of_int (base + c'));
+    let w = ref offsets.((s * k) + c) and i = ref 0 in
+    for j = tb.voff.(v) to tb.voff.(v + 1) - 1 do
+      let sv = tb.vslot.(j) in
+      let g = tb.slot_edge.(sv) in
+      let lo = tb.start.(g) in
+      while b.(!i) < lo do
+        Bigarray.Array1.unsafe_set adj !w (Int32.of_int ((b.(!i) * k) + c));
+        incr w;
+        incr i
+      done;
+      for x = lo to tb.start.(g + 1) - 1 do
+        let base = x * k in
+        if x = sv || g = e then
+          for c' = 0 to k - 1 do
+            if c' <> c || x <> sv then begin
+              Bigarray.Array1.unsafe_set adj !w (Int32.of_int (base + c'));
+              incr w
+            end
+          done
+        else begin
+          Bigarray.Array1.unsafe_set adj !w (Int32.of_int (base + c));
           incr w
-        done
-      else begin
-        Bigarray.Array1.unsafe_set adj !w (Int32.of_int (base + c));
-        incr w
-      end
+        end
+      done
+    done;
+    while b.(!i) < max_int do
+      Bigarray.Array1.unsafe_set adj !w (Int32.of_int ((b.(!i) * k) + c));
+      incr w;
+      incr i
     done
-  done;
-  clear_slots sc
+  done
 
 (* One unit of bulk work is one triple; one schedulable slice is one
    slot (a slot's k rows are built together).  The calibration constant
@@ -271,7 +264,7 @@ let csr_arrays ~k ~domains tb =
   let adj = ref (i32_create 0) in
   let alloc_adj () = adj := i32_create offsets.(total) in
   if domains <= 1 then begin
-    let sc = scratch_create tb.nslots in
+    let sc = scratch_create tb in
     Tm.with_span "count_pass" (fun () ->
         for s = 0 to tb.nslots - 1 do
           count_slot tb sc ~k deg s
@@ -288,7 +281,7 @@ let csr_arrays ~k ~domains tb =
     let cursor1 = Cur.create ~domains ~lo:0 ~hi:tb.nslots () in
     let cursor2 = Cur.create ~domains ~lo:0 ~hi:tb.nslots () in
     let scratches =
-      Array.init domains (fun _ -> scratch_create tb.nslots)
+      Array.init domains (fun _ -> scratch_create tb)
     in
     let t0 = Tm.now_ns () in
     let t1 = ref t0 and t2 = ref t0 in

@@ -45,10 +45,12 @@ val build : ?domains:int -> Ps_hypergraph.Hypergraph.t -> k:int -> t
     differential oracle for this CSR build.
 
     Builds the CSR representation directly: a counting pass sizes every
-    adjacency row by enumerating each triple's neighborhood (as encoded
-    ids, deduplicated by sort + adjacent-skip in a reusable buffer) and
-    a fill pass writes the rows in place — no intermediate edge list, no
-    hashing, cost linear in the output size.
+    adjacency row from a closed form per slot, and a fill pass writes
+    the rows in place, enumerating each slot's neighbor slots in
+    ascending order from the hypergraph's layout — no intermediate edge
+    list, no hashing, no dedup, and a sort only of the short run of
+    E_color slots reached through the edge's other members; cost linear
+    in the output size.
 
     {b Domain semantics.}  [domains] requests parallel construction:
 

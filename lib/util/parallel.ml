@@ -9,15 +9,17 @@
 let available () = Domain.recommended_domain_count ()
 
 (* One knob for every ?domains:0 auto heuristic in the repository: a
-   Domain.spawn/join round trip costs a few hundred microseconds while a
-   unit of bulk work (one conflict-graph triple, one CSR row) costs on
-   the order of a microsecond, so an extra domain only pays for itself
-   once it gets several thousand units.  With the sharded-cursor
-   scheduler below the per-chunk cost is a single uncontended
-   fetch-and-add (the old single shared cursor made every chunk claim a
-   cross-core cache-line bounce), so the break-even moved down from the
-   8192 units the PR-5 build was calibrated at; 6144 keeps spawn/join
-   under ~10% of a marginal domain's work on the micro-bench box. *)
+   Domain.spawn/join round trip costs a few hundred microseconds, so an
+   extra domain only pays for itself once it gets several thousand units
+   of bulk work (one conflict-graph triple, one CSR row).  With the
+   sharded-cursor scheduler below the per-chunk cost is a single
+   uncontended fetch-and-add, which moved the break-even down from 8192
+   units to 6144, set when a unit cost about a microsecond.  Measured
+   since, a G_k triple costs 0.46-0.53 us sequentially with the
+   sort-free build, against 0.87-1.33 us with the sorting one it
+   replaced (4-uniform hypergraphs, m = 384-1536, k = 3 and 5, 2-core
+   Intel Xeon VM).  The constant has not been retuned for that, so auto
+   adds a domain later than the per-triple cost alone would suggest. *)
 let auto_units_per_domain = 6144
 
 let effective_domains ~requested ~units ~slices =

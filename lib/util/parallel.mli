@@ -15,10 +15,11 @@ val auto_units_per_domain : int
 (** The calibration constant behind every [?domains:0] auto heuristic in
     the repository: one extra domain is justified per this many units of
     bulk work (a conflict-graph triple, a CSR row).  Measured against
-    the sharded-cursor scheduler: a Domain.spawn/join round trip costs a
-    few hundred microseconds, a unit costs on the order of a
-    microsecond, and the constant keeps spawn/join under ~10% of a
-    marginal domain's work. *)
+    the sharded-cursor scheduler when a unit cost about a microsecond: a
+    Domain.spawn/join round trip costs a few hundred microseconds, and
+    the constant kept spawn/join under ~10% of a marginal domain's work.
+    A conflict-graph triple now costs about half a microsecond; the
+    constant has not been recalibrated for that. *)
 
 val effective_domains : requested:int -> units:int -> slices:int -> int
 (** Resolve a caller's [?domains] request into the count actually used,

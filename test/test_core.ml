@@ -882,6 +882,59 @@ let prop_csr_build_matches_reference =
       G.equal (Cg.build h ~k).Cg.graph oracle
       && G.equal (Cg.build ~domains:2 h ~k).Cg.graph oracle)
 
+(* Instances for the wide G_k equality property.  Family 0 is
+   [hg_of]'s small random draw; the others make a slot's E_color run B
+   (the slots of e's other members in edges without v) longer than
+   Intsort's 16-entry insertion cutoff and deg v high: a star (vertex 0
+   in every edge), a 40-petal sunflower, rank-8 uniform edges, singleton
+   edges mixed with pairs and triples, and heavily overlapping
+   intervals. *)
+let gk_family_name = function
+  | 0 -> "random" | 1 -> "star" | 2 -> "sunflower40" | 3 -> "rank8"
+  | 4 -> "singletons" | _ -> "intervals"
+
+let arbitrary_gk_family =
+  QCheck.make
+    ~print:(fun (family, seed, k) ->
+      Printf.sprintf "%s seed=%d k=%d" (gk_family_name family) seed k)
+    QCheck.Gen.(
+      triple (int_bound 5) (int_bound 1000) (oneofl [ 1; 2; 3; 5 ]))
+
+let gk_family_hg family seed =
+  let rng = Rng.create seed in
+  let subset n size = List.init size (fun _ -> Rng.int rng n) in
+  match family with
+  | 0 -> hg_of (seed, 3 + (seed mod 13), 1 + (seed mod 10), 1 + (seed mod 3))
+  | 1 ->
+      H.of_edges 16
+        (List.init 12 (fun _ -> 0 :: subset 16 (1 + Rng.int rng 5)))
+  | 2 ->
+      Hgen.sunflower ~n_petals:40 ~core:(1 + (seed mod 3))
+        ~petal:(1 + (seed / 3 mod 2))
+  | 3 -> Hgen.uniform_random rng ~n:(10 + (seed mod 8)) ~m:12 ~k:8
+  | 4 ->
+      H.of_edges 10
+        (List.init 14 (fun i ->
+             if i mod 2 = 0 then [ Rng.int rng 10 ]
+             else subset 10 (2 + Rng.int rng 2)))
+  | _ -> Hgen.random_intervals rng ~n:24 ~m:18 ~min_len:8 ~max_len:16
+
+let prop_gk_families_match_reference =
+  QCheck.Test.make ~count:120
+    ~name:
+      "G_k = build_reference on wide families: build and \
+       Incremental.create at domains 0/1/2, k in 1,2,3,5"
+    arbitrary_gk_family (fun (family, seed, k) ->
+      let h = gk_family_hg family seed in
+      let oracle = (Ps_oracle.Conflict_graph.build_reference h ~k).Cg.graph in
+      List.for_all
+        (fun domains ->
+          G.equal (Cg.build ~domains h ~k).Cg.graph oracle
+          && G.equal
+               (Cg.Incremental.graph (Cg.Incremental.create ~domains h ~k))
+               oracle)
+        [ 0; 1; 2 ])
+
 let prop_engines_bit_identical =
   QCheck.Test.make ~count:40
     ~name:
@@ -909,7 +962,8 @@ let prop_engines_bit_identical =
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_lemma_a; prop_lemma_b; prop_theorem_11; prop_implicit_oracle_sound;
-      prop_csr_build_matches_reference; prop_engines_bit_identical ]
+      prop_csr_build_matches_reference; prop_engines_bit_identical;
+      prop_gk_families_match_reference ]
 
 let suites =
   [ ( "core.triple",

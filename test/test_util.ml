@@ -7,6 +7,7 @@ module Uf = Ps_util.Union_find
 module Pq = Ps_util.Pqueue
 module Stats = Ps_util.Stats
 module Table = Ps_util.Table
+module Intsort = Ps_util.Intsort
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -619,6 +620,55 @@ let prop_percentile_monotone =
       in
       mono values)
 
+(* Intsort: random sub-ranges of arrays with duplicates and negatives.
+   Lengths 0–200 put ranges on both sides of the 16-element
+   insertion-sort cutoff. *)
+let arbitrary_int_range =
+  QCheck.make
+    ~print:(fun (a, lo, hi) ->
+      Printf.sprintf "[%s] lo=%d hi=%d"
+        (String.concat "; " (Array.to_list (Array.map string_of_int a)))
+        lo hi)
+    QCheck.Gen.(
+      int_range 0 200 >>= fun len ->
+      array_size (return len)
+        (frequency
+           [ (8, int_range (-20) 20);
+             (1, oneofl [ min_int; max_int; -1_000_000; 1_000_000 ]) ])
+      >>= fun a ->
+      pair (int_bound len) (int_bound len) >|= fun (i, j) ->
+      (a, min i j, max i j))
+
+let sub_list a lo hi = Array.to_list (Array.sub a lo (hi - lo))
+
+let outside_untouched before after lo hi =
+  let ok = ref true in
+  Array.iteri
+    (fun i x -> if (i < lo || i >= hi) && x <> after.(i) then ok := false)
+    before;
+  !ok
+
+let prop_intsort_sort_range =
+  QCheck.Test.make ~count:500
+    ~name:"Intsort.sort_range sorts exactly [lo, hi) as a permutation"
+    arbitrary_int_range (fun (before, lo, hi) ->
+      let a = Array.copy before in
+      Intsort.sort_range a lo hi;
+      sub_list a lo hi = List.sort compare (sub_list before lo hi)
+      && outside_untouched before a lo hi)
+
+let prop_intsort_dedup =
+  QCheck.Test.make ~count:500
+    ~name:"Intsort.dedup_sorted_range keeps each value of a sorted range once"
+    arbitrary_int_range (fun (input, lo, hi) ->
+      let before = Array.copy input in
+      Intsort.sort_range before lo hi;
+      let a = Array.copy before in
+      let stop = Intsort.dedup_sorted_range a lo hi in
+      lo <= stop && stop <= hi
+      && sub_list a lo stop = List.sort_uniq compare (sub_list before lo hi)
+      && outside_untouched before a lo hi)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_bitset_roundtrip;
@@ -628,7 +678,9 @@ let props =
       prop_pqueue_sorts;
       prop_pqueue_model;
       prop_pqueue_rejects_out_of_range;
-      prop_percentile_monotone ]
+      prop_percentile_monotone;
+      prop_intsort_sort_range;
+      prop_intsort_dedup ]
 
 let suites =
   [ ( "util.rng",
