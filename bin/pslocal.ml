@@ -326,6 +326,11 @@ let solve_spec ?solver ?presolve ?k ~seed () =
   | Ok spec -> spec
   | Error e -> raise (Bad_input e.Ps_server.Protocol.message)
 
+let check_spec spec h =
+  match Ps_server.Protocol.check_spec spec h with
+  | Ok () -> ()
+  | Error e -> raise (Bad_input e.Ps_server.Protocol.message)
+
 let solver_names_doc =
   "greedy, caro-wei, caro-wei-x8, adversarial, exact, clique-removal, \
    portfolio"
@@ -345,6 +350,7 @@ let reduce input solver presolve k seed verbose trace json output cache
     Logs.Src.set_level Ps_core.Reduction.log_src (Some Logs.Debug);
   let spec = solve_spec ~solver ~presolve ?k ~seed () in
   let h = read_hypergraph input in
+  check_spec spec h;
   let result =
     with_trace trace (fun () ->
         match oneshot_cache ~cache ~no_cache with
@@ -896,6 +902,7 @@ let audit hypergraph graph coloring is_file ds_file solver k seed json =
       failwith "audit: pass exactly one of HYPERGRAPH or --graph"
   | Some path, None -> begin
       let h = read_hypergraph path in
+      check_spec spec h;
       match coloring with
       | Some cpath ->
           (* Certify a claimed coloring — the referee mode. *)

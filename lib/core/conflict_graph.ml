@@ -234,13 +234,28 @@ let i32_create len =
 (* Triple ids s·k + c are vertex ids of G_k, so the triple count nslots·k
    must fit the int32 store.  Checked before anything is sized by it, as
    k > limit / nslots: the product itself can wrap for a huge k. *)
-let check_triples tb ~k =
-  if tb.nslots > 0 && k > G.max_vertices / tb.nslots then
-    invalid_arg
+let triples_error ~k ~nslots =
+  if nslots > 0 && k > G.max_vertices / nslots then
+    Some
       (Printf.sprintf
-         "Conflict_graph: k * sum|e| = %d * %d triples exceeds the int32 id \
-          limit %d"
-         k tb.nslots G.max_vertices)
+         "k * sum|e| = %d * %d triples exceeds the int32 id limit %d" k nslots
+         G.max_vertices)
+  else None
+
+let check_k h ~k =
+  let nslots = ref 0 in
+  for e = 0 to H.n_edges h - 1 do
+    nslots := !nslots + H.edge_size h e
+  done;
+  match triples_error ~k ~nslots:!nslots with
+  | None -> Ok ()
+  | Some msg -> Error msg
+
+(* The backstop behind [check_k], for callers that skipped it. *)
+let check_triples tb ~k =
+  match triples_error ~k ~nslots:tb.nslots with
+  | None -> ()
+  | Some msg -> invalid_arg ("Conflict_graph: " ^ msg)
 
 (* Compute the CSR arrays of G_k, exactly sized.  [domains] must already
    be effective (>= 1, <= nslots).  Parallel runs use a single staged

@@ -33,16 +33,23 @@ type t = {
   k : int;
 }
 
+val check_k : Ps_hypergraph.Hypergraph.t -> k:int -> (unit, string) result
+(** [Error msg] when [G_k] would have more than
+    {!Ps_graph.Graph.max_vertices} triples ([k·Σ|e|]), which no int32
+    id can name.  O(m) and allocation-free: the wire's and the CLI's
+    solve-option checks run it on a fixed [k] before anything is
+    built. *)
+
 val build : ?domains:int -> Ps_hypergraph.Hypergraph.t -> k:int -> t
 (** Materialize [G_k].  Size is polynomial:
     [|V| = k·Σ|e|] and [|E| = O(k² · Σ_e |e|² · max-degree)].
 
     Triple ids are the vertex ids of [G_k]'s int32 adjacency store, so
     [build] raises [Invalid_argument] naming the triple count when
-    [k·Σ|e|] exceeds {!Ps_graph.Graph.max_vertices}, before it
-    allocates anything sized by [k].  The list-based reference builder
-    [Ps_oracle.Conflict_graph.build_reference] (test suite only) is the
-    differential oracle for this CSR build.
+    [k·Σ|e|] exceeds {!Ps_graph.Graph.max_vertices} (the {!check_k}
+    test), before it allocates anything sized by [k].  The list-based
+    reference builder [Ps_oracle.Conflict_graph.build_reference] (test
+    suite only) is the differential oracle for this CSR build.
 
     Builds the CSR representation directly: a counting pass sizes every
     adjacency row from a closed form per slot, and a fill pass writes

@@ -91,26 +91,12 @@ let gnp rng n p =
     Graph.of_edges n !acc
   end
 
-(* Growable endpoint pair collector feeding the direct-to-CSR
-   constructor — the only intermediates between an edge stream and the
-   finished (int32-backed, by default) graph. *)
+(* The edge stream goes straight into the shared endpoint buffer, the
+   only intermediate between the generator and the finished graph. *)
 let collect_pairs n iter =
-  let us = ref (Array.make 1024 0) and vs = ref (Array.make 1024 0) in
-  let len = ref 0 in
-  iter (fun u v ->
-      if !len = Array.length !us then begin
-        let grow a =
-          let b = Array.make (2 * Array.length a) 0 in
-          Array.blit a 0 b 0 (Array.length a);
-          b
-        in
-        us := grow !us;
-        vs := grow !vs
-      end;
-      !us.(!len) <- u;
-      !vs.(!len) <- v;
-      incr len);
-  Graph.of_unnormalized_pairs n ~u:!us ~v:!vs ~len:!len
+  let pairs = Graph.Pairs.create () in
+  iter (Graph.Pairs.push pairs);
+  Graph.of_unnormalized_pairs n pairs
 
 let huge_gnp rng n p = collect_pairs n (iter_gnp rng n p)
 

@@ -41,8 +41,8 @@ val iter_gnp : Ps_util.Rng.t -> int -> float -> (int -> int -> unit) -> unit
 
 val huge_gnp : Ps_util.Rng.t -> int -> float -> Graph.t
 (** {!iter_gnp} collected through {!Graph.of_unnormalized_pairs}: no
-    edge list, no hashing — peak memory is two endpoint arrays plus the
-    CSR (int32-backed by default).  Same distribution as {!gnp}; vertex
+    edge list, no hashing — peak memory is one int32 endpoint buffer
+    ({!Graph.Pairs}) plus the CSR.  Same distribution as {!gnp}; vertex
     ids and edge set coincide for the same seed. *)
 
 val iter_rmat :

@@ -40,16 +40,6 @@ let[@inline] get (a : i32) i = Int32.to_int (Bigarray.Array1.get a i)
 let i32_create len =
   Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout len
 
-(* The one narrowing step of the int-array builders: their scratch
-   store's first offsets.(n) entries become the graph's int32 store. *)
-let narrow n offsets a =
-  let total = offsets.(n) in
-  let a32 = i32_create total in
-  for i = 0 to total - 1 do
-    Bigarray.Array1.unsafe_set a32 i (Int32.of_int (Array.unsafe_get a i))
-  done;
-  { n; offsets; adj = a32; exact = true }
-
 let n_vertices g = g.n
 
 let n_edges g = g.offsets.(g.n) / 2
@@ -85,7 +75,11 @@ let of_normalized_edges n edges =
   for v = 0 to n - 1 do
     Ps_util.Intsort.sort_range adj offsets.(v) (offsets.(v) + deg.(v))
   done;
-  narrow n offsets adj
+  let a32 = i32_create offsets.(n) in
+  Array.iteri
+    (fun i x -> Bigarray.Array1.unsafe_set a32 i (Int32.of_int x))
+    adj;
+  { n; offsets; adj = a32; exact = true }
 
 let normalize n edges =
   (* Dedup on the int-pair encoding u·n + v (u < v): monomorphic int
@@ -221,81 +215,143 @@ let of_sorted_edge_array ?validate n edges =
   for v = 0 to n - 1 do
     offsets.(v + 1) <- offsets.(v) + deg.(v)
   done;
-  let adj = Array.make offsets.(n) 0 in
+  let adj = i32_create offsets.(n) in
   let cursor = Array.copy offsets in
   (* Lexicographic input order writes every row in increasing order: for a
      fixed row w, all back-edges (u, w) are scanned before any forward
      edge (w, x) — their first components satisfy u < w — and each group
      arrives in increasing order, with u < w < x throughout.  So no
-     per-row sort is needed. *)
+     per-row sort is needed, and the rows go straight into the int32
+     store. *)
   Array.iter
     (fun (u, v) ->
-      adj.(cursor.(u)) <- v;
+      Bigarray.Array1.set adj cursor.(u) (Int32.of_int v);
       cursor.(u) <- cursor.(u) + 1;
-      adj.(cursor.(v)) <- u;
+      Bigarray.Array1.set adj cursor.(v) (Int32.of_int u);
       cursor.(v) <- cursor.(v) + 1)
     edges;
-  narrow n offsets adj
+  { n; offsets; adj; exact = true }
 
-(* Direct-to-CSR from unnormalized endpoint arrays — the streaming
-   constructor behind [Gio.read_file] and the huge generators.  Each
-   edge appears once as (u.(i), v.(i)) in either orientation; duplicates
-   are collapsed, self-loops rejected, nothing is materialized beyond
-   the CSR being built (no lists, no hash tables): count, fill, per-row
-   sort (skipped for rows already in order), in-place adjacent dedup.
-   O(n + m log maxdeg); O(n + m) when every row arrives sorted. *)
-let of_unnormalized_pairs n ~u ~v ~len =
-  check_n "Graph.of_unnormalized_pairs" n;
-  if len < 0 || len > Array.length u || len > Array.length v then
-    invalid_arg "Graph.of_unnormalized_pairs: bad length";
-  let deg = Array.make (max n 1) 0 in
-  for i = 0 to len - 1 do
-    let a = u.(i) and b = v.(i) in
-    if a < 0 || a >= n || b < 0 || b >= n then
-      invalid_arg "Graph.of_unnormalized_pairs: endpoint out of range";
-    if a = b then invalid_arg "Graph.of_unnormalized_pairs: self-loop";
-    deg.(a) <- deg.(a) + 1;
-    deg.(b) <- deg.(b) + 1
-  done;
+(* Growable int32 endpoint buffer, pairs interleaved as u0 v0 u1 v1 ...
+   The one collector between an edge stream (a parsed file chunk, a
+   generator) and [of_pair_chunks].  The store is a Bigarray, so the
+   capacity a caller reserves up front is only address space until it
+   is written. *)
+module Pairs = struct
+  type t = { mutable buf : i32; mutable len : int }
+
+  let create ?(capacity = 1024) () =
+    { buf = i32_create (2 * max capacity 1); len = 0 }
+
+  let length p = p.len
+
+  let grow p =
+    let old = Bigarray.Array1.dim p.buf in
+    let b = i32_create (2 * old) in
+    Bigarray.Array1.blit p.buf (Bigarray.Array1.sub b 0 old);
+    p.buf <- b
+
+  (* One test rejects a negative id and one past the int32 range:
+     both set a bit at or above bit 31 of [u lor v]. *)
+  let push p u v =
+    if (u lor v) lsr 31 <> 0 then
+      invalid_arg "Graph.Pairs.push: endpoint outside [0, max_vertices]";
+    let i = 2 * p.len in
+    if i = Bigarray.Array1.dim p.buf then grow p;
+    Bigarray.Array1.unsafe_set p.buf i (Int32.of_int u);
+    Bigarray.Array1.unsafe_set p.buf (i + 1) (Int32.of_int v);
+    p.len <- p.len + 1
+end
+
+(* Direct-to-CSR from endpoint chunks — the streaming constructor behind
+   [Gio.read_file] and the huge generators.  Each edge appears once as a
+   pair in either orientation; duplicates are collapsed, self-loops and
+   out-of-range endpoints rejected.  Count degrees over the chunks in
+   order, turn the degree array into the fill cursor, write both
+   directions of every pair straight into the int32 store, then settle
+   each row: one that arrived strictly increasing (every row of a file
+   [Gio.write_file] wrote) is left as it is; any other goes through an
+   int scratch row to be sorted and deduped, and shrinks in place.  The
+   store is adopted as it stands when no row shrank, and compacted once
+   otherwise.  O(n + m) when every row arrives sorted. *)
+let of_pair_chunks n chunks =
+  check_n "Graph.of_pair_chunks" n;
+  let deg = Array.make n 0 in
+  Array.iter
+    (fun { Pairs.buf; len } ->
+      for i = 0 to len - 1 do
+        let a = get buf (2 * i) and b = get buf ((2 * i) + 1) in
+        if a >= n || b >= n then
+          invalid_arg "Graph.of_pair_chunks: endpoint out of range";
+        if a = b then invalid_arg "Graph.of_pair_chunks: self-loop";
+        deg.(a) <- deg.(a) + 1;
+        deg.(b) <- deg.(b) + 1
+      done)
+    chunks;
   let offsets = Array.make (n + 1) 0 in
+  let maxdeg = ref 0 in
   for x = 0 to n - 1 do
-    offsets.(x + 1) <- offsets.(x) + deg.(x)
+    let d = deg.(x) in
+    if d > !maxdeg then maxdeg := d;
+    offsets.(x + 1) <- offsets.(x) + d;
+    deg.(x) <- offsets.(x)
   done;
-  let adj = Array.make (max offsets.(n) 1) 0 in
-  let cursor = Array.copy offsets in
-  for i = 0 to len - 1 do
-    let a = u.(i) and b = v.(i) in
-    adj.(cursor.(a)) <- b;
-    cursor.(a) <- cursor.(a) + 1;
-    adj.(cursor.(b)) <- a;
-    cursor.(b) <- cursor.(b) + 1
-  done;
-  (* Sort each row, drop duplicate entries, compact leftwards; rewrite
-     offsets as we go.  The write head never passes the read head, so
-     the compaction is safe in place.  A row that arrived non-decreasing
-     (every row of a file [Gio.write_file] wrote) skips the sort; the
-     check stops at the first inversion. *)
-  let w = ref 0 in
+  let cursor = deg and adj = i32_create offsets.(n) in
+  Array.iter
+    (fun { Pairs.buf; len } ->
+      for i = 0 to len - 1 do
+        let a = get buf (2 * i) and b = get buf ((2 * i) + 1) in
+        Bigarray.Array1.unsafe_set adj cursor.(a) (Int32.of_int b);
+        cursor.(a) <- cursor.(a) + 1;
+        Bigarray.Array1.unsafe_set adj cursor.(b) (Int32.of_int a);
+        cursor.(b) <- cursor.(b) + 1
+      done)
+    chunks;
+  (* The cursor now holds each row's end; a settled row that shrank
+     moves its end down and counts what it dropped. *)
+  let row = Array.make !maxdeg 0 in
+  let dropped = ref 0 in
   for x = 0 to n - 1 do
-    let lo = offsets.(x) and hi = offsets.(x + 1) in
+    let lo = offsets.(x) and hi = cursor.(x) in
     let i = ref (lo + 1) in
-    while !i < hi && adj.(!i - 1) <= adj.(!i) do
+    while !i < hi && get adj (!i - 1) < get adj !i do
       incr i
     done;
-    if !i < hi then Ps_util.Intsort.sort_range adj lo hi;
-    offsets.(x) <- !w;
-    let prev = ref (-1) in
-    for i = lo to hi - 1 do
-      let y = adj.(i) in
-      if y <> !prev then begin
-        adj.(!w) <- y;
-        incr w;
-        prev := y
-      end
-    done
+    if !i < hi then begin
+      let len = hi - lo in
+      for j = 0 to len - 1 do
+        Array.unsafe_set row j (get adj (lo + j))
+      done;
+      Ps_util.Intsort.sort_range row 0 len;
+      let len' = Ps_util.Intsort.dedup_sorted_range row 0 len in
+      for j = 0 to len' - 1 do
+        Bigarray.Array1.unsafe_set adj (lo + j) (Int32.of_int row.(j))
+      done;
+      cursor.(x) <- lo + len';
+      dropped := !dropped + (len - len')
+    end
   done;
-  offsets.(n) <- !w;
-  narrow n offsets adj
+  let adj =
+    if !dropped = 0 then adj
+    else begin
+      let exact = i32_create (offsets.(n) - !dropped) in
+      let w = ref 0 in
+      for x = 0 to n - 1 do
+        let lo = offsets.(x) in
+        offsets.(x) <- !w;
+        for i = lo to cursor.(x) - 1 do
+          Bigarray.Array1.unsafe_set exact !w
+            (Bigarray.Array1.unsafe_get adj i);
+          incr w
+        done
+      done;
+      offsets.(n) <- !w;
+      exact
+    end
+  in
+  of_csr n ~offsets ~adj
+
+let of_unnormalized_pairs n pairs = of_pair_chunks n [| pairs |]
 
 let empty n = of_edges n []
 

@@ -14,7 +14,7 @@
     limit into a line-1 error.  The list constructors ({!of_edges},
     {!of_edge_array}) normalize through a hash table and are the
     differential oracle for the streaming constructor
-    {!of_unnormalized_pairs}. *)
+    {!of_pair_chunks}. *)
 
 type t
 
@@ -60,19 +60,49 @@ val of_csr_prefix : ?validate:bool -> int -> offsets:int array -> adj:i32 -> t
     Validation as in {!of_csr} (default: the [PSLOCAL_DEBUG] environment
     variable), with the length checks relaxed to [>=]. *)
 
-val of_unnormalized_pairs : int -> u:int array -> v:int array -> len:int -> t
-(** [of_unnormalized_pairs n ~u ~v ~len] builds CSR directly from the
-    first [len] endpoint pairs [(u.(i), v.(i))] — any orientation, any
-    order, duplicates collapsed — without materializing lists or hash
-    tables: count, fill, per-row sort, in-place dedup.  A row whose
-    entries arrive non-decreasing (as every row of a file written by
-    {!Gio.write_file} does) skips the sort, so sorted input builds in
-    O(n + m).  This is the
-    streaming constructor behind {!Gio.read_file} and the huge random
-    generators.  Self-loops and out-of-range endpoints raise
-    [Invalid_argument] (always — this path replaces normalization, so it
-    cannot defer validation).  [u] and [v] are scratch owned by the
-    caller and remain untouched. *)
+(** Growable int32 endpoint buffer: the one collector between an edge
+    stream and {!of_pair_chunks}.  {!Gio} fills one per file chunk and
+    {!Gen} one per generated graph. *)
+module Pairs : sig
+  type t
+
+  val create : ?capacity:int -> unit -> t
+  (** An empty buffer with room for [capacity] pairs (default 1024)
+      before it first doubles.  The room is reserved as address space
+      and only paged in as pairs are written. *)
+
+  val push : t -> int -> int -> unit
+  (** [push p u v] appends the pair [(u, v)].  Raises [Invalid_argument]
+      when [u] or [v] lies outside [[0, ]{!max_vertices}[]]; the range
+      [[0, n)] and self-loops are checked by the builder. *)
+
+  val length : t -> int
+  (** Pairs pushed so far. *)
+end
+
+val of_pair_chunks : int -> Pairs.t array -> t
+(** [of_pair_chunks n chunks] builds CSR directly from the pairs of
+    [chunks], read in array order — any orientation, any order,
+    duplicates collapsed — without lists, hash tables or an [int]
+    scratch store: count degrees, fill both directions of every pair
+    into the int32 store, then settle each row.  A row that arrived
+    strictly increasing (as every row of a file written by
+    {!Gio.write_file} does) is left as it is, so sorted input builds in
+    O(n + m); any other row is sorted and deduped through a scratch row
+    of max-degree length, and a store that lost entries that way is
+    compacted once.  Peak memory beyond the chunks is the degree and
+    offsets arrays plus the store (twice the store when duplicates were
+    dropped).  The result is adopted through {!of_csr}, so
+    [PSLOCAL_DEBUG] validates it.  Rows, offsets and {!content_hash} do
+    not depend on how the pairs are cut into chunks.  Self-loops and
+    endpoints outside [[0, n)] raise [Invalid_argument] (always — this
+    path replaces normalization, so it cannot defer validation).  The
+    chunks are only read. *)
+
+val of_unnormalized_pairs : int -> Pairs.t -> t
+(** [of_unnormalized_pairs n p] is [of_pair_chunks n [| p |]]: the same
+    single pass per step, O(n + m) on rows that arrive sorted and
+    O(n + m log maxdeg) otherwise. *)
 
 val of_sorted_edge_array : ?validate:bool -> int -> (int * int) array -> t
 (** [of_sorted_edge_array n edges] builds CSR directly from an edge array

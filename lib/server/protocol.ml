@@ -174,6 +174,16 @@ let solve_spec ?(solver = "greedy") ?(presolve = "kernel") ?k ?(seed = 0)
   let* k = positive "k" k in
   Ok { Ps_core.Solve_spec.solver; presolve; k; seed }
 
+(* A fixed k is checked against the instance before anything is built:
+   G_k's k·Σ|e| triple ids must fit its int32 store. *)
+let check_spec (spec : Ps_core.Solve_spec.t) h =
+  match spec.k with
+  | None -> Ok ()
+  | Some k ->
+      Result.map_error
+        (fun msg -> err Invalid_request "field \"k\": %s" msg)
+        (Ps_core.Conflict_graph.check_k h ~k)
+
 let solve_params params =
   let* hypergraph = hypergraph_payload params in
   let* solver = str_field params "solver" in
@@ -181,6 +191,7 @@ let solve_params params =
   let* k = int_field params "k" in
   let* seed = int_field params "seed" in
   let* spec = solve_spec ?solver ?presolve ?k ?seed () in
+  let* () = check_spec spec hypergraph in
   let* detail = bool_field params "detail" in
   Ok { hypergraph; spec; detail = Option.value detail ~default:false }
 

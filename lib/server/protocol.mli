@@ -120,6 +120,15 @@ val solve_spec :
     name and a non-positive [k] are {!Invalid_request} errors whose
     messages the CLI prints verbatim. *)
 
+val check_spec :
+  Ps_core.Solve_spec.t -> Ps_hypergraph.Hypergraph.t -> (unit, error) result
+(** The spec against the instance it will solve: a fixed [k] whose
+    [G_k] has more triples than int32 ids
+    ({!Ps_core.Conflict_graph.check_k}) is an {!Invalid_request}, found
+    before anything is built.  The
+    [reduce] and [certify] params run it after decoding; the CLI runs it
+    after reading the hypergraph. *)
+
 val presolve_of_name : string -> Ps_maxis.Kernel.choice option
 (** ["kernel"] or ["none"] — the wire/CLI names of the presolve knob. *)
 

@@ -711,29 +711,44 @@ let test_constructors_reject_huge_n () =
     [ ("of_edges", fun () -> G.of_edges n []);
       ("of_sorted_edge_array", fun () -> G.of_sorted_edge_array n [||]);
       ("of_unnormalized_pairs",
-       fun () -> G.of_unnormalized_pairs n ~u:[||] ~v:[||] ~len:0);
+       fun () -> G.of_unnormalized_pairs n (G.Pairs.create ()));
       ("of_csr", fun () -> G.of_csr n ~offsets:[| 0 |] ~adj:(i32 [||])) ]
+
+let outcome f = match f () with g -> Ok g | exception Failure m -> Error m
+
+let same_outcome a b =
+  match (a, b) with
+  | Ok g, Ok h -> G.equal g h
+  | Error x, Error y -> String.equal x y
+  | _ -> false
 
 (* Both front-ends, checked against the oracle: the same graph, or a
    [Failure] with exactly the oracle's message. *)
 let agrees_with_oracle text =
-  let outcome f = match f () with g -> Ok g | exception Failure m -> Error m in
-  let same a b =
-    match (a, b) with
-    | Ok g, Ok h -> G.equal g h
-    | Error x, Error y -> String.equal x y
-    | _ -> false
-  in
   let want = outcome (fun () -> oracle_of_edge_list text) in
-  same want (outcome (fun () -> Gio.of_edge_list text))
-  && same want
+  same_outcome want (outcome (fun () -> Gio.of_edge_list text))
+  && same_outcome want
        (outcome (fun () -> with_temp_file text Gio.read_file))
+
+(* Both front-ends with the body split across 1 to 4 domains, checked
+   against the oracle the same way: the graph and every message must
+   not depend on where the splits fall. *)
+let agrees_at_all_domains text =
+  let want = outcome (fun () -> oracle_of_edge_list text) in
+  with_temp_file text (fun path ->
+      List.for_all
+        (fun d ->
+          same_outcome want
+            (outcome (fun () -> Gio.of_edge_list ~domains:d text))
+          && same_outcome want
+               (outcome (fun () -> Gio.read_file ~domains:d path)))
+        [ 1; 2; 3; 4 ])
 
 (* A comment line longer than the 64 KiB read chunk (the buffer must
    grow), a data line that long too, and data lines laid across the
    chunk boundaries: the id "123" straddles byte 65536 exactly, and
    enough lines follow that every later refill cuts one as well. *)
-let test_io_chunk_boundaries () =
+let window_boundary_input () =
   let chunk = 65536 and n = 1000 in
   let avoid_loop u v = if u = v then (u, (v + 1) mod n) else (u, v) in
   let early = List.init 1000 (fun i -> avoid_loop i (((i * 7) + 1) mod n)) in
@@ -757,11 +772,82 @@ let test_io_chunk_boundaries () =
   in
   check_bool "\"123\" straddles the first boundary" true
     (String.equal (String.sub text (chunk - 2) 3) "123");
-  let want = G.of_edges n edges in
+  (text, G.of_edges n edges)
+
+let test_io_chunk_boundaries () =
+  let text, want = window_boundary_input () in
   check_bool "of_edge_list" true (G.equal want (Gio.of_edge_list text));
   check_bool "read_file" true
     (G.equal want (with_temp_file text Gio.read_file));
   check_bool "oracle agrees" true (agrees_with_oracle text)
+
+(* Split points swept over a body: a comment of [k] bytes after the
+   header shifts the body by [k] while each split point moves by about
+   k / d, so as [k] runs over twice the body's length every byte of the
+   body falls under a split at every domain count. *)
+let sweep_splits ?(step = 1) body =
+  let ok = ref true in
+  let k = ref 0 in
+  while !ok && !k <= 2 * String.length body do
+    let text = "9 7\n#" ^ String.make !k '.' ^ "\n" ^ body in
+    if not (agrees_at_all_domains text) then begin
+      ok := false;
+      Printf.printf "disagreement at pad %d: %S\n" !k text
+    end;
+    k := !k + step
+  done;
+  !ok
+
+(* Seven edges among CRLF endings, tabs, comment lines (one holding a
+   pair), blank and whitespace-only lines, and no trailing newline. *)
+let split_body_lines =
+  [ "0 1\r"; "# comment 5 6"; ""; "2\t3\r"; " \t"; "4 5"; "# x\r"; "6\t 7\r";
+    ""; "1 8"; "3\t 4"; "0 8" ]
+
+let test_io_split_clean () =
+  check_bool "every split agrees" true
+    (sweep_splits (String.concat "\n" split_body_lines))
+
+(* One bad line at a random position, and sometimes a second one after
+   it: the first in file order must win whichever chunk it lands in. *)
+let test_io_split_bad_line () =
+  let rng = Rng.create 2024 in
+  let bad = [| "1 1"; "0 9"; "x 1"; "0 1 2"; "-1 0"; "0 1#" |] in
+  for _ = 1 to 6 do
+    let lines = Array.of_list split_body_lines in
+    let insert lines =
+      let at = Rng.int rng (Array.length lines + 1) in
+      let line = bad.(Rng.int rng (Array.length bad)) in
+      Array.concat
+        [ Array.sub lines 0 at; [| line |];
+          Array.sub lines at (Array.length lines - at) ]
+    in
+    let lines = insert lines in
+    let lines = if Rng.bool rng then insert lines else lines in
+    let body = String.concat "\n" (Array.to_list lines) in
+    check_bool body true (sweep_splits ~step:3 body)
+  done
+
+(* Inputs with fewer body lines, or bytes, than domains. *)
+let test_io_split_tiny () =
+  List.iter
+    (fun text ->
+      check_bool (String.escaped text) true (agrees_at_all_domains text))
+    [ "3 1\n0 1\n"; "3 1\n0 1"; "3 0\n"; "3 0"; "3 1\n\n0 1\n"; "3 2\n0 1\n1 2";
+      "3 1\n1 1\n"; "3 2\n0 1\n"; "# c\n3 1\r\n\t0 2\r\n" ]
+
+(* The 64 KiB window tests at every domain count: the split points of
+   3 and 4 domains fall inside the 70 KB comment line and the 65 KB
+   data line, which the chunk before reads whole and the chunk after
+   skips. *)
+let test_io_split_long_lines () =
+  let text, want = window_boundary_input () in
+  List.iter
+    (fun d ->
+      check_bool (Printf.sprintf "of_edge_list %d" d) true
+        (G.equal want (Gio.of_edge_list ~domains:d text)))
+    [ 2; 3; 4 ];
+  check_bool "every domain count agrees" true (agrees_at_all_domains text)
 
 (* Reading ~10^5 edges must not allocate on the minor heap per line:
    the endpoint and CSR arrays are large enough to go straight to the
@@ -1052,6 +1138,14 @@ let prop_io_scanner_matches_oracle =
 (* The pair orders that take each branch of the per-row sortedness
    check: sorted and duplicate-laden sorted rows skip the sort,
    reverse-sorted and shuffled rows take it. *)
+let prop_io_split_matches_oracle =
+  QCheck.Test.make ~count:100
+    ~name:"split edge-list readers at 1-4 domains = line-based oracle"
+    (QCheck.make
+       ~print:(fun seed -> Printf.sprintf "%S" (mangled_edge_list seed))
+       (QCheck.Gen.int_bound 1_000_000))
+    (fun seed -> agrees_at_all_domains (mangled_edge_list seed))
+
 let prop_unnormalized_pairs_orders =
   QCheck.Test.make ~count:100
     ~name:"of_unnormalized_pairs = of_edges on sorted/reversed/shuffled/dup"
@@ -1071,9 +1165,9 @@ let prop_unnormalized_pairs_orders =
         dups;
       List.for_all
         (fun pairs ->
-          let len = Array.length pairs in
-          let u = Array.map fst pairs and v = Array.map snd pairs in
-          G.equal g (G.of_unnormalized_pairs n ~u ~v ~len))
+          let buf = G.Pairs.create () in
+          Array.iter (fun (u, v) -> G.Pairs.push buf u v) pairs;
+          G.equal g (G.of_unnormalized_pairs n buf))
         [ sorted; reversed; shuffled; dups ])
 
 let prop_sorted_edge_array_fast_path =
@@ -1096,6 +1190,7 @@ let props =
       prop_io_roundtrip;
       prop_io_roundtrip_whitespace;
       prop_io_scanner_matches_oracle;
+      prop_io_split_matches_oracle;
       prop_unnormalized_pairs_orders;
       prop_sorted_edge_array_fast_path ]
 
@@ -1223,6 +1318,14 @@ let suites =
         Alcotest.test_case "overlong id" `Quick test_io_rejects_overlong_id;
         Alcotest.test_case "self-loop" `Quick test_io_rejects_self_loop;
         Alcotest.test_case "chunk boundaries" `Quick test_io_chunk_boundaries;
+        Alcotest.test_case "split points, clean body" `Quick
+          test_io_split_clean;
+        Alcotest.test_case "split points, bad lines" `Quick
+          test_io_split_bad_line;
+        Alcotest.test_case "split inputs smaller than domains" `Quick
+          test_io_split_tiny;
+        Alcotest.test_case "split inside long lines" `Quick
+          test_io_split_long_lines;
         Alcotest.test_case "read_file allocation" `Quick
           test_io_read_file_allocation ]
     );

@@ -190,6 +190,42 @@ let test_gio_streaming_roundtrip_1e6 () =
       let back = Gio.read_file path in
       check_bool "roundtrip equal" true (G.equal g back))
 
+(* The split reader is bit-identical to the one-domain reader on a
+   skewed R-MAT file for every domain count, and rejects what the
+   builder must: endpoints past [n], self-loops, negative ids. *)
+let test_gio_split_read_identical () =
+  let g = Gen.rmat (Rng.create 21) ~scale:12 ~edges:40_000 in
+  let path = Filename.temp_file "pslocal_scale" ".el" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Gio.write_file path g;
+      List.iter
+        (fun d ->
+          let back = Gio.read_file ~domains:d path in
+          check_bool
+            (Printf.sprintf "domains %d equal" d)
+            true (G.equal g back);
+          check_bool
+            (Printf.sprintf "domains %d hash" d)
+            true
+            (Int64.equal (G.content_hash g) (G.content_hash back)))
+        [ 0; 1; 2; 3 ]);
+  let rejects name f =
+    check_bool name true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  let one u v =
+    let p = G.Pairs.create () in
+    G.Pairs.push p u v;
+    p
+  in
+  rejects "endpoint >= n" (fun () -> G.of_pair_chunks 3 [| one 0 3 |]);
+  rejects "self-loop" (fun () ->
+      G.of_pair_chunks 3 [| G.Pairs.create (); one 2 2 |]);
+  rejects "negative id" (fun () -> one (-1) 0);
+  rejects "id past the int32 range" (fun () -> one 0 (G.max_vertices + 1))
+
 let test_gio_write_edges_file_stream () =
   (* Generator -> sink -> parser without materializing a graph on the
      write side; duplicates collapse on read, matching Gen.rmat. *)
@@ -282,10 +318,48 @@ let prop_unnormalized_pairs_oracle =
           in
           emit ();
           if Rng.bernoulli rng 0.3 then emit ());
+      let buf = G.Pairs.create () in
+      List.iter (fun (u, v) -> G.Pairs.push buf u v) !pairs;
+      G.equal g (G.of_unnormalized_pairs n buf))
+
+(* The chunked builder against the list oracle: every edge once in a
+   random orientation, a third of them again in the other one and some
+   again in the same, shuffled, then cut at random points into up to
+   six chunks (empty ones included).  The CSR must equal [of_edges] and
+   hash like it, and must pass full structural validation as an exact
+   store, which is what [PSLOCAL_DEBUG=1] runs on every ingest. *)
+let prop_pair_chunks_oracle =
+  QCheck.Test.make ~count:200
+    ~name:"of_pair_chunks over random chunkings = of_edges" arbitrary_gnp
+    (fun ((seed, n, _) as params) ->
+      let g = graph_of params in
+      let rng = Rng.create (seed + 91) in
+      let pairs = ref [] in
+      G.iter_edges g (fun u v ->
+          let u, v = if Rng.bool rng then (u, v) else (v, u) in
+          pairs := (u, v) :: !pairs;
+          if Rng.bernoulli rng 0.3 then pairs := (v, u) :: !pairs;
+          if Rng.bernoulli rng 0.2 then pairs := (u, v) :: !pairs);
       let pairs = Array.of_list !pairs in
+      Rng.shuffle_in_place rng pairs;
       let len = Array.length pairs in
-      let u = Array.map fst pairs and v = Array.map snd pairs in
-      G.equal g (G.of_unnormalized_pairs n ~u ~v ~len))
+      let cuts = Array.init (Rng.int rng 6) (fun _ -> Rng.int rng (len + 1)) in
+      Array.sort Int.compare cuts;
+      let bounds = Array.concat [ [| 0 |]; cuts; [| len |] ] in
+      let chunks =
+        Array.init (Array.length bounds - 1) (fun c ->
+            let p = G.Pairs.create ~capacity:1 () in
+            for i = bounds.(c) to bounds.(c + 1) - 1 do
+              G.Pairs.push p (fst pairs.(i)) (snd pairs.(i))
+            done;
+            p)
+      in
+      let h = G.of_pair_chunks n chunks in
+      let want = G.of_edges n (Array.to_list pairs) in
+      let v = G.csr_view h in
+      ignore
+        (G.of_csr ~validate:true n ~offsets:v.G.v_offsets ~adj:v.G.v_store);
+      G.equal want h && Int64.equal (G.content_hash want) (G.content_hash h))
 
 let prop_degree_sorted_layout_solvers =
   QCheck.Test.make ~count:100
@@ -337,6 +411,7 @@ let prop_incremental_domains =
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_unnormalized_pairs_oracle;
+      prop_pair_chunks_oracle;
       prop_degree_sorted_layout_solvers;
       prop_conflict_graph_domains;
       prop_incremental_domains ]
@@ -361,6 +436,8 @@ let suites =
     ( "scale.io",
       [ Alcotest.test_case "gio 1e6-edge roundtrip" `Quick
           test_gio_streaming_roundtrip_1e6;
+        Alcotest.test_case "gio split read identical" `Quick
+          test_gio_split_read_identical;
         Alcotest.test_case "write_edges_file stream" `Quick
           test_gio_write_edges_file_stream;
         Alcotest.test_case "hio streaming roundtrip" `Quick

@@ -159,6 +159,42 @@ let test_protocol_bad_params () =
                    [ ("hypergraph", Json.Str "2 1\n2 0 1");
                      ("solver", Json.Str "quantum") ] ) ])))
 
+(* A k whose G_k would need more triple ids than int32 holds is the
+   caller's error, found at decode time: invalid_request naming the
+   triple count, never the builder's [Invalid_argument] surfacing as
+   internal.  The sunflower-ish payload has sum|e| = 6; 2^31 / 6 is
+   the first k past the limit. *)
+let test_protocol_k_past_triple_limit () =
+  let line meth k =
+    Json.to_string
+      (Json.Obj
+         [ ("id", Json.Int 1); ("method", Json.Str meth);
+           ( "params",
+             Json.Obj
+               [ ("hypergraph", Json.Str "4 2\n3 0 1 2\n3 1 2 3");
+                 ("k", Json.Int k) ] ) ])
+  in
+  let limit = Ps_graph.Graph.max_vertices / 6 in
+  List.iter
+    (fun meth ->
+      (match P.parse_request (line meth (limit + 1)) with
+      | Ok _ -> Alcotest.failf "%s accepted k = %d" meth (limit + 1)
+      | Error (_, e) ->
+          check_string "code" "invalid_request" (P.error_code_string e.P.code);
+          check_string "message"
+            (Printf.sprintf
+               "field \"k\": k * sum|e| = %d * 6 triples exceeds the int32 \
+                id limit 2147483647"
+               (limit + 1))
+            e.P.message);
+      check_string "k = 2^62" "invalid_request"
+        (code_of (line meth (1 lsl 62)));
+      match P.parse_request (line meth limit) with
+      | Ok _ -> ()
+      | Error (_, e) ->
+          Alcotest.failf "%s rejected k at the limit: %s" meth e.P.message)
+    [ "reduce"; "certify" ]
+
 (* ------------------------------------------------------------------ *)
 (* Engine: reply collection helpers *)
 
@@ -1086,7 +1122,9 @@ let suites =
           test_protocol_bad_hypergraph_ids;
         Alcotest.test_case "graph self-loop" `Quick
           test_protocol_graph_self_loop;
-        Alcotest.test_case "bad params" `Quick test_protocol_bad_params ] );
+        Alcotest.test_case "bad params" `Quick test_protocol_bad_params;
+        Alcotest.test_case "k past the triple limit" `Quick
+          test_protocol_k_past_triple_limit ] );
     ( "server.engine",
       [ Alcotest.test_case "overload shed" `Quick test_engine_overload_shed;
         Alcotest.test_case "timeout cancels" `Quick

@@ -151,6 +151,31 @@ let test_reduction_phase_spans_match_records () =
       check "is_size = 12" 12 (int_field sp "is_size")
   | _ -> Alcotest.fail "sunflower greedy run should be a single phase"
 
+(* [Gio.read_file] is one [gio.read] span carrying the input's size
+   and the domain count it used; a 120-byte file stays on one domain
+   under auto, and an explicit request is what the field reports. *)
+let test_gio_read_span () =
+  let path = Filename.temp_file "pslocal" ".graph" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let text = "6 5\n0 1\n1 2\n2 3\n3 4\n4 5\n" in
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      with_recorder ~enabled:true (fun () ->
+          List.iter
+            (fun (domains, want) ->
+              Tm.reset ();
+              ignore (Ps_graph.Gio.read_file ~domains path);
+              match Tm.find_spans "gio.read" with
+              | [ sp ] ->
+                  check "gio.bytes" (String.length text)
+                    (int_field sp "gio.bytes");
+                  check "gio.domains_effective" want
+                    (int_field sp "gio.domains_effective")
+              | l -> Alcotest.failf "expected one gio.read span, got %d"
+                       (List.length l))
+            [ (0, 1); (2, 2) ]))
+
 let suites =
   [ ( "util.telemetry",
       [ Alcotest.test_case "disabled records nothing" `Quick
@@ -164,4 +189,5 @@ let suites =
         Alcotest.test_case "json lines shape" `Quick
           test_json_lines_parse_shape;
         Alcotest.test_case "phase spans match phase records" `Quick
-          test_reduction_phase_spans_match_records ] ) ]
+          test_reduction_phase_spans_match_records;
+        Alcotest.test_case "gio.read span" `Quick test_gio_read_span ] ) ]
