@@ -44,6 +44,16 @@ let shrink_ratio s =
 
 let default_rule_cap = 16
 
+(* Work budget of the quadratic tier (the degree >= 3 branch of
+   [reduce]): it runs while the row entries it has walked stay within
+   [tier_base + tier_per_removed * removed], [removed] counting the
+   vertices its rules retired.  Where the tier pays (4-uniform [G_3]:
+   one removal per 356-1319 entries) the budget never runs out; where
+   it removes nothing (G(n,p) at average degree 8) it runs out after
+   a few thousand gate checks.  Measured basis in kernel.mli. *)
+let tier_base = 1 lsl 16
+let tier_per_removed = 4096
+
 (* Mutable working graph, copy-on-write over the input CSR.  A row
    starts {e borrowed}: it is read in place from the input graph's
    adjacency store, at [offsets.(v)], and [own.(v)] is the empty array.
@@ -77,6 +87,7 @@ type work = {
   (* generation-stamped scratch marks for neighborhood scans *)
   mark : int array;
   mutable gen : int;
+  mutable walked : int;  (* row entries the quadratic tier has walked *)
 }
 
 (* Entry [i] of the row whose owned array is [r] and whose input row
@@ -191,12 +202,16 @@ let witness w a v gen =
   compact_row w a;
   let r = w.own.(a) and base = w.offsets.(a) in
   let n = w.len.(a) in
-  let rec go i =
-    i < n
-    && (let x = entry w r base i in
-        (x <> v && Array.unsafe_get w.mark x = gen) || go (i + 1))
-  in
-  go 0
+  let i = ref 0 in
+  while
+    !i < n
+    && (let x = entry w r base !i in
+        x = v || Array.unsafe_get w.mark x <> gen)
+  do
+    incr i
+  done;
+  w.walked <- w.walked + min n (!i + 1);
+  !i < n
 
 (* Write the survivors' live rows as the kernel CSR, renumbered
    through the monotone [to_kernel] map, straight into an int32 store
@@ -262,7 +277,8 @@ let reduce ?(rule_cap = default_rule_cap) g =
       cursor = 0;
       cap = rule_cap;
       mark = Array.make n 0;
-      gen = 0 }
+      gen = 0;
+      walked = 0 }
   in
   let journal = ref [] in
   let isolated = ref 0
@@ -270,7 +286,7 @@ let reduce ?(rule_cap = default_rule_cap) g =
   and folds = ref 0
   and simplicial = ref 0
   and dominated = ref 0 in
-  let scans = ref 0 and scan_skips = ref 0 in
+  let scans = ref 0 and scan_skips = ref 0 and removed = ref 0 in
   for v = 0 to n - 1 do
     bucket_push w v
   done;
@@ -326,6 +342,7 @@ let reduce ?(rule_cap = default_rule_cap) g =
   let scan v d gen =
     let all_clique = ref true and drop = ref (-1) in
     let r = w.own.(v) and base = w.offsets.(v) in
+    w.walked <- w.walked + w.len.(v);
     for i = 0 to w.len.(v) - 1 do
       let u = entry w r base i in
       if Array.unsafe_get w.alive u then
@@ -347,6 +364,7 @@ let reduce ?(rule_cap = default_rule_cap) g =
             then incr c;
             incr j
           done;
+          w.walked <- w.walked + !j;
           if !c >= d then begin
             if !drop < 0 then drop := u
           end
@@ -355,13 +373,16 @@ let reduce ?(rule_cap = default_rule_cap) g =
     done;
     if !all_clique then begin
       take v (live_neighbors w v);
-      incr simplicial
+      incr simplicial;
+      removed := !removed + d + 1
     end
     else if !drop >= 0 then begin
       kill w !drop;
-      incr dominated
+      incr dominated;
+      incr removed
     end
   in
+  let tier_spent () = w.walked > tier_base + (tier_per_removed * !removed) in
   let process v =
     let d = w.deg.(v) in
     if d = 0 then begin
@@ -388,16 +409,19 @@ let reduce ?(rule_cap = default_rule_cap) g =
         incr folds
       end
     end
-    else begin
+    else if not (tier_spent ()) then begin
       (* One pass over v's row stamps N[v], sums the neighbor degrees
          for the budget below and picks the live neighbor [a] of least
-         degree for the witness gate. *)
+         degree for the witness gate.  Only the tier moves [w.walked]
+         and [removed], so once its budget is spent it stays off and a
+         vertex popped here costs only its pop. *)
       compact_row w v;
       w.gen <- w.gen + 1;
       let gen = w.gen in
       w.mark.(v) <- gen;
       let r = w.own.(v) and base = w.offsets.(v) in
       let sdeg = ref 0 and a = ref (-1) and da = ref max_int in
+      w.walked <- w.walked + w.len.(v);
       for i = 0 to w.len.(v) - 1 do
         let u = entry w r base i in
         if Array.unsafe_get w.alive u then begin
@@ -438,7 +462,10 @@ let reduce ?(rule_cap = default_rule_cap) g =
   if Tm.enabled () then begin
     Tm.count "kernel.scans" !scans;
     Tm.count "kernel.scan_skips" !scan_skips;
-    Tm.count "kernel.rows_owned" w.owned
+    Tm.count "kernel.rows_owned" w.owned;
+    Tm.count "kernel.quadratic_work" w.walked;
+    Tm.count "kernel.quadratic_removed" !removed;
+    Tm.count "kernel.quadratic_exhausted" (Bool.to_int (tier_spent ()))
   end;
   (* Renumber the survivors; [to_kernel] is monotone. *)
   let to_kernel = Array.make n (-1) in

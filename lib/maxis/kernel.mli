@@ -5,8 +5,8 @@
     isolated-clique (simplicial) removal and neighborhood domination —
     before any solver runs.  Rules are applied worklist-style off a
     [nodes_by_degree] bucket structure, so the whole pass is linear in
-    the graph volume (plus a bounded per-vertex neighborhood scan capped
-    by [rule_cap]).
+    the graph volume (plus per-vertex neighborhood scans, each capped by
+    [rule_cap] and all of them by the tier budget below).
 
     {b Witness gate.}  The simplicial/domination scan at a vertex [v] of
     degree [d >= 3] walks one row per neighbor.  Before it runs, one
@@ -21,6 +21,25 @@
     changes the kernel, the journal or the stats.  A traced run counts
     scans run and scans skipped as [kernel.scans] and
     [kernel.scan_skips].
+
+    {b Tier budget.}  The degree [>= 3] branch — stamp pass, witness
+    gate and scan, the quadratic tier — runs only while the row entries
+    it has walked stay within [2^16 + 4096 · removed], where [removed]
+    counts the vertices its rules retired ([|N[v]|] per simplicial take,
+    1 per dominated deletion).  The check comes before the stamp pass,
+    and only the tier moves either count, so once the budget is spent
+    the tier stays off for the rest of the call and a degree [>= 3]
+    vertex costs only its pop; the degree-0/1/2 rules run on as before.
+    The constants are measured, not tuned per input: on [G_3] of
+    reduce-lambda's largest shape (4-uniform, m = 1 536, seeds 1–30)
+    the tier walks 1.1–8.8 k entries in all and, where it fires,
+    removes one vertex per 356–1 319 of them, while G(n,p) at average
+    degree 8 walks about 14 entries per gate check and, on the suite's
+    n = 500 000 instance, 8.0 M entries over 569 401 checks for no
+    removal at all.  The budget is a count, not a time, so the same
+    input gives the same kernel on every run.  A traced run counts
+    [kernel.quadratic_work] (entries walked), [kernel.quadratic_removed]
+    and [kernel.quadratic_exhausted] (0 or 1) once per call.
 
     Every rule is α-preserving: an undo journal records
     enough to translate {e any} independent set of the kernel back to an
@@ -61,7 +80,10 @@ type t
 val reduce : ?rule_cap:int -> Ps_graph.Graph.t -> t
 (** [reduce g] applies the reduction rules to a fixed point (relative to
     the triggering discipline: every vertex is re-examined whenever its
-    degree changes).  [rule_cap] bounds the degree up to which the
+    degree changes) while the quadratic tier's budget lasts; after it is
+    spent, the fixed point is that of the degree-0/1/2 rules alone, and
+    a simplicial or dominated vertex at degree [>= 3] can stay in the
+    kernel.  [rule_cap] bounds the degree up to which the
     quadratic-per-vertex simplicial/domination scan is attempted
     (default 16); vertices above the cap are still reduced once enough
     neighbors retire.  The input graph is not modified, and when no

@@ -175,19 +175,19 @@ let golden =
      0xb2adbb765fe59ad0L, [ 144; 1470; 144; 1470; 0; 0; 0; 0; 0 ],
      16, 0x1e9044ba1aca091L) ]
 
+let check_pin (name, mk, hash, stats, lift_size, lift_hash) =
+  let r = Kn.reduce (mk ()) in
+  let k = Kn.graph r in
+  Alcotest.(check int64) (name ^ ": kernel hash") hash (G.content_hash k);
+  Alcotest.(check (list int)) (name ^ ": stats") stats
+    (stats_list (Kn.stats r));
+  let s = Ps_maxis.Greedy.in_order k (Array.init (G.n_vertices k) Fun.id) in
+  let l = Kn.lift r s in
+  check (name ^ ": lift size") lift_size (B.cardinal l);
+  Alcotest.(check int64) (name ^ ": lift hash") lift_hash (set_hash l)
+
 let test_golden_pins () =
-  List.iter
-    (fun (name, mk, hash, stats, lift_size, lift_hash) ->
-      let r = Kn.reduce (mk ()) in
-      let k = Kn.graph r in
-      Alcotest.(check int64) (name ^ ": kernel hash") hash (G.content_hash k);
-      Alcotest.(check (list int)) (name ^ ": stats") stats
-        (stats_list (Kn.stats r));
-      let s = Ps_maxis.Greedy.in_order k (Array.init (G.n_vertices k) Fun.id) in
-      let l = Kn.lift r s in
-      check (name ^ ": lift size") lift_size (B.cardinal l);
-      Alcotest.(check int64) (name ^ ": lift hash") lift_hash (set_hash l))
-    golden;
+  List.iter check_pin golden;
   (* The corpus reaches both scan rules (stats fields 7 and 8). *)
   let fires i =
     List.exists (fun (_, _, _, st, _, _) -> List.nth st i > 0) golden
@@ -257,6 +257,77 @@ let test_gate_simplicial_clique () =
     [ 13; 24; 8; 12; 0; 0; 0; 1; 0 ] (stats_list (Kn.stats r));
   check_bool "kernel is Q_3" true (G.equal (Gen.hypercube 3) (Kn.graph r));
   Alcotest.(check (pair int int)) "scans, skips" (1, 8) (scan_counters g)
+
+(* ------------------------------------------------------------------ *)
+(* Quadratic tier budget *)
+
+(* kernel.quadratic_exhausted of one traced [reduce]. *)
+let exhausted g =
+  traced g (fun () -> Tm.counter_value "kernel.quadratic_exhausted")
+
+(* Q_d plus [count] disjoint K_size on the ids after the cube's. *)
+let cube_with_cliques d count size =
+  let q = Gen.hypercube d in
+  let n0 = G.n_vertices q in
+  let k = Gen.disjoint_cliques count size in
+  let shift = List.map (fun (u, v) -> (n0 + u, n0 + v)) (G.edges k) in
+  G.of_edges (n0 + G.n_vertices k) (G.edges q @ shift)
+
+let test_budget_spent_keeps_cliques () =
+  (* Q_13 is triangle-free and 13-regular: each gate check walks v's
+     row and its neighbor's, 26 entries, and removes nothing (213 k
+     entries over all 8 192 vertices), so the budget is spent after
+     about 2 500 checks, before the degree-14 bucket where the K_15
+     centers wait.  The kernel keeps the cliques; the lift is still an
+     independent, maximal set. *)
+  let g = cube_with_cliques 13 20 15 in
+  let r = Kn.reduce g in
+  Alcotest.(check (list int)) "stats"
+    [ 8492; 55348; 8492; 55348; 0; 0; 0; 0; 0 ] (stats_list (Kn.stats r));
+  check "exhausted" 1 (exhausted g);
+  let k = Kn.graph r in
+  let l =
+    Kn.lift r (Ps_maxis.Greedy.in_order k (Array.init (G.n_vertices k) Fun.id))
+  in
+  check_bool "independent" true (Is.is_independent g l);
+  check_bool "maximal" true (Is.is_maximal g l);
+  (* Controls: Q_8's checks stay under the allowance, and K_5 centers
+     are popped at degree 4, before Q_13 spends it. *)
+  List.iter
+    (fun (name, g) ->
+      check (name ^ ": simplicial") 20 (Kn.stats (Kn.reduce g)).Kn.simplicial;
+      check (name ^ ": exhausted") 0 (exhausted g))
+    [ ("Q_8 + 20 K_15", cube_with_cliques 8 20 15);
+      ("Q_13 + 20 K_5", cube_with_cliques 13 20 5) ]
+
+(* Kernels recorded before the tier had a budget, like [golden], with
+   the last field kernel.quadratic_exhausted.  The first input is
+   reduce-lambda's largest shape, on the seed in 1..30 where the tier
+   removes most (15 dominated deletions) — all within its allowance;
+   on the second the tier spends the budget and the kernel loses
+   nothing. *)
+let budget_pins =
+  [ ("G_3 4-uniform m=1536",
+     (fun () ->
+       let h =
+         Ps_hypergraph.Hgen.uniform_random (Rng.create 18) ~n:2048 ~m:1536
+           ~k:4
+       in
+       (Ps_core.Conflict_graph.build h ~k:3).Ps_core.Conflict_graph.graph),
+     0x2df25ae16746b4edL,
+     [ 18432; 322200; 18417; 322023; 0; 0; 0; 0; 15 ],
+     1528, 0xe8fc983156d0b241L, 0);
+    ("gnp n=1e5 p=8e-5", (fun () -> Gen.huge_gnp (Rng.create 1) 100_000 8e-5),
+     0xe3c32913580c10afL,
+     [ 100000; 400200; 97312; 395587; 42; 283; 1040; 0; 0 ],
+     27649, 0xa764cdc28dcdc7acL, 1) ]
+
+let test_budget_same_kernel () =
+  List.iter
+    (fun (name, mk, hash, stats, lift_size, lift_hash, spent) ->
+      check_pin (name, mk, hash, stats, lift_size, lift_hash);
+      check (name ^ ": exhausted") spent (exhausted (mk ())))
+    budget_pins
 
 (* ------------------------------------------------------------------ *)
 (* Direct CSR emit *)
@@ -659,6 +730,10 @@ let suites =
           test_gate_non_min_degree_witness;
         Alcotest.test_case "gate admits a hanging clique" `Quick
           test_gate_simplicial_clique;
+        Alcotest.test_case "spent budget keeps the cliques" `Quick
+          test_budget_spent_keeps_cliques;
+        Alcotest.test_case "budget keeps the kernel" `Quick
+          test_budget_same_kernel;
         Alcotest.test_case "emit sorts fold rows" `Quick test_emit_fold_rows;
         Alcotest.test_case "reduce leaves its input untouched" `Quick
           test_reduce_leaves_input_untouched;
