@@ -332,8 +332,7 @@ let check_spec spec h =
   | Error e -> raise (Bad_input e.Ps_server.Protocol.message)
 
 let solver_names_doc =
-  "greedy, caro-wei, caro-wei-x8, adversarial, exact, clique-removal, \
-   portfolio"
+  String.concat ", " (List.map fst Ps_server.Protocol.solvers)
 
 let presolve_arg =
   let doc =
@@ -353,22 +352,13 @@ let reduce input solver presolve k seed verbose trace json output cache
   check_spec spec h;
   let result =
     with_trace trace (fun () ->
-        match oneshot_cache ~cache ~no_cache with
-        | None ->
-            Ps_core.Pipeline.solve ~seed
-              ~k:(Ps_core.Solve_spec.k_choice spec)
-              ~presolve:spec.presolve ~solver:spec.solver h
-        | Some c ->
-            let result = Ps_cache.Cache.solve c spec h in
-            (* Same contract as Pipeline.solve: a failed certificate is
-               an error, not a result. *)
-            if not result.Ps_core.Pipeline.certificate.Ps_core.Certify.all_ok
-            then
-              failwith
-                (Format.asprintf "reduce: certificate failed: %a"
-                   Ps_core.Certify.pp result.Ps_core.Pipeline.certificate);
-            result)
+        Ps_server.Service.solve ?cache:(oneshot_cache ~cache ~no_cache) spec h)
   in
+  (* A failed certificate is an error, not a result. *)
+  if not result.certificate.all_ok then
+    failwith
+      (Format.asprintf "reduce: certificate failed: %a" Ps_core.Certify.pp
+         result.certificate);
   if json then begin
     print_json_result
       (Ps_server.Protocol.reduce_result ~detail:false result);
@@ -480,92 +470,10 @@ let verify_cmd =
 (* ------------------------------------------------------------------ *)
 (* mis *)
 
-(* One-shot graph requests go through the cache's opaque tier in --json
-   mode only: the stored payload is the rendered result object, so a hit
-   prints byte-identically to a fresh render.  The human-readable table
-   paths need the live structures and stay uncached. *)
-let cached_graph_json cache ~kind ~solver_name ~seed g render =
-  match cache with
-  | None -> render ()
-  | Some c -> (
-      match
-        Ps_cache.Cache.find_graph_result c ~kind ~solver_name ~seed g
-      with
-      | Some payload -> (
-          match Ps_server.Json.parse payload with
-          | Ok j -> j
-          | Error _ -> render ())
-      | None ->
-          let j = render () in
-          Ps_cache.Cache.store_graph_result c ~kind ~solver_name ~seed g
-            (Ps_server.Json.to_string j);
-          j)
-
 (* [--solver NAME] switches from the algorithm zoo to one MaxIS solver
-   with the kernelization front end: reduce, solve on the kernel, lift,
-   and certify (independent + maximal) on the original graph.  The
-   portfolio races its entries and reports every lane.  Uncached: the
-   point of this path is measuring the solve, not replaying it. *)
-let mis_with_solver g ~input ~name ~(spec : Ps_core.Solve_spec.t) ~json =
-  let module Is = Ps_maxis.Independent_set in
-  let module Kn = Ps_maxis.Kernel in
-  let module Json = Ps_server.Json in
-  let rng = Ps_util.Rng.create spec.seed in
-  let set, solver_name, entries, kstats =
-    if String.equal name "portfolio" then begin
-      let o = Ps_maxis.Portfolio.race rng g in
-      ( o.Ps_maxis.Portfolio.set,
-        "portfolio (winner: " ^ o.Ps_maxis.Portfolio.winner ^ ")",
-        o.Ps_maxis.Portfolio.sizes,
-        Some o.Ps_maxis.Portfolio.kernel_stats )
-    end
-    else begin
-      let base = spec.solver in
-      let effective = Ps_core.Solve_spec.solver_name spec in
-      match spec.presolve with
-      | `Kernel when not (Kn.is_presolved base) ->
-          let r = Kn.reduce g in
-          let ks = base.Ps_maxis.Approx.solve rng (Kn.graph r) in
-          Is.verify_exn (Kn.graph r) ks;
-          let set = Kn.lift r ks in
-          (set, effective, [ (effective, Is.size set) ], Some (Kn.stats r))
-      | _ ->
-          let set = base.Ps_maxis.Approx.solve rng g in
-          Is.verify_exn g set;
-          (set, effective, [ (effective, Is.size set) ], None)
-    end
-  in
-  let diags = Ps_check.Check_set.maximal_independent g set in
-  let certified = match diags with [] -> true | _ -> false in
-  let kernel_json (st : Kn.stats) =
-    Json.Obj
-      [ ("original_vertices", Json.Int st.Kn.original_vertices);
-        ("original_edges", Json.Int st.Kn.original_edges);
-        ("kernel_vertices", Json.Int st.Kn.kernel_vertices);
-        ("kernel_edges", Json.Int st.Kn.kernel_edges);
-        ("isolated", Json.Int st.Kn.isolated);
-        ("pendants", Json.Int st.Kn.pendants);
-        ("folds", Json.Int st.Kn.folds);
-        ("simplicial", Json.Int st.Kn.simplicial);
-        ("dominated", Json.Int st.Kn.dominated) ]
-  in
-  if json then
-    print_json_result
-      (Json.Obj
-         ([ ("solver", Json.Str solver_name);
-            ("size", Json.Int (Is.size set));
-            ("certified", Json.Bool certified);
-            ( "entries",
-              Json.List
-                (List.map
-                   (fun (n, sz) ->
-                     Json.Obj
-                       [ ("solver", Json.Str n); ("size", Json.Int sz) ])
-                   entries) ) ]
-         @
-         match kstats with
-         | Some st -> [ ("kernel", kernel_json st) ]
-         | None -> []))
+   with the kernelization front end, certified on the input graph. *)
+let print_maxis ~input ~json (o : Ps_server.Protocol.maxis_outcome) =
+  if json then print_json_result (Ps_server.Protocol.maxis_result o)
   else begin
     let t =
       Ps_util.Table.create
@@ -574,69 +482,61 @@ let mis_with_solver g ~input ~name ~(spec : Ps_core.Solve_spec.t) ~json =
     in
     List.iter
       (fun (n, sz) -> Ps_util.Table.add_row t [ n; string_of_int sz ])
-      entries;
+      o.entries;
     Ps_util.Table.print ~title:(Printf.sprintf "MaxIS on %s" input) t;
-    (match kstats with
-    | Some st ->
+    Option.iter
+      (fun (st : Ps_maxis.Kernel.stats) ->
         Format.printf "kernel: %d -> %d vertices, %d -> %d edges@."
-          st.Kn.original_vertices st.Kn.kernel_vertices st.Kn.original_edges
-          st.Kn.kernel_edges
-    | None -> ());
-    Format.printf "winner: %s (size %d)@." solver_name (Is.size set);
-    Format.printf "certified (independent + maximal): %b@." certified
+          st.original_vertices st.kernel_vertices st.original_edges
+          st.kernel_edges)
+      o.kernel;
+    Format.printf "winner: %s (size %d)@." o.solver
+      (Ps_maxis.Independent_set.size o.set);
+    Format.printf "certified (independent + maximal): %b@." o.certified
   end;
-  if not certified then exit 1
+  if not o.certified then exit 1
+
+let mis_label = function
+  | Ps_server.Protocol.Mis_greedy -> "greedy min-degree"
+  | Mis_luby -> "luby (LOCAL)"
+  | Mis_slocal -> "greedy (SLOCAL)"
+  | Mis_derandomized -> "derandomized (LOCAL, det.)"
+  | Mis_all -> "all"
 
 let mis input solver presolve seed trace json cache no_cache =
   input_errors @@ fun () ->
   let spec =
-    Option.map (fun name -> (name, solve_spec ~solver:name ~presolve ~seed ()))
-      solver
+    Option.map (fun solver -> solve_spec ~solver ~presolve ~seed ()) solver
   in
   with_trace trace @@ fun () ->
   let g = read_graph input in
   match spec with
-  | Some (name, spec) -> mis_with_solver g ~input ~name ~spec ~json
+  | Some spec -> print_maxis ~input ~json (Ps_server.Service.maxis spec g)
+  | None when json ->
+      (* Only --json is cached: a hit holds the rendered result object,
+         not the rows the table is drawn from. *)
+      print_json_result
+        (Ps_server.Service.run
+           ?cache:(oneshot_cache ~cache ~no_cache)
+           (Mis { graph = g; algo = Mis_all; seed }))
   | None ->
-  if json then
-    print_json_result
-      (cached_graph_json
-         (oneshot_cache ~cache ~no_cache)
-         ~kind:Ps_cache.Cache.Mis
-         ~solver_name:
-           (Ps_server.Protocol.mis_algo_name Ps_server.Protocol.Mis_all)
-         ~seed g
-         (fun () ->
-           Ps_server.Protocol.mis_result
-             (Ps_server.Service.mis_entries ~seed Ps_server.Protocol.Mis_all
-                g)))
-  else
-  let t =
-    Ps_util.Table.create
-      ~aligns:[ Ps_util.Table.Left; Ps_util.Table.Right; Ps_util.Table.Left ]
-      [ "algorithm"; "size"; "cost" ]
-  in
-  let module Is = Ps_maxis.Independent_set in
-  let greedy = Ps_maxis.Greedy.min_degree g in
-  Ps_util.Table.add_row t
-    [ "greedy min-degree"; string_of_int (Is.size greedy); "centralized" ];
-  let luby_flags, luby_stats = Ps_local.Luby.run ~seed g in
-  Ps_util.Table.add_row t
-    [ "luby (LOCAL)";
-      string_of_int (Is.size (Is.of_indicator luby_flags));
-      Printf.sprintf "%d rounds" luby_stats.Ps_local.Network.rounds ];
-  let slocal_flags, _ = Ps_slocal.Greedy_mis.run ~seed g in
-  Ps_util.Table.add_row t
-    [ "greedy (SLOCAL)";
-      string_of_int (Is.size (Is.of_indicator slocal_flags));
-      "locality 1" ];
-  let derand = Ps_slocal.Derandomize.mis g in
-  Ps_util.Table.add_row t
-    [ "derandomized (LOCAL, det.)";
-      string_of_int
-        (Is.size (Is.of_indicator derand.Ps_slocal.Derandomize.outputs));
-      Printf.sprintf "%d rounds" derand.Ps_slocal.Derandomize.simulated_rounds ];
-  Ps_util.Table.print ~title:(Printf.sprintf "MIS on %s" input) t
+      let t =
+        Ps_util.Table.create
+          ~aligns:Ps_util.Table.[ Left; Right; Left ]
+          [ "algorithm"; "size"; "cost" ]
+      in
+      List.iter
+        (fun (r : Ps_server.Protocol.mis_row) ->
+          let cost =
+            match (r.rounds, r.locality) with
+            | Some n, _ -> Printf.sprintf "%d rounds" n
+            | None, Some l -> Printf.sprintf "locality %d" l
+            | None, None -> "centralized"
+          in
+          Ps_util.Table.add_row t
+            [ mis_label r.algo; string_of_int r.size; cost ])
+        (Ps_server.Service.mis_rows ~seed Mis_all g);
+      Ps_util.Table.print ~title:(Printf.sprintf "MIS on %s" input) t
 
 let mis_cmd =
   let input =
@@ -669,15 +569,9 @@ let decompose input trace json cache no_cache =
         let g = read_graph input in
         if json then begin
           let result =
-            cached_graph_json
-              (oneshot_cache ~cache ~no_cache)
-              ~kind:Ps_cache.Cache.Decompose ~solver_name:"ball-carving"
-              ~seed:0 g
-              (fun () ->
-                let d = Ps_slocal.Decomposition.ball_carving g in
-                let check = Ps_slocal.Decomposition.verify g d in
-                let ok = Ps_slocal.Decomposition.check_all check in
-                Ps_server.Protocol.decompose_result d ~verified:ok)
+            Ps_server.Service.run
+              ?cache:(oneshot_cache ~cache ~no_cache)
+              (Decompose { graph = g })
           in
           print_json_result result;
           (* The exit code mirrors the payload so a cache hit agrees
@@ -687,16 +581,14 @@ let decompose input trace json cache no_cache =
           | _ -> 1
         end
         else begin
-          let d = Ps_slocal.Decomposition.ball_carving g in
-          let check = Ps_slocal.Decomposition.verify g d in
-          let ok = Ps_slocal.Decomposition.check_all check in
+          let d, check = Ps_server.Service.decomposition g in
           Format.printf
             "%a@.clusters=%d colors=%d max_radius=%d@.verified: %a@." G.pp g
             d.Ps_slocal.Decomposition.n_clusters
             d.Ps_slocal.Decomposition.n_colors
             d.Ps_slocal.Decomposition.max_radius
             Ps_slocal.Decomposition.pp_check check;
-          if ok then 0 else 1
+          if Ps_slocal.Decomposition.check_all check then 0 else 1
         end)
   in
   exit code
@@ -897,6 +789,11 @@ let audit hypergraph graph coloring is_file ds_file solver k seed json =
     end;
     exit (match diags with [] -> 0 | _ :: _ -> 1)
   in
+  let check target =
+    let checks, diags = Ps_server.Service.check_diagnostics target in
+    finish ~checks diags
+  in
+  let ids = Option.map (read_input ids_of_file) in
   match (hypergraph, graph) with
   | None, None | Some _, Some _ ->
       failwith "audit: pass exactly one of HYPERGRAPH or --graph"
@@ -907,16 +804,11 @@ let audit hypergraph graph coloring is_file ds_file solver k seed json =
       | Some cpath ->
           (* Certify a claimed coloring — the referee mode. *)
           let mc = read_input (multicoloring_of_file (H.n_vertices h)) cpath in
-          finish ~checks:[ "multicoloring" ]
-            (Ps_check.Check_cfc.multicoloring h mc)
+          check (Check_multicoloring { hypergraph = h; multicoloring = mc })
       | None ->
           (* Run the Theorem 1.1 pipeline, then deep-audit its own run:
              conflict-freeness, per-phase decay, ρ and k·ρ budgets. *)
-          let result =
-            Ps_core.Pipeline.solve_unchecked ~seed
-              ~k:(Ps_core.Solve_spec.k_choice spec)
-              ~presolve:spec.presolve ~solver:spec.solver h
-          in
+          let result = Ps_server.Service.solve spec h in
           let diags = Ps_core.Certify.diagnostics result.reduction in
           if not json then
             Format.printf "reduction: %d phases, %d colors, λmax=%.2f@."
@@ -928,26 +820,11 @@ let audit hypergraph graph coloring is_file ds_file solver k seed json =
     end
   | None, Some path ->
       let g = read_graph path in
-      let csr = Ps_check.Check_graph.csr g in
-      let is_checks, is_diags =
-        match is_file with
-        | None -> ([], [])
-        | Some f ->
-            ( [ "independent_set" ],
-              Ps_check.Check_set.independent_list g (read_input ids_of_file f)
-            )
-      in
-      let ds_checks, ds_diags =
-        match ds_file with
-        | None -> ([], [])
-        | Some f ->
-            ( [ "dominating_set" ],
-              Ps_check.Check_set.dominating_list g (read_input ids_of_file f)
-            )
-      in
-      finish
-        ~checks:(("csr" :: is_checks) @ ds_checks)
-        (csr @ is_diags @ ds_diags)
+      check
+        (Check_graph_sets
+           { graph = g;
+             independent_set = ids is_file;
+             dominating_set = ids ds_file })
 
 let audit_cmd =
   let hypergraph =
@@ -995,7 +872,8 @@ let audit_cmd =
     Arg.(
       value & opt string "greedy"
       & info [ "solver" ]
-          ~doc:"MaxIS solver for the self-audit run (see $(b,reduce)).")
+          ~doc:
+            ("MaxIS solver for the self-audit run: " ^ solver_names_doc ^ "."))
   in
   let k =
     Arg.(

@@ -125,8 +125,6 @@ let csr_view g =
     v_exact = g.exact;
     v_store = g.adj }
 
-let of_edge_array n edges = of_edges n (Array.to_list edges)
-
 (* Fast-path constructors.  All take ownership of already-final data and
    skip normalization; full structural validation runs only when the
    PSLOCAL_DEBUG environment variable is set (or on explicit request), so
@@ -475,18 +473,30 @@ let induced_subgraph g vs =
   let vs = List.sort_uniq Int.compare vs in
   List.iter (check_vertex g) vs;
   let back = Array.of_list vs in
-  (* Dense renaming array instead of a hash table: original id -> new id. *)
-  let fwd = Array.make g.n (-1) in
-  Array.iteri (fun i v -> fwd.(v) <- i) back;
+  let k = Array.length back in
+  (* Original id -> new id by binary search over the sorted [back] (-1
+     when absent); an n-sized renaming array would make every call O(n). *)
+  let rec find (u : int) lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let x = back.(mid) in
+      if x = u then mid
+      else if x < u then find u (mid + 1) hi
+      else find u lo mid
+  in
   let sub_edges = ref [] in
-  (* [back] is increasing, so for v < u the new ids satisfy i < j and the
-     collected edges are already normalized (distinct, u < v). *)
+  (* [back] is increasing, so for v < u the new ids satisfy i < j (the
+     search starts past i) and the collected edges are already
+     normalized (distinct, u < v). *)
   Array.iteri
     (fun i v ->
       iter_neighbors g v (fun u ->
-          if v < u && fwd.(u) >= 0 then sub_edges := (i, fwd.(u)) :: !sub_edges))
+          if v < u then
+            let j = find u (i + 1) k in
+            if j >= 0 then sub_edges := (i, j) :: !sub_edges))
     back;
-  (of_normalized_edges (Array.length back) !sub_edges, back)
+  (of_normalized_edges k !sub_edges, back)
 
 let complement g =
   let acc = ref [] in

@@ -11,10 +11,9 @@
     int32 Bigarray, 4 bytes per entry.  Its entries are vertex ids, so
     every constructor raises [Invalid_argument] for [n > ]{!max_vertices}
     before it allocates; {!Gio} turns an edge-list header past that
-    limit into a line-1 error.  The list constructors ({!of_edges},
-    {!of_edge_array}) normalize through a hash table and are the
-    differential oracle for the streaming constructor
-    {!of_pair_chunks}. *)
+    limit into a line-1 error.  The list constructor {!of_edges}
+    normalizes through a hash table and is the differential oracle for
+    the streaming constructor {!of_pair_chunks}. *)
 
 type t
 
@@ -31,9 +30,6 @@ val of_edges : int -> (int * int) list -> t
 (** [of_edges n edges] builds a graph on vertices [0..n-1].  Endpoints out
     of range or self-loops raise [Invalid_argument]; duplicate edges (in
     either orientation) are collapsed. *)
-
-val of_edge_array : int -> (int * int) array -> t
-(** Array variant of {!of_edges}. *)
 
 val of_csr : ?validate:bool -> int -> offsets:int array -> adj:i32 -> t
 (** [of_csr n ~offsets ~adj] adopts already-built CSR data with {e no}

@@ -22,25 +22,30 @@ let bfs_multi g sources =
 
 let bfs_distances g src = bfs_multi g [ src ]
 
+module Int_tbl = Hashtbl.Make (Int)
+
+(* Layer by layer, with the visited set in a hash table: a call costs
+   O(ball and its edges); an n-sized distance array would make a ball per
+   vertex quadratic. *)
 let ball g v r =
   if r < 0 then invalid_arg "Traverse.ball: negative radius";
-  let n = Graph.n_vertices g in
-  let dist = Array.make n (-1) in
-  let queue = Queue.create () in
-  dist.(v) <- 0;
-  Queue.add v queue;
-  let members = ref [ v ] in
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    if dist.(u) < r then
-      Graph.iter_neighbors g u (fun w ->
-          if dist.(w) < 0 then begin
-            dist.(w) <- dist.(u) + 1;
-            members := w :: !members;
-            Queue.add w queue
-          end)
-  done;
-  List.sort Int.compare !members
+  if v < 0 || v >= Graph.n_vertices g then invalid_arg "Traverse.ball: vertex";
+  let seen = Int_tbl.create 16 in
+  Int_tbl.replace seen v ();
+  let visit next w =
+    if Int_tbl.mem seen w then next else (Int_tbl.replace seen w (); w :: next)
+  in
+  let rec grow d frontier members =
+    if d >= r || List.is_empty frontier then members
+    else
+      let next =
+        List.fold_left
+          (fun acc u -> Graph.fold_neighbors g u visit acc)
+          [] frontier
+      in
+      grow (d + 1) next (List.rev_append next members)
+  in
+  List.sort Int.compare (grow 0 [ v ] [ v ])
 
 let ball_subgraph g v r = Graph.induced_subgraph g (ball g v r)
 

@@ -559,14 +559,15 @@ let is_presolved (s : Approx.solver) =
   String.starts_with ~prefix:presolve_prefix s.Approx.name
   || String.equal s.Approx.name "portfolio"
 
+let solve (base : Approx.solver) rng g =
+  let r = reduce g in
+  let ks = base.Approx.solve rng r.kernel in
+  Independent_set.verify_exn r.kernel ks;
+  (lift r ks, r.stats)
+
 let presolve (base : Approx.solver) =
   { Approx.name = presolve_prefix ^ base.Approx.name;
-    solve =
-      (fun rng g ->
-        let r = reduce g in
-        let ks = base.Approx.solve rng r.kernel in
-        Independent_set.verify_exn r.kernel ks;
-        lift r ks) }
+    solve = (fun rng g -> fst (solve base rng g)) }
 
 type choice = [ `None | `Kernel ]
 

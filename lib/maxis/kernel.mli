@@ -121,12 +121,19 @@ val vertex_addition : Ps_graph.Graph.t -> Ps_util.Bitset.t -> Ps_util.Bitset.t
 
 (** {1 Presolve combinator} *)
 
+val solve :
+  Approx.solver -> Ps_util.Rng.t -> Ps_graph.Graph.t ->
+  Independent_set.t * stats
+(** [solve s rng g] kernelizes [g], runs [s] on the kernel, verifies the
+    kernel answer ([Invalid_argument] when it is not independent) and
+    lifts it: the lifted set, independent and maximal on [g], with the
+    kernelization's stats. *)
+
 val presolve : Approx.solver -> Approx.solver
-(** [presolve s] is the solver that kernelizes the instance, runs [s] on
-    the kernel, verifies the kernel answer and lifts it.  Its name is
-    ["kernel+" ^ s.name] — the prefix is the marker {!is_presolved}
-    keys on, and it flows into run records and cache keys so kernel-on
-    and kernel-off results never alias. *)
+(** [presolve s] is {!solve} packaged as a solver, without the stats.
+    Its name is ["kernel+" ^ s.name] — the prefix is the marker
+    {!is_presolved} keys on, and it flows into run records and cache
+    keys so kernel-on and kernel-off results never alias. *)
 
 val is_presolved : Approx.solver -> bool
 (** Whether a solver already owns its kernelization: a ["kernel+"]

@@ -42,9 +42,6 @@ val member : string -> t -> t option
 val to_int_opt : t -> int option
 (** [Int n] only — no silent float truncation. *)
 
-val to_float_opt : t -> float option
-(** [Float f], or [Int n] widened. *)
-
 val to_string_opt : t -> string option
 val to_bool_opt : t -> bool option
 val to_list_opt : t -> t list option

@@ -44,6 +44,21 @@ type check_target =
       dominating_set : int list option;
     }
 
+type mis_row = {
+  algo : mis_algo;
+  size : int;
+  rounds : int option;
+  locality : int option;
+}
+
+type maxis_outcome = {
+  set : Ps_maxis.Independent_set.t;
+  solver : string;
+  entries : (string * int) list;
+  kernel : Ps_maxis.Kernel.stats option;
+  certified : bool;
+}
+
 type call =
   | Reduce of solve_params
   | Certify of solve_params
@@ -62,22 +77,24 @@ type request = {
 
 let default_max_bytes = 4 * 1024 * 1024
 
-let solver_of_name = function
-  | "greedy" -> Some Ps_maxis.Approx.greedy_min_degree
-  | "caro-wei" -> Some Ps_maxis.Approx.caro_wei
-  | "caro-wei-x8" -> Some (Ps_maxis.Approx.caro_wei_boosted 8)
-  | "adversarial" -> Some Ps_maxis.Approx.greedy_adversarial
-  | "exact" -> Some Ps_maxis.Approx.exact
-  | "clique-removal" -> Some Ps_maxis.Clique_removal.solver
-  | "portfolio" -> Some Ps_maxis.Portfolio.solver
-  | _ -> None
+let solvers =
+  [ ("greedy", Ps_maxis.Approx.greedy_min_degree);
+    ("caro-wei", Ps_maxis.Approx.caro_wei);
+    ("caro-wei-x8", Ps_maxis.Approx.caro_wei_boosted 8);
+    ("adversarial", Ps_maxis.Approx.greedy_adversarial);
+    ("exact", Ps_maxis.Approx.exact);
+    ("clique-removal", Ps_maxis.Clique_removal.solver);
+    ("portfolio", Ps_maxis.Portfolio.solver) ]
+
+let solver_of_name name =
+  List.find_map
+    (fun (n, s) -> if String.equal n name then Some s else None)
+    solvers
 
 let presolve_of_name = function
   | "kernel" -> Some (`Kernel : Ps_maxis.Kernel.choice)
   | "none" -> Some `None
   | _ -> None
-
-let presolve_name = function `Kernel -> "kernel" | `None -> "none"
 
 let mis_algo_of_name = function
   | "greedy" -> Some Mis_greedy
@@ -432,14 +449,42 @@ let reduce_result ~detail (r : Ps_core.Pipeline.result) =
   in
   Json.Obj (base @ extra)
 
-let mis_entry ~algorithm ~size ?rounds ?locality () =
-  Json.Obj
-    ([ ("algorithm", Json.Str algorithm); ("size", Json.Int size) ]
-    @ (match rounds with Some r -> [ ("rounds", Json.Int r) ] | None -> [])
-    @
-    match locality with Some l -> [ ("locality", Json.Int l) ] | None -> [])
+let mis_result rows =
+  let opt key = Option.fold ~none:[] ~some:(fun n -> [ (key, Json.Int n) ]) in
+  let entry r =
+    Json.Obj
+      ([ ("algorithm", Json.Str (mis_algo_name r.algo));
+         ("size", Json.Int r.size) ]
+      @ opt "rounds" r.rounds @ opt "locality" r.locality)
+  in
+  Json.Obj [ ("algorithms", Json.List (List.map entry rows)) ]
 
-let mis_result entries = Json.Obj [ ("algorithms", Json.List entries) ]
+let kernel_stats_json (st : Ps_maxis.Kernel.stats) =
+  Json.Obj
+    [ ("original_vertices", Json.Int st.original_vertices);
+      ("original_edges", Json.Int st.original_edges);
+      ("kernel_vertices", Json.Int st.kernel_vertices);
+      ("kernel_edges", Json.Int st.kernel_edges);
+      ("isolated", Json.Int st.isolated);
+      ("pendants", Json.Int st.pendants);
+      ("folds", Json.Int st.folds);
+      ("simplicial", Json.Int st.simplicial);
+      ("dominated", Json.Int st.dominated) ]
+
+let maxis_result (o : maxis_outcome) =
+  Json.Obj
+    ([ ("solver", Json.Str o.solver);
+       ("size", Json.Int (Ps_maxis.Independent_set.size o.set));
+       ("certified", Json.Bool o.certified);
+       ( "entries",
+         Json.List
+           (List.map
+              (fun (n, sz) ->
+                Json.Obj [ ("solver", Json.Str n); ("size", Json.Int sz) ])
+              o.entries) ) ]
+    @ Option.fold ~none:[]
+        ~some:(fun st -> [ ("kernel", kernel_stats_json st) ])
+        o.kernel)
 
 let diagnostic_json (d : Ps_check.Diagnostic.t) =
   Json.Obj

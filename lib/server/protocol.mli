@@ -66,6 +66,26 @@ type check_target =
       dominating_set : int list option;
     }
 
+(** One [mis] result row: set size, and the cost in rounds (LOCAL) or
+    locality (SLOCAL); neither for the centralized greedy. *)
+type mis_row = {
+  algo : mis_algo;
+  size : int;
+  rounds : int option;
+  locality : int option;
+}
+
+(** One MaxIS solve on a graph ({!Service.maxis}). *)
+type maxis_outcome = {
+  set : Ps_maxis.Independent_set.t;  (** on the input graph's ids *)
+  solver : string;
+      (** the effective solver name, or ["portfolio (winner: NAME)"] *)
+  entries : (string * int) list;
+      (** set size per solver run: one entry, or one per portfolio lane *)
+  kernel : Ps_maxis.Kernel.stats option;  (** [None] without a kernel *)
+  certified : bool;  (** independent and maximal on the input graph *)
+}
+
 type call =
   | Reduce of solve_params
   | Certify of solve_params
@@ -102,9 +122,13 @@ val validate_request : Json.t -> (request, Json.t * error) result
 val method_name : call -> string
 (** Wire name of the method a call came from ("reduce", "ping", ...). *)
 
+val solvers : (string * Ps_maxis.Approx.solver) list
+(** The one solver registry, in documentation order: greedy, caro-wei,
+    caro-wei-x8, adversarial, exact, clique-removal, portfolio.  The
+    CLI's [--solver] docs list these names. *)
+
 val solver_of_name : string -> Ps_maxis.Approx.solver option
-(** The CLI's solver registry, shared: greedy, caro-wei, caro-wei-x8,
-    adversarial, exact, clique-removal, portfolio. *)
+(** Lookup in {!solvers}. *)
 
 val solve_spec :
   ?solver:string ->
@@ -132,8 +156,6 @@ val check_spec :
 val presolve_of_name : string -> Ps_maxis.Kernel.choice option
 (** ["kernel"] or ["none"] — the wire/CLI names of the presolve knob. *)
 
-val presolve_name : Ps_maxis.Kernel.choice -> string
-
 val mis_algo_of_name : string -> mis_algo option
 val mis_algo_name : mis_algo -> string
 
@@ -150,11 +172,13 @@ val response_to_line : Json.t -> string
 val reduce_result : detail:bool -> Ps_core.Pipeline.result -> Json.t
 val certificate_json : Ps_core.Certify.t -> Json.t
 
-val mis_entry :
-  algorithm:string -> size:int -> ?rounds:int -> ?locality:int -> unit -> Json.t
+val mis_result : mis_row list -> Json.t
+(** [{"algorithms": [{"algorithm", "size", "rounds"?, "locality"?}, ...]}]. *)
 
-val mis_result : Json.t list -> Json.t
-(** Wraps per-algorithm entries as [{"algorithms": [...]}]. *)
+val maxis_result : maxis_outcome -> Json.t
+(** [{"solver", "size", "certified", "entries": [{"solver", "size"}],
+    "kernel"?}] — [pslocal mis --solver --json]; no served method
+    carries it yet. *)
 
 val decompose_result :
   Ps_slocal.Decomposition.t -> verified:bool -> Json.t

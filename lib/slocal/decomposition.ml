@@ -12,11 +12,13 @@ type t = {
 }
 
 (* Grow a ball around [v] inside the vertices marked [active] until one
-   more hop would not double it; return (ball, ring, radius). *)
+   more hop would not double it; return (ball, radius).  Each vertex
+   reached, in the ball or its final ring, leaves [active] as it is
+   found, so no later carve of the phase enters it and a carve costs
+   O(ball ∪ ring), not O(n). *)
 let carve_ball g active v =
   let ball = ref [ v ] and ball_size = ref 1 in
-  let in_ball = Array.make (G.n_vertices g) false in
-  in_ball.(v) <- true;
+  active.(v) <- false;
   let frontier = ref [ v ] in
   let radius = ref 0 in
   let next_ring () =
@@ -24,8 +26,8 @@ let carve_ball g active v =
       (fun u ->
         G.fold_neighbors g u
           (fun acc w ->
-            if active.(w) && not in_ball.(w) then begin
-              in_ball.(w) <- true;
+            if active.(w) then begin
+              active.(w) <- false;
               w :: acc
             end
             else acc)
@@ -41,7 +43,7 @@ let carve_ball g active v =
     incr radius;
     ring := next_ring ()
   done;
-  (!ball, !ring, !radius)
+  (!ball, !radius)
 
 let ball_carving ?order g =
   Tm.with_span "decomposition.ball_carving" @@ fun () ->
@@ -68,7 +70,7 @@ let ball_carving ?order g =
     Array.iter
       (fun v ->
         if active.(v) then begin
-          let ball, ring, radius = carve_ball g active v in
+          let ball, radius = carve_ball g active v in
           let id = !n_clusters in
           incr n_clusters;
           colors := !color :: !colors;
@@ -77,11 +79,9 @@ let ball_carving ?order g =
           List.iter
             (fun u ->
               cluster_of.(u) <- id;
-              active.(u) <- false;
               remaining.(u) <- false;
               decr remaining_count)
-            ball;
-          List.iter (fun u -> active.(u) <- false) ring
+            ball
         end)
       order;
     incr color

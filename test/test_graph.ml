@@ -1180,6 +1180,58 @@ let prop_sorted_edge_array_fast_path =
       G.equal g
         (G.of_sorted_edge_array ~validate:true (G.n_vertices g) edges))
 
+(* The O(ball) local views against plain references: the edge filter
+   for the induced subgraph (duplicate picks and the empty set
+   included), BFS distances for the ball. *)
+let arbitrary_gnp_picks =
+  QCheck.make
+    ~print:(fun ((seed, n, p), picks) ->
+      Printf.sprintf "gnp seed=%d n=%d p=%d%% picks=[%s]" seed n p
+        (String.concat ";" (List.map string_of_int picks)))
+    QCheck.Gen.(
+      pair
+        (triple (int_bound 1000) (int_range 1 40) (int_bound 100))
+        (list_size (int_bound 60) (int_bound 1000)))
+
+let prop_induced_subgraph_reference =
+  QCheck.Test.make ~count:200 ~name:"induced_subgraph = edge-filter reference"
+    arbitrary_gnp_picks (fun (params, picks) ->
+      let g = graph_of params in
+      let n = G.n_vertices g in
+      let reference vs =
+        let back = Array.of_list (List.sort_uniq compare vs) in
+        let id = Array.make n (-1) in
+        Array.iteri (fun i v -> id.(v) <- i) back;
+        let kept =
+          List.filter_map
+            (fun (u, v) ->
+              if id.(u) >= 0 && id.(v) >= 0 then Some (id.(u), id.(v))
+              else None)
+            (G.edges g)
+        in
+        (G.of_edges (Array.length back) kept, back)
+      in
+      List.for_all
+        (fun vs ->
+          let sub, back = G.induced_subgraph g vs in
+          let ref_sub, ref_back = reference vs in
+          back = ref_back && G.equal sub ref_sub)
+        [ List.map (fun x -> x mod n) picks; [] ])
+
+let prop_ball_reference =
+  QCheck.Test.make ~count:200 ~name:"ball = vertices within BFS distance r"
+    (QCheck.pair arbitrary_gnp
+       QCheck.(pair (int_bound 1000) (int_bound 6)))
+    (fun (params, (v, r)) ->
+      let g = graph_of params in
+      let n = G.n_vertices g in
+      let v = v mod n in
+      let d = T.bfs_distances g v in
+      let within r =
+        List.filter (fun u -> d.(u) >= 0 && d.(u) <= r) (List.init n Fun.id)
+      in
+      T.ball g v r = within r && T.ball g v n = within n)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_handshake;
@@ -1192,7 +1244,9 @@ let props =
       prop_io_scanner_matches_oracle;
       prop_io_split_matches_oracle;
       prop_unnormalized_pairs_orders;
-      prop_sorted_edge_array_fast_path ]
+      prop_sorted_edge_array_fast_path;
+      prop_induced_subgraph_reference;
+      prop_ball_reference ]
 
 let suites =
   [ ( "graph.core",

@@ -159,6 +159,22 @@ let test_protocol_bad_params () =
                    [ ("hypergraph", Json.Str "2 1\n2 0 1");
                      ("solver", Json.Str "quantum") ] ) ])))
 
+(* The registry is the one list of solver names: every name decodes
+   through the shared option decoder to the solver it names, and the
+   names are distinct. *)
+let test_protocol_registry_decodes () =
+  List.iter
+    (fun (name, (solver : Ps_maxis.Approx.solver)) ->
+      match P.solve_spec ~solver:name () with
+      | Ok spec ->
+          check_bool (name ^ " decodes to its solver") true
+            (spec.Ps_core.Solve_spec.solver == solver)
+      | Error e -> Alcotest.failf "solver %S rejected: %s" name e.P.message)
+    P.solvers;
+  let names = List.map fst P.solvers in
+  check_int "distinct names" (List.length names)
+    (List.length (List.sort_uniq String.compare names))
+
 (* A k whose G_k would need more triple ids than int32 holds is the
    caller's error, found at decode time: invalid_request naming the
    triple count, never the builder's [Invalid_argument] surfacing as
@@ -1123,6 +1139,8 @@ let suites =
         Alcotest.test_case "graph self-loop" `Quick
           test_protocol_graph_self_loop;
         Alcotest.test_case "bad params" `Quick test_protocol_bad_params;
+        Alcotest.test_case "solver registry decodes" `Quick
+          test_protocol_registry_decodes;
         Alcotest.test_case "k past the triple limit" `Quick
           test_protocol_k_past_triple_limit ] );
     ( "server.engine",

@@ -701,6 +701,48 @@ let test_cli_bad_flags () =
       expect_cli_error [ "reduce"; "-k"; "0"; hg ] "must be positive";
       expect_cli_error [ "audit"; "-k"; "0"; hg ] "must be positive")
 
+(* [pslocal mis --solver S --json] prints the {!Ps_server.Service.maxis}
+   outcome through {!P.maxis_result}: pinned byte for byte on the
+   checked-in G(n,p) instance, and equal to the in-process encoding of
+   the same spec. *)
+let test_cli_mis_solver_json () =
+  let el = "../data/gnp_100_005.el" in
+  let g = Ps_graph.Gio.read_file el in
+  let kernel =
+    {|"kernel":{"original_vertices":100,"original_edges":239,"kernel_vertices":60,"kernel_edges":155,"isolated":0,"pendants":5,"folds":12,"simplicial":2,"dominated":0}|}
+  in
+  List.iter
+    (fun (solver, presolve, expected) ->
+      let args =
+        [ "mis"; el; "--solver"; solver; "--presolve"; presolve; "--json" ]
+      in
+      let code, out = run_cli args in
+      check_int "exit status" 0 code;
+      Alcotest.(check string) (String.concat " " args) (expected ^ "\n") out;
+      let spec =
+        match P.solve_spec ~solver ~presolve () with
+        | Ok spec -> spec
+        | Error e -> Alcotest.failf "solve_spec: %s" e.P.message
+      in
+      Alcotest.(check string)
+        "CLI line = Protocol encoder over the Service outcome" out
+        (P.response_to_line
+           (P.ok_response ~id:Json.Null
+              (P.maxis_result (Ps_server.Service.maxis spec g)))
+        ^ "\n"))
+    [ ( "caro-wei",
+        "kernel",
+        {|{"id":null,"ok":true,"result":{"solver":"kernel+caro-wei","size":38,"certified":true,"entries":[{"solver":"kernel+caro-wei","size":38}],|}
+        ^ kernel ^ "}}" );
+      ( "portfolio",
+        "kernel",
+        {|{"id":null,"ok":true,"result":{"solver":"portfolio (winner: kernel+greedy-min-degree)","size":45,"certified":true,"entries":[{"solver":"kernel+greedy-min-degree","size":45},{"solver":"kernel+caro-wei","size":35},{"solver":"clique-removal","size":40}],|}
+        ^ kernel ^ "}}" );
+      ( "greedy",
+        "none",
+        {|{"id":null,"ok":true,"result":{"solver":"greedy-min-degree","size":45,"certified":true,"entries":[{"solver":"greedy-min-degree","size":45}]}}|}
+      ) ]
+
 (* ------------------------------------------------------------------ *)
 (* Live integration: real processes, real sockets *)
 
@@ -1070,7 +1112,9 @@ let suites =
           test_non_socket_refused ] );
     ( "shard.cli",
       [ Alcotest.test_case "bad flags are clean errors" `Quick
-          test_cli_bad_flags ] );
+          test_cli_bad_flags;
+        Alcotest.test_case "mis --solver --json pinned" `Quick
+          test_cli_mis_solver_json ] );
     ( "shard.live",
       [ Alcotest.test_case "tier: pings via router, drain on SIGTERM" `Quick
           test_tier_json_roundtrip_and_drain;
