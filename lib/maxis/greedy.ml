@@ -11,7 +11,7 @@ module Tm = Ps_util.Telemetry
    counts, per live vertex, the neighbors it lost this step.  The tally
    is the hot loop (it reads every deleted vertex's row once), so it is
    a plain loop with no call per entry.  Once the sweep ends, one
-   [Pq.update] per touched vertex applies its whole count.  On conflict
+   [Pq.shift] per touched vertex applies its whole count.  On conflict
    graphs, whose rows are hyperedge cliques, a live vertex loses many
    neighbors in one step: over the 15 G_k of a seed-1 reduce-default
    cycle, 5.53 M decrements land as 0.89 M heap updates.  Pops are
@@ -49,22 +49,27 @@ let by_degree ~invert g =
       drop (Int32.to_int (Bigarray.Array1.unsafe_get a i))
     done
   in
+  (* Branch-free: whether an entry is live, and whether it is touched
+     for the first time this step, follow the row's order of deleted
+     and live vertices, which no branch predictor learns.  [c asr 62] is
+     the sign of [c] (-1 or 0), so [live] is 1 for a live [w] and 0 for
+     a deleted one, and [c - 1] is negative only when [c] is 0.  [w] is
+     always written at [touched.(!nt)] and kept by advancing [nt]; [nt]
+     counts distinct live vertices, fewer than [n], so the slot exists.
+     Row entries are vertices, so [lost] reads are in range. *)
   let tally u =
     for i = off.(u) to off.(u + 1) - 1 do
       let w = Int32.to_int (Bigarray.Array1.unsafe_get a i) in
-      let c = lost.(w) in
-      if c >= 0 then begin
-        if c = 0 then begin
-          touched.(!nt) <- w;
-          incr nt
-        end;
-        lost.(w) <- c + 1
-      end
+      let c = Array.unsafe_get lost w in
+      let live = 1 + (c asr 62) in
+      Array.unsafe_set lost w (c + live);
+      Array.unsafe_set touched !nt w;
+      nt := !nt + (((c - 1) asr 62) land live)
     done
   in
   let decrements = ref 0 and updates = ref 0 in
   while not (Pq.is_empty queue) do
-    let v, _ = Pq.pop_min queue in
+    let v = Pq.pop_min_key queue in
     B.add chosen v;
     lost.(v) <- -1;
     nr := 0;
@@ -75,7 +80,7 @@ let by_degree ~invert g =
     for i = 0 to !nt - 1 do
       let w = touched.(i) in
       let c = lost.(w) in
-      Pq.update queue w (Pq.priority queue w - (sign * c));
+      Pq.shift queue w (-sign * c);
       decrements := !decrements + c;
       lost.(w) <- 0
     done;
@@ -89,27 +94,9 @@ let by_degree ~invert g =
   end;
   chosen
 
-(* Degree-blocked layout: run the solver on the degree-sorted relabeling
-   (hot high-degree rows packed together at the front of the CSR store —
-   see [Graph.degree_sorted]) and map the chosen set back through the
-   permutation.  The result is a valid (maximal) independent set either
-   way, but NOT necessarily the same one: tie-breaking follows the
-   relabeled vertex order. *)
-let with_layout layout g solve =
-  match layout with
-  | `Natural -> solve g
-  | `Degree_sorted ->
-      let g', perm = G.degree_sorted g in
-      let s = solve g' in
-      let out = B.create (G.n_vertices g) in
-      B.iter (fun i -> B.add out perm.(i)) s;
-      out
+let min_degree g = by_degree ~invert:false g
 
-let min_degree ?(layout = `Natural) g =
-  with_layout layout g (by_degree ~invert:false)
-
-let max_degree_adversary ?(layout = `Natural) g =
-  with_layout layout g (by_degree ~invert:true)
+let max_degree_adversary g = by_degree ~invert:true g
 
 let in_order g order =
   let n = G.n_vertices g in

@@ -8,30 +8,23 @@
     because their independence number is exactly the number of happy-able
     hyperedges. *)
 
-val min_degree :
-  ?layout:[ `Natural | `Degree_sorted ] -> Ps_graph.Graph.t ->
-  Independent_set.t
+val min_degree : Ps_graph.Graph.t -> Independent_set.t
 (** Deterministic: ties broken toward smaller vertex index.
     Cost: O(n + m) row reads, each row read in place once when its
     vertex is deleted, plus O((n + U) log n) heap work, where [U] is the
     number of (step, vertex) pairs in which a live vertex loses at least
     one neighbor.  A vertex that loses several neighbors in one step
-    costs one heap update, not one per lost neighbor.  Scratch: three
-    [int] arrays of length [n] beside the heap.
-    [~layout:`Degree_sorted] runs on the degree-sorted relabeling
-    ({!Ps_graph.Graph.degree_sorted} — the hot high-degree rows packed
-    into one cache block) and maps the set back; the result is a valid
-    maximal independent set but may differ from the natural-layout one,
-    because tie-breaking follows the relabeled order. *)
+    costs one heap update, not one per lost neighbor.  The heap is
+    {!Ps_util.Pqueue}, a 4-ary heap of packed (degree, vertex) ints, so a
+    heap compare is one int compare.  Scratch: three [int] arrays of
+    length [n] beside the heap's two. *)
 
 val in_order : Ps_graph.Graph.t -> int array -> Independent_set.t
 (** First-fit greedy along a given vertex order: take each vertex whose
     neighborhood is still untouched.  [in_order g (random permutation)] is
     the Caro–Wei sampler. *)
 
-val max_degree_adversary :
-  ?layout:[ `Natural | `Degree_sorted ] -> Ps_graph.Graph.t ->
-  Independent_set.t
+val max_degree_adversary : Ps_graph.Graph.t -> Independent_set.t
 (** Anti-greedy (repeatedly take a {e maximum}-degree vertex): a
     deliberately bad but still maximal baseline for the benchmark tables.
-    [layout] as in {!min_degree}. *)
+    Same cost as {!min_degree}; the heap holds negated degrees. *)

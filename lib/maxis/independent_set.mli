@@ -38,7 +38,8 @@ val complete : Ps_graph.Graph.t -> t -> t
     order, every vertex with no neighbor in the set built so far — the
     greedy pass behind {!make_maximal}, without its independence check.
     Never removes a member; the result is maximal whenever [s] is
-    independent. *)
+    independent.  Raises [Invalid_argument] when [s]'s capacity is not
+    the graph's vertex count. *)
 
 val approximation_ratio : alpha:int -> t -> float
 (** [alpha /. size]; the λ achieved against a known independence number.

@@ -16,22 +16,29 @@ let create capacity =
 
 let capacity t = t.capacity
 
-let check t i =
-  if i < 0 || i >= t.capacity then invalid_arg "Bitset: index out of range"
+(* The single-element operations are the probes of every graph loop:
+   one explicit range check, then unchecked word access ([0 <= i <
+   capacity] puts [i / 62] inside [words]).  The raise sits in its own
+   function so the probes stay small enough to inline. *)
+let out_of_range () = invalid_arg "Bitset: index out of range"
 
-let mem t i =
-  check t i;
-  t.words.(i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0
+let[@inline] mem t i =
+  if i < 0 || i >= t.capacity then out_of_range ();
+  Array.unsafe_get t.words (i / bits_per_word)
+  land (1 lsl (i mod bits_per_word))
+  <> 0
 
-let add t i =
-  check t i;
+let[@inline] add t i =
+  if i < 0 || i >= t.capacity then out_of_range ();
   let w = i / bits_per_word in
-  t.words.(w) <- t.words.(w) lor (1 lsl (i mod bits_per_word))
+  Array.unsafe_set t.words w
+    (Array.unsafe_get t.words w lor (1 lsl (i mod bits_per_word)))
 
-let remove t i =
-  check t i;
+let[@inline] remove t i =
+  if i < 0 || i >= t.capacity then out_of_range ();
   let w = i / bits_per_word in
-  t.words.(w) <- t.words.(w) land lnot (1 lsl (i mod bits_per_word))
+  Array.unsafe_set t.words w
+    (Array.unsafe_get t.words w land lnot (1 lsl (i mod bits_per_word)))
 
 let popcount x =
   let rec go acc x = if x = 0 then acc else go (acc + 1) (x land (x - 1)) in

@@ -51,24 +51,6 @@ let by_degree ~invert g =
   done;
   chosen
 
-(* Degree-blocked layout: run the solver on the degree-sorted relabeling
-   (hot high-degree rows packed together at the front of the CSR store —
-   see [Graph.degree_sorted]) and map the chosen set back through the
-   permutation.  The result is a valid (maximal) independent set either
-   way, but NOT necessarily the same one: tie-breaking follows the
-   relabeled vertex order. *)
-let with_layout layout g solve =
-  match layout with
-  | `Natural -> solve g
-  | `Degree_sorted ->
-      let g', perm = G.degree_sorted g in
-      let s = solve g' in
-      let out = B.create (G.n_vertices g) in
-      B.iter (fun i -> B.add out perm.(i)) s;
-      out
+let min_degree g = by_degree ~invert:false g
 
-let min_degree ?(layout = `Natural) g =
-  with_layout layout g (by_degree ~invert:false)
-
-let max_degree_adversary ?(layout = `Natural) g =
-  with_layout layout g (by_degree ~invert:true)
+let max_degree_adversary g = by_degree ~invert:true g

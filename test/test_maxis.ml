@@ -151,39 +151,36 @@ let qcheck_greedy_matches_oracle =
     (fun (family, seed) ->
       let g = oracle_graph family seed in
       let arena, tails_intact = Test_kernel.arena_of g in
+      let want_min = Ps_oracle.Greedy.min_degree g
+      and want_max = Ps_oracle.Greedy.max_degree_adversary g in
       List.iter
-        (fun layout ->
-          let want_min = Ps_oracle.Greedy.min_degree ~layout g
-          and want_max = Ps_oracle.Greedy.max_degree_adversary ~layout g in
-          List.iter
-            (fun (store, h) ->
-              if not (B.equal (Greedy.min_degree ~layout h) want_min) then
-                QCheck.Test.fail_reportf "min_degree differs (%s)" store;
-              if not (B.equal (Greedy.max_degree_adversary ~layout h) want_max)
-              then QCheck.Test.fail_reportf "max_degree_adversary differs (%s)"
-                  store)
-            [ ("exact", g); ("arena", arena) ])
-        [ `Natural; `Degree_sorted ];
+        (fun (store, h) ->
+          if not (B.equal (Greedy.min_degree h) want_min) then
+            QCheck.Test.fail_reportf "min_degree differs (%s)" store;
+          if not (B.equal (Greedy.max_degree_adversary h) want_max)
+          then QCheck.Test.fail_reportf "max_degree_adversary differs (%s)"
+              store)
+        [ ("exact", g); ("arena", arena) ];
       tails_intact ())
 
 (* Reduce-default-style instances: 4-uniform with n = 4m/3, and every
    interval of length 10 on 170 points, at the k that [pslocal reduce]
    derives.  Per instance: the size and hash of the min-degree set on
-   G_k (natural and degree-sorted layouts), of the adversary's set, and
+   G_k, of the adversary's set, and
    [Pipeline.solve]'s colors_used with min-degree greedy as the MaxIS
    oracle.  Recorded with the per-decrement greedy. *)
 let greedy_golden =
   [ ("uniform m=96",
      (fun () -> Hgen.uniform_random (Rng.create 1) ~n:128 ~m:96 ~k:4),
-     (96, 0x7cc5836ca0e34505L), (96, 0xed24e4834510508eL),
+     (96, 0x7cc5836ca0e34505L),
      (89, 0xaaba5ab3d58ff0fcL), 4);
     ("uniform m=768",
      (fun () -> Hgen.uniform_random (Rng.create 1) ~n:1024 ~m:768 ~k:4),
-     (768, 0x18fb7652e5548ae5L), (768, 0xa15f91f88b5481cfL),
+     (768, 0x18fb7652e5548ae5L),
      (709, 0x238af817ce7e1daaL), 4);
     ("intervals n=170",
      (fun () -> Hgen.all_intervals_of_length ~n:170 ~len:10),
-     (161, 0xd99f9734a2f25c47L), (161, 0xd99f9734a2f25c47L),
+     (161, 0xd99f9734a2f25c47L),
      (161, 0x44cd129216b9d77L), 10) ]
 
 let test_greedy_golden_pins () =
@@ -192,18 +189,41 @@ let test_greedy_golden_pins () =
     Alcotest.(check int64) (name ^ ": hash") hash (Test_kernel.set_hash s)
   in
   List.iter
-    (fun (name, mk, natural, sorted, adversary, colors) ->
+    (fun (name, mk, natural, adversary, colors) ->
       let h = mk () in
       let k = Pipeline.choose_k Pipeline.From_conservative h in
       let g = (Cg.build h ~k).Cg.graph in
       pin (name ^ " min-degree") natural (Greedy.min_degree g);
-      pin (name ^ " degree-sorted") sorted
-        (Greedy.min_degree ~layout:`Degree_sorted g);
       pin (name ^ " adversary") adversary (Greedy.max_degree_adversary g);
       let r = Pipeline.solve ~solver:Approx.greedy_min_degree h in
       check (name ^ ": colors_used") colors
         r.Pipeline.reduction.Ps_core.Reduction.colors_used)
     greedy_golden
+
+(* The same pins on graphs large enough for tie order to matter:
+   [Gen.huge_gnp] with n = 10^5, p = 8e-5, and an R-MAT at scale 14 with
+   10^5 sampled edges, both drawn from seed 1.  Size and FNV hash of the
+   min-degree set, then of the adversary's.  Recorded with the binary
+   heap that preceded the packed 4-ary one. *)
+let greedy_scale_golden =
+  [ ("huge_gnp n=1e5",
+     (fun () -> Gen.huge_gnp (Rng.create 1) 100_000 8e-5),
+     (33686, 0x63e38911d7710cebL), (20653, 0x21190ba9b1022c00L));
+    ("rmat scale 14",
+     (fun () -> Gen.rmat (Rng.create 1) ~scale:14 ~edges:100_000),
+     (12921, 0xc0b0de54eaaebc5aL), (11478, 0x10d457da97ee2e6fL)) ]
+
+let test_greedy_scale_pins () =
+  let pin name (size, hash) s =
+    check (name ^ ": size") size (B.cardinal s);
+    Alcotest.(check int64) (name ^ ": hash") hash (Test_kernel.set_hash s)
+  in
+  List.iter
+    (fun (name, mk, natural, adversary) ->
+      let g = mk () in
+      pin (name ^ " min-degree") natural (Greedy.min_degree g);
+      pin (name ^ " adversary") adversary (Greedy.max_degree_adversary g))
+    greedy_scale_golden
 
 let test_greedy_counters () =
   (* G_3 of a small uniform hypergraph: every deleted vertex is a
@@ -579,6 +599,8 @@ let suites =
         Alcotest.test_case "in-order" `Quick test_greedy_in_order;
         QCheck_alcotest.to_alcotest qcheck_greedy_matches_oracle;
         Alcotest.test_case "golden pins" `Quick test_greedy_golden_pins;
+        Alcotest.test_case "golden pins at scale" `Quick
+          test_greedy_scale_pins;
         Alcotest.test_case "traced counters" `Quick test_greedy_counters ] );
     ( "maxis.caro_wei",
       [ Alcotest.test_case "valid" `Quick test_caro_wei_valid;

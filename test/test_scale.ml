@@ -367,8 +367,7 @@ let prop_degree_sorted_layout_solvers =
     arbitrary_gnp (fun ((seed, _, _) as params) ->
       let g = graph_of params in
       let valid s = Is.is_independent g s && Is.is_maximal g s in
-      valid (Greedy.min_degree ~layout:`Degree_sorted g)
-      && valid (Cw.run_maximal ~layout:`Degree_sorted (Rng.create seed) g)
+      valid (Cw.run_maximal ~layout:`Degree_sorted (Rng.create seed) g)
       && Is.is_independent g (Cw.run ~layout:`Degree_sorted (Rng.create seed) g))
 
 let arbitrary_hypergraph =

@@ -377,6 +377,47 @@ let test_pq_heap_sort () =
     last := p
   done
 
+(* The packed-entry contract: keys take 31 bits and priorities the
+   int32 range.  Both priority extremes and the largest key of the queue
+   pop in (priority, key) order, and one step past a bound is rejected
+   without touching the queue. *)
+let test_pq_packed_range () =
+  check "max_capacity" (1 lsl 31) Pq.max_capacity;
+  check "min_priority" (-(1 lsl 31)) Pq.min_priority;
+  check "max_priority" ((1 lsl 31) - 1) Pq.max_priority;
+  let q = Pq.create 4 in
+  Pq.insert q 3 Pq.max_priority;
+  Pq.insert q 0 Pq.max_priority;
+  Pq.insert q 1 Pq.min_priority;
+  let bad_prio = Invalid_argument
+      (Printf.sprintf "Pqueue: priority %d out of range [%d, %d]"
+         (Pq.max_priority + 1) Pq.min_priority Pq.max_priority)
+  in
+  Alcotest.check_raises "insert above max_priority" bad_prio (fun () ->
+      Pq.insert q 2 (Pq.max_priority + 1));
+  check_bool "rejected insert leaves no key" false (Pq.mem q 2);
+  Pq.insert q 2 0;
+  Alcotest.check_raises "update above max_priority" bad_prio (fun () ->
+      Pq.update q 2 (Pq.max_priority + 1));
+  Alcotest.check_raises "shift above max_priority" bad_prio (fun () ->
+      Pq.shift q 3 1);
+  Alcotest.check_raises "update below min_priority"
+    (Invalid_argument
+       (Printf.sprintf "Pqueue: priority %d out of range [%d, %d]"
+          (Pq.min_priority - 1) Pq.min_priority Pq.max_priority))
+    (fun () -> Pq.update q 3 (Pq.min_priority - 1));
+  Alcotest.check_raises "capacity above max_capacity"
+    (Invalid_argument
+       (Printf.sprintf "Pqueue.create: capacity %d above %d"
+          (Pq.max_capacity + 1) Pq.max_capacity))
+    (fun () -> ignore (Pq.create (Pq.max_capacity + 1)));
+  check "priority kept" Pq.max_priority (Pq.priority q 3);
+  let pops = List.init 4 (fun _ -> Pq.pop_min q) in
+  Alcotest.(check (list (pair int int))) "pop order"
+    [ (1, Pq.min_priority); (2, 0); (0, Pq.max_priority);
+      (3, Pq.max_priority) ]
+    pops
+
 (* ------------------------------------------------------------------ *)
 (* Stats *)
 
@@ -541,7 +582,7 @@ let prop_pqueue_sorts =
    random (key, prio) pair drives one step: insert when absent, update
    when present — with an occasional remove — and every pop_min must
    agree with the model's (prio, key)-minimum. *)
-let prop_pqueue_model =
+let pqueue_model_prop ~name ~update prio =
   let cap = 16 in
   let model_min m =
     List.fold_left
@@ -551,9 +592,8 @@ let prop_pqueue_model =
         | _ -> Some (k, p))
       None m
   in
-  QCheck.Test.make ~count:200 ~name:"pqueue agrees with assoc-list model"
-    QCheck.(
-      list (triple (int_bound (cap - 1)) (int_bound 100) (int_bound 4)))
+  QCheck.Test.make ~count:200 ~name
+    QCheck.(list (triple (int_bound (cap - 1)) prio (int_bound 4)))
     (fun steps ->
       let q = Pq.create cap in
       let model = ref [] in
@@ -575,7 +615,7 @@ let prop_pqueue_model =
               Some popped = expected
           | _ ->
               if present_m then begin
-                Pq.update q key prio;
+                update q key prio;
                 model := (key, prio) :: List.remove_assoc key !model
               end
               else begin
@@ -596,6 +636,21 @@ let prop_pqueue_model =
       = List.sort
           (fun (k1, p1) (k2, p2) -> compare (p1, k1) (p2, k2))
           !model)
+
+let prop_pqueue_model =
+  pqueue_model_prop ~name:"pqueue agrees with assoc-list model"
+    ~update:Pq.update
+    QCheck.(int_bound 100)
+
+(* The adversary greedy's side: negated degrees, down to the packed
+   range's floor, moved by [shift] as the greedy moves them. *)
+let prop_pqueue_model_negative =
+  pqueue_model_prop ~name:"pqueue agrees with the model on negative priorities"
+    ~update:(fun q key prio -> Pq.shift q key (prio - Pq.priority q key))
+    QCheck.(
+      oneof
+        [ int_range (-100) 0;
+          map (fun d -> Pq.min_priority + d) (int_bound 3) ])
 
 let prop_pqueue_rejects_out_of_range =
   QCheck.Test.make ~count:100 ~name:"pqueue rejects out-of-range keys"
@@ -677,6 +732,7 @@ let props =
       prop_permutation_valid;
       prop_pqueue_sorts;
       prop_pqueue_model;
+      prop_pqueue_model_negative;
       prop_pqueue_rejects_out_of_range;
       prop_percentile_monotone;
       prop_intsort_sort_range;
@@ -735,7 +791,8 @@ let suites =
         Alcotest.test_case "empty pop" `Quick test_pq_empty_pop;
         Alcotest.test_case "out of range" `Quick test_pq_out_of_range;
         Alcotest.test_case "zero capacity" `Quick test_pq_zero_capacity;
-        Alcotest.test_case "heap sort" `Quick test_pq_heap_sort ] );
+        Alcotest.test_case "heap sort" `Quick test_pq_heap_sort;
+        Alcotest.test_case "packed range" `Quick test_pq_packed_range ] );
     ( "util.stats",
       [ Alcotest.test_case "mean/stddev" `Quick test_stats_mean_stddev;
         Alcotest.test_case "single element" `Quick test_stats_single;
