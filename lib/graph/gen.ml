@@ -92,48 +92,72 @@ let gnp rng n p =
   end
 
 (* The edge stream goes straight into the shared endpoint buffer, the
-   only intermediate between the generator and the finished graph. *)
-let collect_pairs n iter =
-  let pairs = Graph.Pairs.create () in
+   only intermediate between the generator and the finished graph.  It
+   is sized for the stream's [capacity] pairs, so it never doubles, and
+   a buffer that holds the whole stream also holds the finished store:
+   when the rows need settling, [Graph.of_pair_chunks] writes them into
+   it instead of a new array. *)
+let collect_pairs n ~capacity iter =
+  let pairs = Graph.Pairs.create ~capacity () in
   iter (Graph.Pairs.push pairs);
   Graph.of_unnormalized_pairs n pairs
 
-let huge_gnp rng n p = collect_pairs n (iter_gnp rng n p)
+(* The stream's length is Binomial(n(n-1)/2, p): reserve its mean plus
+   six standard deviations, up to 2^26 pairs; past that the buffer
+   doubles. *)
+let huge_gnp rng n p =
+  if p < 0.0 || p > 1.0 then invalid_arg "Gen.gnp: p out of range";
+  let mean = p *. float_of_int n *. float_of_int (n - 1) /. 2. in
+  let capacity =
+    int_of_float
+      (Float.min (mean +. (6. *. Float.sqrt mean) +. 1024.) 0x1p26)
+  in
+  collect_pairs n ~capacity (iter_gnp rng n p)
+
+(* [below r x] is 1 when [r < x] and 0 otherwise, for [r] and [x] in
+   [\[0, 2^53\]]: the sign of [r - x], with no branch to mispredict. *)
+let[@inline] below r x = ((r - x) asr 62) land 1
 
 (* R-MAT (Chakrabarti–Zhan–Faloutsos): each edge picks one of the four
    adjacency-matrix quadrants per bit level with skewed probabilities,
    yielding a power-law degree profile.  Self-loops are resampled (the
    repository is simple-graph-only); duplicates are left in the stream —
    every consumer (CSR constructor, edge-list file reader) collapses
-   them — so exactly [edges] pairs are emitted. *)
+   them — so exactly [edges] pairs are emitted.
+
+   A level draws [r = Rng.bits53 rng] and compares it with the integer
+   thresholds [ceil (x *. 2^53)] of the cumulative quadrant
+   probabilities [x].  For an integer [r], [r < ceil y] exactly when
+   [r < y], and [Rng.float rng 1.0] is [r] times [2^-53], so each test
+   decides as [Rng.float rng 1.0 < x] does and the pairs are the same;
+   the int draw allocates nothing.  A level's quadrant is (0, 0) below
+   [a], (0, 1) below [a + b], (1, 0) below [a + b + c] and (1, 1) from
+   there on. *)
 let iter_rmat rng ~scale ~edges f =
   if scale < 1 || scale > 30 then invalid_arg "Gen.iter_rmat: scale";
   if edges < 0 then invalid_arg "Gen.iter_rmat: edges";
   let a = 0.57 and b = 0.19 and c = 0.19 in
+  let threshold x = int_of_float (Float.ceil (x *. 0x1p53)) in
+  let ta = threshold a
+  and tab = threshold (a +. b)
+  and tabc = threshold (a +. b +. c) in
   for _ = 1 to edges do
     let u = ref 0 and v = ref 0 in
-    let again = ref true in
-    while !again do
+    while !u = !v do
       u := 0;
       v := 0;
       for _ = 1 to scale do
-        let r = Rng.float rng 1.0 in
-        let ubit, vbit =
-          if r < a then (0, 0)
-          else if r < a +. b then (0, 1)
-          else if r < a +. b +. c then (1, 0)
-          else (1, 1)
-        in
-        u := (!u lsl 1) lor ubit;
-        v := (!v lsl 1) lor vbit
-      done;
-      if !u <> !v then again := false
+        let r = Rng.bits53 rng in
+        u := (!u lsl 1) lor (1 - below r tab);
+        v := (!v lsl 1) lor (below r tab - below r ta + 1 - below r tabc)
+      done
     done;
     f !u !v
   done
 
 let rmat rng ~scale ~edges =
-  collect_pairs (1 lsl scale) (fun f -> iter_rmat rng ~scale ~edges f)
+  collect_pairs (1 lsl scale) ~capacity:edges (fun f ->
+      iter_rmat rng ~scale ~edges f)
 
 let gnm rng n m =
   let possible =

@@ -42,7 +42,8 @@ val iter_gnp : Ps_util.Rng.t -> int -> float -> (int -> int -> unit) -> unit
 val huge_gnp : Ps_util.Rng.t -> int -> float -> Graph.t
 (** {!iter_gnp} collected through {!Graph.of_unnormalized_pairs}: no
     edge list, no hashing — peak memory is one int32 endpoint buffer
-    ({!Graph.Pairs}) plus the CSR.  Same distribution as {!gnp}; vertex
+    ({!Graph.Pairs}, sized for the expected edge count plus six standard
+    deviations) plus the CSR.  Same distribution as {!gnp}; vertex
     ids and edge set coincide for the same seed. *)
 
 val iter_rmat :
@@ -55,7 +56,9 @@ val iter_rmat :
 val rmat : Ps_util.Rng.t -> scale:int -> edges:int -> Graph.t
 (** {!iter_rmat} collected through {!Graph.of_unnormalized_pairs}
     (duplicates collapse there, so the result can have fewer than
-    [edges] edges). *)
+    [edges] edges).  The endpoint buffer is sized for [edges] pairs, and
+    the settled rows are written back into it: peak memory is that
+    buffer and one int32 store. *)
 
 val gnm : Ps_util.Rng.t -> int -> int -> Graph.t
 (** Uniform graph with exactly [m] distinct edges; [m] must not exceed

@@ -1,10 +1,110 @@
+(* Decimal text output.  Ints are written as digits straight into a
+   byte window, two digits per division by 100 from a 200-byte table,
+   with no [string_of_int] string per value.  A window that fills is
+   either drained (to a channel) or doubled (for a string result). *)
+module Writer = struct
+  type t = {
+    mutable buf : Bytes.t;
+    mutable pos : int;
+    drain : (Bytes.t -> int -> unit) option;
+  }
+
+  let window = 65536
+
+  (* Enough for any int: 19 digits and a sign. *)
+  let int_room = 20
+
+  let make_room w k =
+    match w.drain with
+    | Some out ->
+        out w.buf w.pos;
+        w.pos <- 0
+    | None ->
+        let b = Bytes.create (2 * Bytes.length w.buf + k) in
+        Bytes.blit w.buf 0 b 0 w.pos;
+        w.buf <- b
+
+  let[@inline] reserve w k =
+    if w.pos + k > Bytes.length w.buf then make_room w k
+
+  let pairs =
+    String.init 200 (fun i ->
+        Char.chr (48 + if i land 1 = 0 then i / 20 else i / 2 mod 10))
+
+  (* The digits of [v >= 0], written to end just before [stop]. *)
+  let put_digits buf stop v =
+    let v = ref v and i = ref stop in
+    while !v >= 100 do
+      let q = !v / 100 in
+      let r = 2 * (!v - (100 * q)) in
+      Bytes.unsafe_set buf (!i - 1) (String.unsafe_get pairs (r + 1));
+      Bytes.unsafe_set buf (!i - 2) (String.unsafe_get pairs r);
+      i := !i - 2;
+      v := q
+    done;
+    if !v >= 10 then begin
+      Bytes.unsafe_set buf (!i - 1) (String.unsafe_get pairs ((2 * !v) + 1));
+      Bytes.unsafe_set buf (!i - 2) (String.unsafe_get pairs (2 * !v))
+    end
+    else Bytes.unsafe_set buf (!i - 1) (Char.unsafe_chr (48 + !v))
+
+  let digit_count v =
+    let d = ref 1 and p = ref 10 in
+    while !d < 19 && v >= !p do
+      incr d;
+      p := !p * 10
+    done;
+    !d
+
+  let int w v =
+    reserve w int_room;
+    if v >= 0 then begin
+      let d = digit_count v in
+      put_digits w.buf (w.pos + d) v;
+      w.pos <- w.pos + d
+    end
+    else begin
+      let s = string_of_int v in
+      Bytes.blit_string s 0 w.buf w.pos (String.length s);
+      w.pos <- w.pos + String.length s
+    end
+
+  let char w c =
+    reserve w 1;
+    Bytes.unsafe_set w.buf w.pos c;
+    w.pos <- w.pos + 1
+
+  let to_channel oc f =
+    let w =
+      { buf = Bytes.create window; pos = 0;
+        drain = Some (fun b len -> output oc b 0 len) }
+    in
+    f w;
+    output oc w.buf 0 w.pos
+
+  let to_string f =
+    let w = { buf = Bytes.create 1024; pos = 0; drain = None } in
+    f w;
+    Bytes.sub_string w.buf 0 w.pos
+end
+
+(* The body of every edge-list writer: the header, then one line per
+   [add u v]. *)
+let edge_lines w ~n ~m emit =
+  Writer.int w n;
+  Writer.char w ' ';
+  Writer.int w m;
+  Writer.char w '\n';
+  emit (fun u v ->
+      Writer.int w u;
+      Writer.char w ' ';
+      Writer.int w v;
+      Writer.char w '\n')
+
 let to_edge_list g =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "%d %d\n" (Graph.n_vertices g) (Graph.n_edges g));
-  Graph.iter_edges g (fun u v ->
-      Buffer.add_string buf (Printf.sprintf "%d %d\n" u v));
-  Buffer.contents buf
+  Writer.to_string (fun w ->
+      edge_lines w ~n:(Graph.n_vertices g) ~m:(Graph.n_edges g)
+        (Graph.iter_edges g))
 
 let fail_line lineno msg =
   failwith (Printf.sprintf "Gio.of_edge_list: line %d: %s" lineno msg)
@@ -407,34 +507,15 @@ let to_dot ?(name = "g") ?labels g =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-(* Buffered edge sink: formats into a Buffer and flushes it to the
-   channel whenever it passes 64 KiB, so writers stream in O(1) memory
+(* Lines are formatted into the writer's fixed 64 KiB window, written to
+   the channel whenever it fills, so writers stream in O(1) memory
    instead of materializing the whole file ([to_edge_list] on a
    10^8-edge graph would be a multi-gigabyte string). *)
-let with_edge_sink oc ~n ~m emit =
-  let buf = Buffer.create 65536 in
-  Buffer.add_string buf (string_of_int n);
-  Buffer.add_char buf ' ';
-  Buffer.add_string buf (string_of_int m);
-  Buffer.add_char buf '\n';
-  let add u v =
-    Buffer.add_string buf (string_of_int u);
-    Buffer.add_char buf ' ';
-    Buffer.add_string buf (string_of_int v);
-    Buffer.add_char buf '\n';
-    if Buffer.length buf >= 65536 then begin
-      Buffer.output_buffer oc buf;
-      Buffer.clear buf
-    end
-  in
-  emit add;
-  Buffer.output_buffer oc buf
-
 let write_edges_file filename ~n ~m emit =
   let oc = open_out filename in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> with_edge_sink oc ~n ~m emit)
+    (fun () -> Writer.to_channel oc (fun w -> edge_lines w ~n ~m emit))
 
 let write_file filename g =
   write_edges_file filename ~n:(Graph.n_vertices g) ~m:(Graph.n_edges g)

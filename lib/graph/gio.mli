@@ -32,9 +32,33 @@
     protocol, whose workers already hold the cores.  The [?domains]
     arguments exist for tests.
 
-    {b Writing.}  {!write_file} and {!write_edges_file} format through a
-    fixed-size buffer flushed to the channel, never materializing the
-    file as one string. *)
+    {b Writing.}  Every text writer, here and in {!Ps_hypergraph.Hio},
+    goes through {!Writer}, which writes decimal digits straight into a
+    byte window.  {!write_file} and {!write_edges_file} drain a 64 KiB
+    window to the channel, never materializing the file as one string,
+    and allocate nothing per line. *)
+
+(** Decimal text output into a byte window: the one digit writer behind
+    every edge-list and hypergraph writer. *)
+module Writer : sig
+  type t
+
+  val int : t -> int -> unit
+  (** [int w v] appends the text of [string_of_int v] without making
+      that string: a non-negative [v] is written digit by digit into the
+      window. *)
+
+  val char : t -> char -> unit
+
+  val to_channel : out_channel -> (t -> unit) -> unit
+  (** [to_channel oc f] runs [f] on a writer whose 64 KiB window is
+      written to [oc] whenever it fills, and once more after [f]
+      returns. *)
+
+  val to_string : (t -> unit) -> string
+  (** [to_string f] is the text [f] writes, gathered in a window of
+      1 KiB that doubles whenever it fills. *)
+end
 
 val to_edge_list : Graph.t -> string
 val of_edge_list : ?domains:int -> string -> Graph.t

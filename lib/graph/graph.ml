@@ -265,13 +265,20 @@ end
    [Gio.read_file] and the huge generators.  Each edge appears once as a
    pair in either orientation; duplicates are collapsed, self-loops and
    out-of-range endpoints rejected.  Count degrees over the chunks in
-   order, turn the degree array into the fill cursor, write both
-   directions of every pair straight into the int32 store, then settle
-   each row: one that arrived strictly increasing (every row of a file
-   [Gio.write_file] wrote) is left as it is; any other goes through an
-   int scratch row to be sorted and deduped, and shrinks in place.  The
-   store is adopted as it stands when no row shrank, and compacted once
-   otherwise.  O(n + m) when every row arrives sorted. *)
+   order, turn the degree array into the fill cursor and write both
+   directions of every pair straight into the int32 store.  When every
+   row of that scattered store came out strictly increasing (every row
+   of a file [Gio.write_file] wrote does), it is the CSR.  Otherwise one
+   transpose settles all rows with no comparison sort: walk the rows x
+   upward and append x to the row of every y that row x lists.  The
+   scattered store is symmetric, so row y receives each of its
+   neighbours, in increasing order, once per copy of the pair; a copy
+   after the first finds x already the row's last entry and is dropped.
+   The rows are then compacted in place.  The transpose writes into the
+   buffer of a chunk that can hold the whole store (a single chunk
+   always can: it holds two entries per pair), which the scatter has
+   finished reading; that chunk is left empty.  O(n + m) for any pair
+   order. *)
 let of_pair_chunks n chunks =
   check_n "Graph.of_pair_chunks" n;
   let deg = Array.make n 0 in
@@ -287,14 +294,12 @@ let of_pair_chunks n chunks =
       done)
     chunks;
   let offsets = Array.make (n + 1) 0 in
-  let maxdeg = ref 0 in
   for x = 0 to n - 1 do
-    let d = deg.(x) in
-    if d > !maxdeg then maxdeg := d;
-    offsets.(x + 1) <- offsets.(x) + d;
+    offsets.(x + 1) <- offsets.(x) + deg.(x);
     deg.(x) <- offsets.(x)
   done;
-  let cursor = deg and adj = i32_create offsets.(n) in
+  let total = offsets.(n) in
+  let cursor = deg and adj = i32_create total in
   Array.iter
     (fun { Pairs.buf; len } ->
       for i = 0 to len - 1 do
@@ -305,49 +310,60 @@ let of_pair_chunks n chunks =
         cursor.(b) <- cursor.(b) + 1
       done)
     chunks;
-  (* The cursor now holds each row's end; a settled row that shrank
-     moves its end down and counts what it dropped. *)
-  let row = Array.make !maxdeg 0 in
-  let dropped = ref 0 in
-  for x = 0 to n - 1 do
-    let lo = offsets.(x) and hi = cursor.(x) in
-    let i = ref (lo + 1) in
+  let sorted = ref true and x = ref 0 in
+  while !sorted && !x < n do
+    let i = ref (offsets.(!x) + 1) and hi = offsets.(!x + 1) in
     while !i < hi && get adj (!i - 1) < get adj !i do
       incr i
     done;
-    if !i < hi then begin
-      let len = hi - lo in
-      for j = 0 to len - 1 do
-        Array.unsafe_set row j (get adj (lo + j))
-      done;
-      Ps_util.Intsort.sort_range row 0 len;
-      let len' = Ps_util.Intsort.dedup_sorted_range row 0 len in
-      for j = 0 to len' - 1 do
-        Bigarray.Array1.unsafe_set adj (lo + j) (Int32.of_int row.(j))
-      done;
-      cursor.(x) <- lo + len';
-      dropped := !dropped + (len - len')
-    end
+    sorted := !i >= hi;
+    incr x
   done;
-  let adj =
-    if !dropped = 0 then adj
-    else begin
-      let exact = i32_create (offsets.(n) - !dropped) in
-      let w = ref 0 in
-      for x = 0 to n - 1 do
-        let lo = offsets.(x) in
-        offsets.(x) <- !w;
+  if !sorted then of_csr n ~offsets ~adj
+  else begin
+    let out =
+      match
+        Array.find_opt
+          (fun (p : Pairs.t) -> Bigarray.Array1.dim p.buf >= total)
+          chunks
+      with
+      | Some p ->
+          let buf = p.buf in
+          p.buf <- i32_create 2;
+          p.len <- 0;
+          buf
+      | None -> i32_create total
+    in
+    Array.blit offsets 0 cursor 0 n;
+    for x = 0 to n - 1 do
+      for i = offsets.(x) to offsets.(x + 1) - 1 do
+        let y = get adj i in
+        let c = Array.unsafe_get cursor y in
+        if c = Array.unsafe_get offsets y || get out (c - 1) <> x then begin
+          Bigarray.Array1.unsafe_set out c (Int32.of_int x);
+          Array.unsafe_set cursor y (c + 1)
+        end
+      done
+    done;
+    (* The cursor holds each row's end.  Move the rows down over the
+       dropped copies, if there were any. *)
+    let w = ref 0 in
+    for x = 0 to n - 1 do
+      let lo = offsets.(x) in
+      offsets.(x) <- !w;
+      if !w = lo then w := cursor.(x)
+      else
         for i = lo to cursor.(x) - 1 do
-          Bigarray.Array1.unsafe_set exact !w
-            (Bigarray.Array1.unsafe_get adj i);
+          Bigarray.Array1.unsafe_set out !w (Bigarray.Array1.unsafe_get out i);
           incr w
         done
-      done;
-      offsets.(n) <- !w;
-      exact
-    end
-  in
-  of_csr n ~offsets ~adj
+    done;
+    offsets.(n) <- !w;
+    let out =
+      if !w = Bigarray.Array1.dim out then out else Bigarray.Array1.sub out 0 !w
+    in
+    of_csr n ~offsets ~adj:out
+  end
 
 let of_unnormalized_pairs n pairs = of_pair_chunks n [| pairs |]
 
@@ -403,9 +419,13 @@ let exists_neighbor g v pred =
     false
   with Found -> true
 
+(* Rows are read in place: no closure per vertex. *)
 let iter_edges g f =
   for u = 0 to g.n - 1 do
-    iter_neighbors g u (fun v -> if u < v then f u v)
+    for i = g.offsets.(u) to g.offsets.(u + 1) - 1 do
+      let v = get g.adj i in
+      if u < v then f u v
+    done
   done
 
 let edges g =

@@ -79,26 +79,36 @@ end
 val of_pair_chunks : int -> Pairs.t array -> t
 (** [of_pair_chunks n chunks] builds CSR directly from the pairs of
     [chunks], read in array order — any orientation, any order,
-    duplicates collapsed — without lists, hash tables or an [int]
-    scratch store: count degrees, fill both directions of every pair
-    into the int32 store, then settle each row.  A row that arrived
-    strictly increasing (as every row of a file written by
-    {!Gio.write_file} does) is left as it is, so sorted input builds in
-    O(n + m); any other row is sorted and deduped through a scratch row
-    of max-degree length, and a store that lost entries that way is
-    compacted once.  Peak memory beyond the chunks is the degree and
-    offsets arrays plus the store (twice the store when duplicates were
-    dropped).  The result is adopted through {!of_csr}, so
-    [PSLOCAL_DEBUG] validates it.  Rows, offsets and {!content_hash} do
-    not depend on how the pairs are cut into chunks.  Self-loops and
-    endpoints outside [[0, n)] raise [Invalid_argument] (always — this
-    path replaces normalization, so it cannot defer validation).  The
-    chunks are only read. *)
+    duplicates collapsed — in O(n + m) for any pair order, without
+    lists, hash tables or a comparison sort: count degrees, then fill
+    both directions of every pair into an int32 store.  When every row
+    of that store came out strictly increasing (as every row of a file
+    written by {!Gio.write_file} does) it is the CSR.  Otherwise one
+    transpose of the store settles every row: rows are walked upward
+    and each vertex appended to the rows of its neighbours, so each row
+    comes out sorted, a repeated pair is dropped where it meets itself
+    as the row's last entry, and the rows are compacted in place.
+
+    {b A chunk may be consumed.}  The transpose writes into the buffer
+    of the first chunk that can hold the whole store — a single chunk
+    always can — and leaves that chunk empty, so pushing into it
+    afterwards starts a new buffer and cannot touch the graph.  With no
+    such chunk the transpose writes into a new array.  Peak memory
+    beyond the chunks is the degree and offsets arrays plus one store,
+    or two when no chunk can take the transposed one.  A store that
+    lost duplicates keeps its allocation, viewed through a sub-array of
+    the exact length.
+
+    The result is adopted through {!of_csr}, so [PSLOCAL_DEBUG]
+    validates it.  Rows, offsets and {!content_hash} do not depend on
+    how the pairs are cut into chunks.  Self-loops and endpoints outside
+    [[0, n)] raise [Invalid_argument] (always — this path replaces
+    normalization, so it cannot defer validation). *)
 
 val of_unnormalized_pairs : int -> Pairs.t -> t
-(** [of_unnormalized_pairs n p] is [of_pair_chunks n [| p |]]: the same
-    single pass per step, O(n + m) on rows that arrive sorted and
-    O(n + m log maxdeg) otherwise. *)
+(** [of_unnormalized_pairs n p] is [of_pair_chunks n [| p |]]: O(n + m)
+    for any pair order, and [p] is consumed when its rows need
+    settling. *)
 
 val of_sorted_edge_array : ?validate:bool -> int -> (int * int) array -> t
 (** [of_sorted_edge_array n edges] builds CSR directly from an edge array

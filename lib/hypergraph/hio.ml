@@ -1,3 +1,5 @@
+module Writer = Ps_graph.Gio.Writer
+
 let fail_line lineno msg =
   failwith (Printf.sprintf "Hio.of_text: line %d: %s" lineno msg)
 
@@ -189,42 +191,33 @@ let of_text text =
   in
   parse ~max_edges:(max_edges_of_length total) next_line
 
-let to_text h =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "%d %d\n" (Hypergraph.n_vertices h)
-       (Hypergraph.n_edges h));
+(* The header and one "s v1 ... vs" line per edge, through the shared
+   digit writer.  Members are read in place: [member] is made once, not
+   per edge, and [Hypergraph.iter_edge] copies nothing. *)
+let lines w h =
+  Writer.int w (Hypergraph.n_vertices h);
+  Writer.char w ' ';
+  Writer.int w (Hypergraph.n_edges h);
+  Writer.char w '\n';
+  let member v =
+    Writer.char w ' ';
+    Writer.int w v
+  in
   for i = 0 to Hypergraph.n_edges h - 1 do
-    let e = Hypergraph.edge h i in
-    Buffer.add_string buf (string_of_int (Array.length e));
-    Array.iter (fun v -> Buffer.add_string buf (" " ^ string_of_int v)) e;
-    Buffer.add_char buf '\n'
-  done;
-  Buffer.contents buf
+    Writer.int w (Hypergraph.edge_size h i);
+    Hypergraph.iter_edge h i member;
+    Writer.char w '\n'
+  done
 
-(* Buffered streaming writer (64 KiB flushes), mirroring
-   [Gio.write_file]: the file is never materialized as one string. *)
+let to_text h = Writer.to_string (fun w -> lines w h)
+
+(* Streams through the writer's 64 KiB window, as [Gio.write_file]
+   does: the file is never materialized as one string. *)
 let write_file filename h =
   let oc = open_out filename in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () ->
-      let buf = Buffer.create 65536 in
-      Buffer.add_string buf
-        (Printf.sprintf "%d %d\n" (Hypergraph.n_vertices h)
-           (Hypergraph.n_edges h));
-      for i = 0 to Hypergraph.n_edges h - 1 do
-        Buffer.add_string buf (string_of_int (Hypergraph.edge_size h i));
-        Hypergraph.iter_edge h i (fun v ->
-            Buffer.add_char buf ' ';
-            Buffer.add_string buf (string_of_int v));
-        Buffer.add_char buf '\n';
-        if Buffer.length buf >= 65536 then begin
-          Buffer.output_buffer oc buf;
-          Buffer.clear buf
-        end
-      done;
-      Buffer.output_buffer oc buf)
+    (fun () -> Writer.to_channel oc (fun w -> lines w h))
 
 let read_file filename =
   let ic = open_in filename in

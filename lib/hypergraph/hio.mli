@@ -5,9 +5,11 @@
 
     {!read_file} and {!write_file} stream: reading parses line by line
     straight into member arrays ({!Hypergraph.of_member_arrays}) with no
-    intermediate line or token lists, writing flushes through a
-    fixed-size buffer — neither direction materializes the file as one
-    string. *)
+    intermediate line or token lists, writing drains a 64 KiB window of
+    {!Ps_graph.Gio.Writer} — neither direction materializes the file as
+    one string.  {!to_text} and {!write_file} write digits straight into
+    the writer's window and read members in place, allocating nothing
+    per line. *)
 
 val to_text : Hypergraph.t -> string
 val of_text : string -> Hypergraph.t

@@ -98,18 +98,30 @@ let min_degree g = by_degree ~invert:false g
 
 let max_degree_adversary g = by_degree ~invert:true g
 
+(* First fit, reading rows in place against an n-byte mask of blocked
+   vertices (chosen, or next to a chosen one), as [Independent_set]'s
+   probes do: a byte store per row entry, with no [Bitset] call and no
+   closure per chosen vertex.  Row entries are vertices of [g], so the
+   mask writes are unchecked; [order]'s entries are checked. *)
 let in_order g order =
   let n = G.n_vertices g in
   if Array.length order <> n then
     invalid_arg "Greedy.in_order: order length mismatch";
-  let blocked = B.create n in
+  let blocked = Bytes.make n '\000' in
   let chosen = B.create n in
-  Array.iter
-    (fun v ->
-      if not (B.mem blocked v) then begin
-        B.add chosen v;
-        B.add blocked v;
-        G.iter_neighbors g v (fun u -> B.add blocked u)
-      end)
-    order;
+  let view = G.csr_view g in
+  let off = view.G.v_offsets and a = view.G.v_store in
+  for k = 0 to n - 1 do
+    let v = order.(k) in
+    if v < 0 || v >= n then invalid_arg "Greedy.in_order: vertex out of range";
+    if Bytes.unsafe_get blocked v = '\000' then begin
+      B.add chosen v;
+      Bytes.unsafe_set blocked v '\001';
+      for i = off.(v) to off.(v + 1) - 1 do
+        Bytes.unsafe_set blocked
+          (Int32.to_int (Bigarray.Array1.unsafe_get a i))
+          '\001'
+      done
+    end
+  done;
   chosen

@@ -1,28 +1,50 @@
-type t = { mutable state : int64 }
+(* The state is the SplitMix64 Weyl counter, kept in an 8-byte [Bytes.t]
+   and read and written with the unboxed 64-bit primitives.  A draw
+   inlines [next], so the counter and its mixed output stay in registers
+   and a draw that returns an [int], a [bool] or an unboxed float
+   allocates nothing.  A [{ mutable state : int64 }] record would box a
+   fresh [int64] on every store. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* Finalizer from SplitMix64: xor-shift multiply mixing of the Weyl state. *)
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  set64 t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let copy = Bytes.copy
 
-let split t = { state = mix64 (bits64 t) }
+let[@inline] next t =
+  let s = Int64.add (get64 t 0) golden_gamma in
+  set64 t 0 s;
+  mix64 s
+
+let bits64 t = next t
+
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (next t) 11)
+
+(* [bits53 t] times 2^-53: exact, since both factors are exact. *)
+let[@inline] unit_float t = Float.of_int (bits53 t) *. 0x1p-53
+
+let split t = of_state (mix64 (next t))
 
 let split_at t i =
   (* Derive child [i] from the current state without consuming it: mix the
      state with a second independent Weyl sequence indexed by [i]. *)
   let salt = Int64.mul (Int64.of_int (i + 1)) 0xD1B54A32D192ED03L in
-  { state = mix64 (Int64.logxor t.state salt) }
+  of_state (mix64 (Int64.logxor (get64 t 0) salt))
 
 let streams t n =
   if n < 0 then invalid_arg "Rng.streams: n must be non-negative";
@@ -32,30 +54,29 @@ let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection sampling on the top 62 bits to avoid modulo bias. *)
   let mask = max_int in
-  let rec draw () =
-    let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) land mask in
-    let v = r mod bound in
-    if r - v > mask - bound + 1 then draw () else v
-  in
-  draw ()
+  let r = ref (Int64.to_int (Int64.shift_right_logical (next t) 2) land mask) in
+  let v = ref (!r mod bound) in
+  while !r - !v > mask - bound + 1 do
+    r := Int64.to_int (Int64.shift_right_logical (next t) 2) land mask;
+    v := !r mod bound
+  done;
+  !v
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let float t bound =
-  let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
-  bound *. (r *. 0x1p-53)
+let float t bound = bound *. unit_float t
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.to_int (next t) land 1 = 1
 
-let bernoulli t p = float t 1.0 < p
+let bernoulli t p = unit_float t < p
 
 let geometric t p =
   if p <= 0.0 || p > 1.0 then invalid_arg "Rng.geometric: p must be in (0,1]";
   if p = 1.0 then 0
   else
-    let u = float t 1.0 in
+    let u = unit_float t in
     let u = if u = 0.0 then epsilon_float else u in
     int_of_float (Float.floor (log u /. log (1.0 -. p)))
 
@@ -67,9 +88,16 @@ let shuffle_in_place t a =
     a.(j) <- tmp
   done
 
+(* The same swaps as [shuffle_in_place], on an array known to hold
+   ints, so no access checks for a float array. *)
 let permutation t n =
-  let a = Array.init n (fun i -> i) in
-  shuffle_in_place t a;
+  let a = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = int t (i + 1) in
+    let tmp = Array.unsafe_get a i in
+    Array.unsafe_set a i (Array.unsafe_get a j);
+    Array.unsafe_set a j tmp
+  done;
   a
 
 let sample_without_replacement t k n =

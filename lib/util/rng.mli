@@ -7,7 +7,22 @@
     variant of the MurmurHash3 mixer.  It is fast, passes BigCrush when
     used as here, and — crucially for simulating distributed algorithms —
     supports {e splitting}: deriving independent child generators, e.g. one
-    per node of a network, without sharing mutable state. *)
+    per node of a network, without sharing mutable state.
+
+    {b State and allocation.}  A generator is its 64-bit Weyl counter,
+    held in 8 bytes and read and written with the unboxed 64-bit bytes
+    primitives, so no draw boxes an [int64].  {!int}, {!int_in},
+    {!bits53}, {!bool}, {!bernoulli}, {!geometric} and {!choice}
+    allocate nothing, nor does {!shuffle_in_place} on an array that is
+    not a float array, and {!permutation} allocates only the array it
+    returns.  {!bits64} and
+    {!float} return a boxed value to a caller in another compilation
+    unit: under dune's dev profile every cross-library call is opaque,
+    so the boxing cannot be inlined away.  Hot callers in other modules
+    therefore take int draws — {!bits53} compared against integer
+    thresholds instead of [float t 1.0] against floats, as
+    [Ps_graph.Gen.iter_rmat] does.  The streams themselves are fixed: a
+    test pins the first 64 outputs of every draw, for several seeds. *)
 
 type t
 (** Mutable generator state. *)
@@ -46,6 +61,14 @@ val streams : t -> int -> t array
 
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
+
+val bits53 : t -> int
+(** [bits53 t] is the top 53 bits of the next {!bits64} output, a
+    uniform int in [\[0, 2^53)], and draws exactly that output.
+    [float t 1.0] is the same 53-bit integer times [2^-53], so
+    [float t 1.0 < x] decides as [bits53 t < ceil (x *. 2^53)] does,
+    for any [x] in [\[0, 1\]]: the integer form of a threshold test
+    that allocates nothing. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive.
