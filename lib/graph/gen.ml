@@ -232,7 +232,12 @@ let random_tree rng n =
 
 let unit_interval rng n len =
   if len < 0.0 then invalid_arg "Gen.unit_interval";
-  let left = Array.init n (fun _ -> Rng.float rng len) in
+  (* [Rng.float rng len]'s value, drawn as an int and scaled here, so
+     no float is boxed per vertex. *)
+  let left = Array.make n 0.0 in
+  for u = 0 to n - 1 do
+    left.(u) <- len *. (Float.of_int (Rng.bits53 rng) *. 0x1p-53)
+  done;
   Array.sort Float.compare left;
   let acc = ref [] in
   for u = 0 to n - 1 do

@@ -77,20 +77,22 @@ let verify_exn g s =
 
 (* The mask tracks the set as it grows, so each probe sees the vertices
    added before it. *)
+let complete_mask g mask =
+  let n = G.n_vertices g in
+  if Bytes.length mask <> n then
+    invalid_arg "Independent_set.complete_mask: mask length is not the graph's";
+  let touches = touches g mask in
+  for v = 0 to n - 1 do
+    if Bytes.unsafe_get mask v = '\000' && not (touches v) then
+      Bytes.unsafe_set mask v '\001'
+  done;
+  B.of_mask mask
+
 let complete g s =
   let n = G.n_vertices g in
   if B.capacity s <> n then
     invalid_arg "Independent_set.complete: set universe is not the graph's";
-  let s = B.copy s in
-  let mask = mask_of n s in
-  let touches = touches g mask in
-  for v = 0 to n - 1 do
-    if Bytes.unsafe_get mask v = '\000' && not (touches v) then begin
-      B.add s v;
-      Bytes.unsafe_set mask v '\001'
-    end
-  done;
-  s
+  complete_mask g (mask_of n s)
 
 let make_maximal g s =
   verify_exn g s;

@@ -41,6 +41,14 @@ val complete : Ps_graph.Graph.t -> t -> t
     independent.  Raises [Invalid_argument] when [s]'s capacity is not
     the graph's vertex count. *)
 
+val complete_mask : Ps_graph.Graph.t -> Bytes.t -> t
+(** [complete_mask g m] is {!complete} on the set whose members are the
+    non-zero bytes of the n-byte mask [m], which it completes in place
+    (a caller that already holds its set as a mask skips the copy):
+    the result is the set [m] holds afterwards.  Raises
+    [Invalid_argument] when [m]'s length is not the graph's vertex
+    count. *)
+
 val approximation_ratio : alpha:int -> t -> float
 (** [alpha /. size]; the λ achieved against a known independence number.
     Raises if the set is empty while [alpha > 0]. *)

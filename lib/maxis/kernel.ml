@@ -14,6 +14,48 @@ type stats = {
   dominated : int;
 }
 
+(* The input store, the row pool and the kernel's store are int32
+   Bigarrays, read and written through [get] and [set], so a row walk
+   reads a base in the input store or in the pool through one accessor. *)
+let[@inline] get (a : G.i32) i = Int32.to_int (Bigarray.Array1.unsafe_get a i)
+let[@inline] set (a : G.i32) i x = Bigarray.Array1.unsafe_set a i (Int32.of_int x)
+let i32 n : G.i32 = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout n
+
+(* A copy of the first [used] entries of [a] in a store that holds at
+   least [need] entries and twice as many as [a]: the slow path of the
+   growable pool, which checks its room first. *)
+let grow (a : G.i32) ~used need =
+  let b = i32 (max need (2 * Bigarray.Array1.dim a)) in
+  for i = 0 to used - 1 do
+    Bigarray.Array1.unsafe_set b i (Bigarray.Array1.unsafe_get a i)
+  done;
+  b
+
+(* Every other per-call store lives in [Bytes]: the GC does not scan
+   it, and counts it as the heap words it is.  A Bigarray would be
+   custom memory, whose accounting paces major cycles by the size of
+   the major heap — small here, since the graph itself is Bigarrays — so
+   a reduce that kept its per-vertex state in Bigarrays ran more major
+   cycles than the boxed arrays it replaced (measured in CHANGES.md). *)
+type ints = Bytes.t
+
+external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+let[@inline] iget (a : ints) i = Int32.to_int (get32u a (i lsl 2))
+let[@inline] iset (a : ints) i x = set32u a (i lsl 2) (Int32.of_int x)
+let ints n : ints = Bytes.create (4 * n)
+let izeros n : ints = Bytes.make (4 * n) '\000'
+let ilen (a : ints) = Bytes.length a lsr 2
+
+(* [grow] for [ints]. *)
+let igrow (a : ints) ~used need =
+  let b = ints (max need (2 * ilen a)) in
+  Bytes.blit a 0 b 0 (4 * used);
+  b
+
 (* Undo journal, recorded in application order and replayed in reverse.
    [Take v]: v joins the solution; its whole closed neighborhood (in the
    working graph at that moment) was retired with it.  [Fold (v, u, w)]:
@@ -21,16 +63,18 @@ type stats = {
    vertex reusing v's id — selected merged vertex means "take u and w",
    unselected means "take v".  Dominated deletions need no journal
    entry: the deleted vertex stays out and the vertex_addition repair
-   re-adds it whenever that is still safe. *)
-type op =
-  | Take of int
-  | Fold of int * int * int
+   re-adds it whenever that is still safe.
+
+   The journal is an int32 store, oldest entry first: a take is the one
+   entry [v], a fold the three entries [u; w; -(v + 1)], so a reverse
+   walk meets the fold's negative marker before its endpoints. *)
 
 type t = {
   original : G.t;
   kernel : G.t;
   to_orig : int array;
-  journal : op list;  (* head = last operation *)
+  journal : ints;
+  journal_len : int;  (* entries in use *)
   stats : stats;
 }
 
@@ -54,127 +98,239 @@ let default_rule_cap = 16
 let tier_base = 1 lsl 16
 let tier_per_removed = 4096
 
-(* Mutable working graph, copy-on-write over the input CSR.  A row
-   starts {e borrowed}: it is read in place from the input graph's
-   adjacency store, at [offsets.(v)], and [own.(v)] is the empty array.
-   A rule that rewrites a row first gives it an owned [int array] copy —
-   a fold's merged row, a row the merged vertex is appended to
-   ([row_push]), a row [compact_row] compacts — so the input store,
-   which other readers may share (portfolio lanes, the serve cache), is
-   never written, and a pass where no rule fires copies nothing.  An
-   owned row is never empty, which is what tells the two apart; [entry]
-   is the one read path for both.
+(* Mutable working graph over the input CSR, in unboxed int32 stores
+   the GC never scans.  Per vertex there are three: [deg], the count of
+   live entries in its row, or -1 once the vertex is retired (a live
+   vertex adjacent to a live one has degree >= 1, so no decrement ever
+   reaches -1); [mark], the generation stamps of the quadratic tier's
+   neighborhood scans; and [ext], the vertex's row record, 0 while its
+   row is the untouched input row.
+
+   A row is two segments, walked in order.  Its {e base} is read in
+   place from the input's store at [offsets.(v)] while the row is
+   borrowed, and from the working pool once a rule has rewritten it: a
+   fold's merged row, or a row [compact_row] compacted.  Its {e append
+   segment} holds the merged vertices later folds linked to it, in link
+   order, so linking never copies the base.  A row's record, four
+   entries of the [side] store at [ext.(v)], is [home] (the base's pool
+   index, -1 while borrowed), [len] (the base's physical length; a
+   borrowed base has the input row's), [ahome] and [alen] (the append
+   segment's pool index and length).  [side.(0 .. 3)] is the record of
+   every untouched row: borrowed, no appends.  The input store, which
+   other readers may share (portfolio lanes, the serve cache), is never
+   written, and a pass where no rule fires writes no pool entry.  The
+   pool and [side] are growable stores, one of each per call; a segment
+   that moves leaves its old entries behind as garbage.
 
    Rows are never physically cleaned — dead entries are skipped through
-   [alive] — so [deg] (the count of live entries) is the authoritative
-   degree.  Among live entries every row is duplicate-free: the CSR
-   starts that way, and a fold only links the merged vertex to vertices
-   it was not adjacent to before (its center had degree 2). *)
+   [deg] — so the physical length (base plus appends) is what
+   compaction and the tier budget count.  Among live entries every row
+   is duplicate-free: the CSR starts that way, and a fold only links the
+   merged vertex to vertices it was not adjacent to before (its center
+   had degree 2). *)
 type work = {
-  alive : bool array;
-  deg : int array;
+  deg : ints;  (* -1 once retired *)
   offsets : int array;  (* the input's, read-only *)
   store : G.i32;  (* the input's, read-only *)
-  own : int array array;  (* [||] while borrowed *)
-  len : int array;  (* physical row length, >= live count *)
-  mutable owned : int;  (* rows copied so far *)
+  ext : ints;  (* index of the row's record in [side]; 0 untouched *)
+  mutable side : ints;
+  mutable stop : int;  (* [side] entries handed out *)
+  mutable pool : G.i32;
+  mutable top : int;  (* pool entries handed out *)
+  mutable owned : int;  (* rows whose base moved to the pool *)
+  mutable links : int;  (* merged-row entries written by folds *)
   (* nodes_by_degree bucket queue (lazy entries: a vertex may sit in
      several buckets; staleness is detected on pop). *)
-  buckets : int array array;
+  buckets : ints array;
   bfill : int array;
   mutable cursor : int;
   cap : int;
-  (* generation-stamped scratch marks for neighborhood scans *)
-  mark : int array;
+  mutable mark : ints;
   mutable gen : int;
   mutable walked : int;  (* row entries the quadratic tier has walked *)
+  mutable journal : ints;
+  mutable jlen : int;
 }
 
-(* Entry [i] of the row whose owned array is [r] and whose input row
-   starts at store index [base]: the one row accessor.  Callers read
-   [r] and [base] once per row walk. *)
-let[@inline] entry w r base i =
-  if Array.length r > 0 then Array.unsafe_get r i
-  else Int32.to_int (Bigarray.Array1.unsafe_get w.store (base + i))
+let[@inline] live w x = iget w.deg x >= 0
+let[@inline] retire w x = iset w.deg x (-1)
 
-(* Install [r] (non-empty) as [v]'s owned row. *)
-let adopt w v r =
-  if Array.length w.own.(v) = 0 then w.owned <- w.owned + 1;
-  w.own.(v) <- r
+(* Row geometry, read through the record (untouched rows read the
+   shared one at 0). *)
+let[@inline] home w v = iget w.side (iget w.ext v)
+let[@inline] alen w v = iget w.side (iget w.ext v + 3)
 
-let bucket_push w v =
-  let d = w.deg.(v) in
+let[@inline] base_len w v =
+  let e = iget w.ext v in
+  if iget w.side e < 0 then
+    Array.unsafe_get w.offsets (v + 1) - Array.unsafe_get w.offsets v
+  else iget w.side (e + 1)
+
+let[@inline] row_len w v = base_len w v + alen w v
+
+(* Segment [s] (0 = base, 1 = appends) of [v]'s row: the store it sits
+   in, its first index and its length.  Hot walks loop over both. *)
+let[@inline] seg_src w v s = if s = 1 || home w v >= 0 then w.pool else w.store
+
+let[@inline] seg_lo w v s =
+  if s = 1 then iget w.side (iget w.ext v + 2)
+  else
+    let h = home w v in
+    if h < 0 then Array.unsafe_get w.offsets v else h
+
+let[@inline] seg_len w v s = if s = 0 then base_len w v else alen w v
+
+(* Entry [i] of [v]'s row in row order: the reader of the cold paths
+   (small rows, and the budgeted tier). *)
+let entry w v i =
+  let l = base_len w v in
+  if i < l then get (seg_src w v 0) (seg_lo w v 0 + i)
+  else get w.pool (seg_lo w v 1 + i - l)
+
+(* [k] fresh pool entries; returns the first index.  The pool may move,
+   so callers read [w.pool] after this. *)
+let alloc w k =
+  let p = w.top in
+  if p + k > Bigarray.Array1.dim w.pool then
+    w.pool <- grow w.pool ~used:p (p + k);
+  w.top <- p + k;
+  p
+
+(* [v]'s own record, made (borrowed, no appends) on first use. *)
+let record w v =
+  let e = iget w.ext v in
+  if e <> 0 then e
+  else begin
+    let e = w.stop in
+    if e + 4 > ilen w.side then w.side <- igrow w.side ~used:e (e + 4);
+    w.stop <- e + 4;
+    iset w.side e (-1);
+    iset w.side (e + 1) 0;
+    iset w.side (e + 2) 0;
+    iset w.side (e + 3) 0;
+    iset w.ext v e;
+    e
+  end
+
+(* Make [v]'s base the [len] pool entries at [home], with no appends. *)
+let rebase w v ~home ~len =
+  let e = record w v in
+  if iget w.side e < 0 then w.owned <- w.owned + 1;
+  iset w.side e home;
+  iset w.side (e + 1) len;
+  iset w.side (e + 3) 0
+
+let log w x =
+  let j = w.jlen in
+  if j = ilen w.journal then w.journal <- igrow w.journal ~used:j (j + 1);
+  iset w.journal j x;
+  w.jlen <- j + 1
+
+(* A fresh generation for [mark], which is made on first use (a pass
+   whose tier never runs needs none).  Stamps are int32, so before [gen]
+   could leave that range the marks start over from zero: no stale
+   stamp ever equals a live generation. *)
+let next_gen w =
+  if w.gen = 0 || w.gen = Int32.to_int Int32.max_int then begin
+    w.mark <- izeros (ilen w.deg);
+    w.gen <- 0
+  end;
+  w.gen <- w.gen + 1;
+  w.gen
+
+(* Queue [v], whose degree is now [d]. *)
+let[@inline] push w v d =
   if d <= w.cap then begin
-    let b = w.buckets.(d) in
-    let fill = w.bfill.(d) in
-    if fill = Array.length b then begin
-      let b' = Array.make (max 8 (2 * fill)) 0 in
-      Array.blit b 0 b' 0 fill;
-      w.buckets.(d) <- b'
-    end;
-    w.buckets.(d).(fill) <- v;
-    w.bfill.(d) <- fill + 1;
+    let fill = Array.unsafe_get w.bfill d in
+    let b = Array.unsafe_get w.buckets d in
+    let b =
+      if fill < ilen b then b
+      else begin
+        let b' = igrow b ~used:fill (fill + 1) in
+        w.buckets.(d) <- b';
+        b'
+      end
+    in
+    iset b fill v;
+    Array.unsafe_set w.bfill d (fill + 1);
     if d < w.cursor then w.cursor <- d
   end
 
-let row_push w v x =
-  let l = w.len.(v) in
-  let r = w.own.(v) in
-  if l = Array.length r || Array.length r = 0 then begin
-    let base = w.offsets.(v) in
-    let r' = Array.make (max 4 (2 * l)) 0 in
-    for i = 0 to l - 1 do
-      Array.unsafe_set r' i (entry w r base i)
+(* Link [x] at the end of [v]'s row.  The append segment starts with
+   room for one and moves to twice its room whenever it fills, so its
+   room is always the smallest power of two >= its length. *)
+let append w v x =
+  let e = record w v in
+  let a = iget w.side (e + 3) in
+  if a = 0 then iset w.side (e + 2) (alloc w 1)
+  else if a land (a - 1) = 0 then begin
+    let h = alloc w (2 * a) and old = iget w.side (e + 2) in
+    let pool = w.pool in
+    for i = 0 to a - 1 do
+      set pool (h + i) (get pool (old + i))
     done;
-    adopt w v r'
+    iset w.side (e + 2) h
   end;
-  w.own.(v).(l) <- x;
-  w.len.(v) <- l + 1
+  set w.pool (iget w.side (e + 2) + a) x;
+  iset w.side (e + 3) (a + 1)
 
-(* Retire [v]: live neighbors lose a degree and get re-examined. *)
+(* Retire [v]: live neighbors lose a degree and get re-examined.  The
+   walk does not branch on liveness, which is close to a coin flip per
+   entry (on the suite's R-MAT, 56% of the entries kills walk are
+   live): [d - 1 - (d asr 62)] takes a live degree d >= 1 to d - 1 and
+   leaves a dead -1 as it is, and [d lor (cap - d) >= 0] holds exactly
+   when 0 <= d <= cap. *)
 let kill w v =
-  w.alive.(v) <- false;
-  let r = w.own.(v) and base = w.offsets.(v) in
-  for i = 0 to w.len.(v) - 1 do
-    let x = entry w r base i in
-    if Array.unsafe_get w.alive x then begin
-      w.deg.(x) <- w.deg.(x) - 1;
-      bucket_push w x
-    end
+  retire w v;
+  for s = 0 to 1 do
+    let src = seg_src w v s and lo = seg_lo w v s in
+    for i = lo to lo + seg_len w v s - 1 do
+      let x = get src i in
+      let d = iget w.deg x in
+      let d = d - 1 - (d asr 62) in
+      iset w.deg x d;
+      if d lor (w.cap - d) >= 0 then push w x d
+    done
   done
 
-(* Drop dead entries from [v]'s row once they outnumber the live ones —
-   in place when the row is owned, into a fresh owned row when it is
-   borrowed.  Scans amortize against the kills that created the dead
-   entries, keeping every row walk within 2x the live degree. *)
+(* Drop dead entries from [v]'s row once they outnumber the live ones,
+   into one base segment: in place when the base is already in the pool
+   and long enough, into fresh pool room otherwise.  Scans amortize
+   against the kills that created the dead entries, keeping every row
+   walk within 2x the live degree. *)
 let compact_row w v =
-  let d = w.deg.(v) in
-  if w.len.(v) > 2 * d then begin
-    let r = w.own.(v) and base = w.offsets.(v) in
-    let dst = if Array.length r > 0 then r else Array.make (max 1 d) 0 in
-    let j = ref 0 in
-    for i = 0 to w.len.(v) - 1 do
-      let x = entry w r base i in
-      if Array.unsafe_get w.alive x then begin
-        Array.unsafe_set dst !j x;
-        incr j
-      end
+  let d = iget w.deg v in
+  if row_len w v > 2 * d then begin
+    let h = home w v in
+    let dst = if h >= 0 && d <= base_len w v then h else alloc w d in
+    let pool = w.pool in
+    let j = ref dst in
+    for s = 0 to 1 do
+      let src = seg_src w v s and lo = seg_lo w v s in
+      for i = lo to lo + seg_len w v s - 1 do
+        let x = get src i in
+        if live w x then begin
+          set pool !j x;
+          incr j
+        end
+      done
     done;
-    adopt w v dst;
-    w.len.(v) <- !j
+    rebase w v ~home:dst ~len:(!j - dst)
   end
 
 let live_neighbors w v =
   compact_row w v;
-  let out = Array.make w.deg.(v) 0 in
+  let out = Array.make (iget w.deg v) 0 in
   let j = ref 0 in
-  let r = w.own.(v) and base = w.offsets.(v) in
-  for i = 0 to w.len.(v) - 1 do
-    let x = entry w r base i in
-    if Array.unsafe_get w.alive x then begin
-      Array.unsafe_set out !j x;
-      incr j
-    end
+  for s = 0 to 1 do
+    let src = seg_src w v s and lo = seg_lo w v s in
+    for i = lo to lo + seg_len w v s - 1 do
+      let x = get src i in
+      if live w x then begin
+        Array.unsafe_set out !j x;
+        incr j
+      end
+    done
   done;
   out
 
@@ -182,10 +338,9 @@ let live_neighbors w v =
    shorter physical row is exact: dead entries only name dead vertices,
    and live entries are duplicate-free. *)
 let adjacent w u x =
-  let u, x = if w.len.(u) <= w.len.(x) then (u, x) else (x, u) in
-  let r = w.own.(u) and base = w.offsets.(u) in
-  let n = w.len.(u) in
-  let rec go i = i < n && (entry w r base i = x || go (i + 1)) in
+  let u, x = if row_len w u <= row_len w x then (u, x) else (x, u) in
+  let n = row_len w u in
+  let rec go i = i < n && (entry w u i = x || go (i + 1)) in
   go 0
 
 (* Witness gate for the simplicial/domination scan at a vertex [v] of
@@ -196,65 +351,164 @@ let adjacent w u x =
    neighbor of v: if u <> a then u is a stamped entry of a's row, and
    if u = a then a's row holds the d - 1 >= 2 other neighbors of v.
    A simplicial v has every neighbor passing.  Stamps are fresh, so a
-   stamped entry is live and the walk needs no [alive] read; [a] is
+   stamped entry is live and the walk needs no liveness read; [a] is
    picked as v's least-degree neighbor to keep it short. *)
 let witness w a v gen =
   compact_row w a;
-  let r = w.own.(a) and base = w.offsets.(a) in
-  let n = w.len.(a) in
+  let n = row_len w a in
   let i = ref 0 in
   while
     !i < n
-    && (let x = entry w r base !i in
-        x = v || Array.unsafe_get w.mark x <> gen)
+    && (let x = entry w a !i in
+        x = v || iget w.mark x <> gen)
   do
     incr i
   done;
   w.walked <- w.walked + min n (!i + 1);
   !i < n
 
-(* Write the survivors' live rows as the kernel CSR, renumbered
-   through the monotone [to_kernel] map, straight into an int32 store
-   (kernel ids are below the input's, so they fit).  Live rows are
-   duplicate-free, so each is written once with no dedup.
-   Renumbering keeps the input CSR's sorted order, so only rows a fold
-   touched — a merged vertex's union row, or a row the merged vertex
-   was appended to — can come out unsorted; those alone are sorted, in
-   the int scratch row each row is gathered into.  A dead entry maps to
-   -1, so the gather reads [to_kernel] alone, never [alive]. *)
-let emit w ~to_kernel ~to_orig =
+(* One side of a fold's gather: each live entry of [src]'s row other
+   than the center [v] loses the degree it owed [src], and on its first
+   visit is written at [p - 1], going down.  Returns the new [p].  A
+   gathered vertex is marked in [deg] itself, as [-2 - degree], so a
+   second visit reads one store, not two; [fold] clears the marks. *)
+let collect w src v p =
+  let pool = w.pool in
+  let p = ref p in
+  for s = 0 to 1 do
+    let rs = seg_src w src s and lo = seg_lo w src s in
+    for i = lo to lo + seg_len w src s - 1 do
+      let x = get rs i in
+      let d = iget w.deg x in
+      if d >= 0 then begin
+        if x <> v then begin
+          iset w.deg x (-1 - d);
+          decr p;
+          set pool !p x
+        end
+      end
+      else if d <= -2 then iset w.deg x (d + 1)
+    done
+  done;
+  !p
+
+(* Fold the degree-2 center [v] with non-adjacent neighbors [u], [x]:
+   the merged vertex reuses [v]'s id, its row becomes the live union
+   N(u) ∪ N(x) minus the triple, and every union member swaps its dead
+   endpoint(s) for one link to the merged vertex.  The union is
+   gathered straight into pool room sized by the two degrees, written
+   downward, so the merged row lists the members newest-first, and the
+   members are linked in that same order. *)
+let fold w v u x =
+  let room = iget w.deg u - 1 + (iget w.deg x - 1) in
+  let top = alloc w room + room in
+  let lo = collect w x v (collect w u v top) in
+  retire w u;
+  retire w x;
+  for i = lo to top - 1 do
+    let y = get w.pool i in
+    let d = -1 - iget w.deg y in
+    iset w.deg y d;
+    append w y v;
+    push w y d
+  done;
+  let size = top - lo in
+  rebase w v ~home:lo ~len:size;
+  iset w.deg v size;
+  w.links <- w.links + size;
+  log w u;
+  log w x;
+  log w (-v - 1);
+  push w v size
+
+(* Sort the int32 range [a.(lo .. hi-1)] through the int scratch [buf],
+   grown as needed. *)
+let sort_row (a : G.i32) lo hi buf =
+  let k = hi - lo in
+  if Array.length !buf < k then buf := Array.make (max k (2 * Array.length !buf)) 0;
+  let b = !buf in
+  for i = 0 to k - 1 do
+    Array.unsafe_set b i (get a (lo + i))
+  done;
+  Ps_util.Intsort.sort_range b 0 k;
+  for i = 0 to k - 1 do
+    set a (lo + i) (Array.unsafe_get b i)
+  done
+
+(* The renumbering of the survivors, in half the bytes of an int32
+   map: the kernel id of a survivor [x] is [base.(x lsr 15)] plus its
+   rank among the survivors of its 2^15-vertex block, which fits in 16
+   bits, at [rank.[2x]]; a retired [x] reads [retired].  Emit's lookups
+   land at random, so the smaller the map, the more of it the cache
+   holds.  The map is monotone. *)
+type renumbering = { rank : Bytes.t; base : int array }
+
+let retired = 0xffff
+
+let renumber w n =
+  let rank = Bytes.create (2 * n) in
+  let base = Array.make ((n lsr 15) + 1) 0 in
+  let n_k = ref 0 in
+  for v = 0 to n - 1 do
+    if v land 0x7fff = 0 then base.(v lsr 15) <- !n_k;
+    if live w v then begin
+      set16u rank (2 * v) (!n_k - base.(v lsr 15));
+      incr n_k
+    end
+    else set16u rank (2 * v) retired
+  done;
+  ({ rank; base }, !n_k)
+
+(* [x]'s kernel id, -1 when retired. *)
+let[@inline] kernel_id r x =
+  let d = get16u r.rank (2 * x) in
+  if d = retired then -1 else Array.unsafe_get r.base (x lsr 15) + d
+
+(* Write the survivors' live rows as the kernel CSR, renumbered through
+   the monotone map [r], straight into an int32 store in one
+   pass (kernel ids are below the input's, so they fit).  Live rows are
+   duplicate-free, so each is written once with no dedup.  Renumbering
+   keeps the input CSR's sorted order, so only rows a fold touched — a
+   merged vertex's union row, or a row with an append segment — can
+   come out unsorted; the pass notices, and sorts those alone.  A dead
+   entry maps to -1, so the pass reads [r] alone, never [deg]. *)
+let emit w r ~to_orig =
   let n_k = Array.length to_orig in
   let offsets = Array.make (n_k + 1) 0 in
-  let maxdeg = ref 0 in
   for k = 0 to n_k - 1 do
-    let d = w.deg.(to_orig.(k)) in
-    offsets.(k + 1) <- offsets.(k) + d;
-    if d > !maxdeg then maxdeg := d
+    offsets.(k + 1) <- offsets.(k) + iget w.deg (Array.unsafe_get to_orig k)
   done;
-  let total = offsets.(n_k) in
-  let buf = Array.make (max 1 !maxdeg) 0 in
-  let gather v =
-    let r = w.own.(v) and base = w.offsets.(v) in
-    let len = ref 0 and sorted = ref true and prev = ref (-1) in
-    for i = 0 to w.len.(v) - 1 do
-      let y = Array.unsafe_get to_kernel (entry w r base i) in
-      if y >= 0 then begin
-        if y < !prev then sorted := false;
-        prev := y;
-        Array.unsafe_set buf !len y;
-        incr len
-      end
-    done;
-    if not !sorted then Ps_util.Intsort.sort_range buf 0 !len
-  in
-  let adj = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout total in
+  let adj = i32 offsets.(n_k) in
+  let buf = ref [||] in
   for k = 0 to n_k - 1 do
-    gather to_orig.(k);
-    let base = offsets.(k) in
-    for j = 0 to offsets.(k + 1) - base - 1 do
-      Bigarray.Array1.unsafe_set adj (base + j)
-        (Int32.of_int (Array.unsafe_get buf j))
-    done
+    let v = Array.unsafe_get to_orig k in
+    let j = ref offsets.(k) in
+    if iget w.ext v = 0 then
+      (* An untouched row: sorted, so its image is too. *)
+      for i = Array.unsafe_get w.offsets v
+          to Array.unsafe_get w.offsets (v + 1) - 1 do
+        let y = kernel_id r (get w.store i) in
+        if y >= 0 then begin
+          set adj !j y;
+          incr j
+        end
+      done
+    else begin
+      let sorted = ref true and prev = ref (-1) in
+      for s = 0 to 1 do
+        let src = seg_src w v s and lo = seg_lo w v s in
+        for i = lo to lo + seg_len w v s - 1 do
+          let y = kernel_id r (get src i) in
+          if y >= 0 then begin
+            if y < !prev then sorted := false;
+            prev := y;
+            set adj !j y;
+            incr j
+          end
+        done
+      done;
+      if not !sorted then sort_row adj offsets.(k) !j buf
+    end
   done;
   G.of_csr n_k ~offsets ~adj
 
@@ -263,77 +517,59 @@ let reduce ?(rule_cap = default_rule_cap) g =
   let n = G.n_vertices g in
   let view = G.csr_view g in
   let offsets = view.G.v_offsets in
-  let deg = Array.init n (fun v -> offsets.(v + 1) - offsets.(v)) in
+  let deg = ints n in
+  let count = Array.make (rule_cap + 1) 0 in
+  for v = 0 to n - 1 do
+    let d = offsets.(v + 1) - offsets.(v) in
+    iset deg v d;
+    if d <= rule_cap then count.(d) <- count.(d) + 1
+  done;
+  (* Counting-sort bucket init: each bucket holds its vertices in
+     increasing order, as pushing 0 .. n-1 would leave it. *)
+  let buckets = Array.map (fun c -> ints (max 8 c)) count in
+  let bfill = Array.make (rule_cap + 1) 0 in
+  for v = 0 to n - 1 do
+    let d = iget deg v in
+    if d <= rule_cap then begin
+      iset buckets.(d) bfill.(d) v;
+      bfill.(d) <- bfill.(d) + 1
+    end
+  done;
+  let side = izeros 64 in
+  iset side 0 (-1);
   let w =
-    { alive = Array.make n true;
-      deg;
+    { deg;
       offsets;
       store = view.G.v_store;
-      own = Array.make n [||];
-      len = Array.copy deg;
+      ext = izeros n;
+      side;
+      stop = 4;
+      pool = i32 64;
+      top = 0;
       owned = 0;
-      buckets = Array.make (rule_cap + 1) [||];
-      bfill = Array.make (rule_cap + 1) 0;
+      links = 0;
+      buckets;
+      bfill;
       cursor = 0;
       cap = rule_cap;
-      mark = Array.make n 0;
+      mark = Bytes.empty;
       gen = 0;
-      walked = 0 }
+      walked = 0;
+      journal = ints 64;
+      jlen = 0 }
   in
-  let journal = ref [] in
   let isolated = ref 0
   and pendants = ref 0
   and folds = ref 0
   and simplicial = ref 0
   and dominated = ref 0 in
   let scans = ref 0 and scan_skips = ref 0 and removed = ref 0 in
-  for v = 0 to n - 1 do
-    bucket_push w v
-  done;
   let take v nbrs =
-    journal := Take v :: !journal;
+    log w v;
     kill w v;
-    Array.iter (fun u -> if w.alive.(u) then kill w u) nbrs
-  in
-  (* Fold the degree-2 center [v] with non-adjacent neighbors [u], [w_]:
-     the merged vertex reuses [v]'s id, its row becomes the live union
-     N(u) ∪ N(w_) minus the triple, and every union member swaps its
-     dead endpoint(s) for one link to the merged vertex. *)
-  let fold v u w_ =
-    w.gen <- w.gen + 1;
-    let gen = w.gen in
-    let union = ref [] and usize = ref 0 in
-    let collect src =
-      let r = w.own.(src) and base = w.offsets.(src) in
-      for i = 0 to w.len.(src) - 1 do
-        let x = entry w r base i in
-        if w.alive.(x) && x <> v then begin
-          w.deg.(x) <- w.deg.(x) - 1;
-          if w.mark.(x) <> gen then begin
-            w.mark.(x) <- gen;
-            union := x :: !union;
-            incr usize
-          end
-        end
-      done
-    in
-    collect u;
-    collect w_;
-    w.alive.(u) <- false;
-    w.alive.(w_) <- false;
-    let merged = Array.make (max 1 !usize) 0 in
-    List.iteri
-      (fun i x ->
-        merged.(i) <- x;
-        w.deg.(x) <- w.deg.(x) + 1;
-        row_push w x v;
-        bucket_push w x)
-      !union;
-    adopt w v merged;
-    w.len.(v) <- !usize;
-    w.deg.(v) <- !usize;
-    journal := Fold (v, u, w_) :: !journal;
-    bucket_push w v
+    for i = 0 to Array.length nbrs - 1 do
+      if live w nbrs.(i) then kill w nbrs.(i)
+    done
   in
   (* With N[v] stamped [gen], a neighbor u has c(u) = |N(u) ∩ N[v]|
      >= d exactly when N[v] ⊆ N[u].  All neighbors passing means N(v)
@@ -341,27 +577,23 @@ let reduce ?(rule_cap = default_rule_cap) g =
      neighbor in row order is dominated and can be deleted. *)
   let scan v d gen =
     let all_clique = ref true and drop = ref (-1) in
-    let r = w.own.(v) and base = w.offsets.(v) in
-    w.walked <- w.walked + w.len.(v);
-    for i = 0 to w.len.(v) - 1 do
-      let u = entry w r base i in
-      if Array.unsafe_get w.alive u then
+    w.walked <- w.walked + row_len w v;
+    for i = 0 to row_len w v - 1 do
+      let u = entry w v i in
+      if live w u then
         (* c(u) <= deg(u), so a neighbor below the threshold cannot
            pass — skip its row walk entirely. *)
-        if w.deg.(u) < d then all_clique := false
+        if iget w.deg u < d then all_clique := false
         else begin
           compact_row w u;
           let c = ref 0 in
-          let ru = w.own.(u) and bu = w.offsets.(u) in
-          let len = w.len.(u) in
+          let len = row_len w u in
           let j = ref 0 in
           (* Abort as soon as the remaining entries cannot lift the
              count to the threshold. *)
           while !j < len && !c + (len - !j) >= d do
-            let x = entry w ru bu !j in
-            if Array.unsafe_get w.alive x
-               && Array.unsafe_get w.mark x = gen
-            then incr c;
+            let x = entry w u !j in
+            if live w x && iget w.mark x = gen then incr c;
             incr j
           done;
           w.walked <- w.walked + !j;
@@ -384,10 +616,10 @@ let reduce ?(rule_cap = default_rule_cap) g =
   in
   let tier_spent () = w.walked > tier_base + (tier_per_removed * !removed) in
   let process v =
-    let d = w.deg.(v) in
+    let d = iget w.deg v in
     if d = 0 then begin
-      journal := Take v :: !journal;
-      w.alive.(v) <- false;
+      log w v;
+      retire w v;
       incr isolated
     end
     else if d = 1 then begin
@@ -405,7 +637,7 @@ let reduce ?(rule_cap = default_rule_cap) g =
         incr simplicial
       end
       else begin
-        fold v nbrs.(0) nbrs.(1);
+        fold w v nbrs.(0) nbrs.(1);
         incr folds
       end
     end
@@ -416,18 +648,16 @@ let reduce ?(rule_cap = default_rule_cap) g =
          and [removed], so once its budget is spent it stays off and a
          vertex popped here costs only its pop. *)
       compact_row w v;
-      w.gen <- w.gen + 1;
-      let gen = w.gen in
-      w.mark.(v) <- gen;
-      let r = w.own.(v) and base = w.offsets.(v) in
+      let gen = next_gen w in
+      iset w.mark v gen;
       let sdeg = ref 0 and a = ref (-1) and da = ref max_int in
-      w.walked <- w.walked + w.len.(v);
-      for i = 0 to w.len.(v) - 1 do
-        let u = entry w r base i in
-        if Array.unsafe_get w.alive u then begin
-          let du = Array.unsafe_get w.deg u in
+      w.walked <- w.walked + row_len w v;
+      for i = 0 to row_len w v - 1 do
+        let u = entry w v i in
+        if live w u then begin
+          let du = iget w.deg u in
           sdeg := !sdeg + du;
-          Array.unsafe_set w.mark u gen;
+          iset w.mark u gen;
           if du < !da then begin
             a := u;
             da := du
@@ -451,35 +681,27 @@ let reduce ?(rule_cap = default_rule_cap) g =
   in
   while w.cursor <= rule_cap do
     let d = w.cursor in
-    if w.bfill.(d) = 0 then w.cursor <- d + 1
+    let fill = w.bfill.(d) in
+    if fill = 0 then w.cursor <- d + 1
     else begin
-      let fill = w.bfill.(d) - 1 in
-      let v = w.buckets.(d).(fill) in
-      w.bfill.(d) <- fill;
-      if w.alive.(v) && w.deg.(v) = d then process v
+      let v = iget w.buckets.(d) (fill - 1) in
+      w.bfill.(d) <- fill - 1;
+      if iget w.deg v = d then process v
     end
   done;
   if Tm.enabled () then begin
     Tm.count "kernel.scans" !scans;
     Tm.count "kernel.scan_skips" !scan_skips;
     Tm.count "kernel.rows_owned" w.owned;
+    Tm.count "kernel.fold_links" w.links;
     Tm.count "kernel.quadratic_work" w.walked;
     Tm.count "kernel.quadratic_removed" !removed;
     Tm.count "kernel.quadratic_exhausted" (Bool.to_int (tier_spent ()))
   end;
-  (* Renumber the survivors; [to_kernel] is monotone. *)
-  let to_kernel = Array.make n (-1) in
-  let n_k = ref 0 in
-  for v = 0 to n - 1 do
-    if w.alive.(v) then begin
-      to_kernel.(v) <- !n_k;
-      incr n_k
-    end
-  done;
-  let n_k = !n_k in
-  if n_k = n then begin
-    (* No rule fired (every rule retires at least one vertex): the
-       graph is its own kernel — skip the CSR rebuild and reuse [g]. *)
+  if !isolated + !pendants + !folds + !simplicial + !dominated = 0 then begin
+    (* No rule fired, and only rules retire vertices: the graph is its
+       own kernel — skip the renumbering and the CSR rebuild, and reuse
+       [g]. *)
     let stats =
       { original_vertices = n;
         original_edges = G.n_edges g;
@@ -497,14 +719,16 @@ let reduce ?(rule_cap = default_rule_cap) g =
       Tm.incr "kernel.reductions"
     end;
     { original = g; kernel = g; to_orig = Array.init n Fun.id;
-      journal = []; stats }
+      journal = w.journal; journal_len = 0; stats }
   end
   else begin
+  let r, n_k = renumber w n in
   let to_orig = Array.make n_k 0 in
   for v = 0 to n - 1 do
-    if to_kernel.(v) >= 0 then to_orig.(to_kernel.(v)) <- v
+    let k = kernel_id r v in
+    if k >= 0 then Array.unsafe_set to_orig k v
   done;
-  let kernel = emit w ~to_kernel ~to_orig in
+  let kernel = emit w r ~to_orig in
   let stats =
     { original_vertices = n;
       original_edges = G.n_edges g;
@@ -523,7 +747,8 @@ let reduce ?(rule_cap = default_rule_cap) g =
     Tm.count "kernel.vertices_removed" (n - n_k);
     Tm.incr "kernel.reductions"
   end;
-    { original = g; kernel; to_orig; journal = !journal; stats }
+    { original = g; kernel; to_orig; journal = w.journal;
+      journal_len = w.jlen; stats }
   end
 
 let vertex_addition = Independent_set.complete
@@ -531,24 +756,34 @@ let vertex_addition = Independent_set.complete
 let lift t s =
   if B.capacity s <> G.n_vertices t.kernel then
     invalid_arg "Kernel.lift: set is not sized for the kernel graph";
-  let out = B.create (G.n_vertices t.original) in
-  B.iter (fun kv -> B.add out t.to_orig.(kv)) s;
-  (* The journal head is the last rule application, so a plain left
-     fold over the list replays the undos newest-first — each decision
-     about a merged vertex is made before the fold that created it is
-     expanded. *)
-  List.iter
-    (function
-      | Take v -> B.add out v
-      | Fold (v, u, w) ->
-          if B.mem out v then begin
-            B.remove out v;
-            B.add out u;
-            B.add out w
-          end
-          else B.add out v)
-    t.journal;
-  vertex_addition t.original out
+  (* One n-byte mask carries the set from the kernel ids through the
+     journal to the repair pass.  The journal's last entry is the last
+     rule application, so walking it backwards replays the undos
+     newest-first — each decision about a merged vertex is made before
+     the fold that created it is expanded. *)
+  let mask = Bytes.make (G.n_vertices t.original) '\000' in
+  let to_orig = t.to_orig in
+  B.iter (fun kv -> Bytes.unsafe_set mask (Array.unsafe_get to_orig kv) '\001') s;
+  let j = t.journal in
+  let i = ref (t.journal_len - 1) in
+  while !i >= 0 do
+    let x = iget j !i in
+    if x >= 0 then begin
+      Bytes.unsafe_set mask x '\001';
+      decr i
+    end
+    else begin
+      let v = -x - 1 in
+      if Bytes.unsafe_get mask v <> '\000' then begin
+        Bytes.unsafe_set mask v '\000';
+        Bytes.unsafe_set mask (iget j (!i - 1)) '\001';
+        Bytes.unsafe_set mask (iget j (!i - 2)) '\001'
+      end
+      else Bytes.unsafe_set mask v '\001';
+      i := !i - 3
+    end
+  done;
+  Independent_set.complete_mask t.original mask
 
 (* ------------------------------------------------------------------ *)
 (* Presolve combinator *)

@@ -46,16 +46,29 @@
     independent set of the original graph, and a final [vertex_addition]
     repair pass restores maximality on the original vertex ids.
 
-    {b Copy-on-write over the input CSR.}  The working graph reads every
-    row in place from the input graph's int32 adjacency store (through
-    {!Ps_graph.Graph.csr_view}), and gives a vertex its own row array
-    only when a rule rewrites that row — the merged row of a fold, a row
-    the merged vertex is appended to, a row compacted once its dead
-    entries outnumber the live ones.  The input store is never
-    written, so it stays safe to share read-only (portfolio lanes, the
-    serve cache), and a pass where no rule fires copies no row.  A
-    traced run counts the copied rows as [kernel.rows_owned].  The
-    kernel itself is written straight into an int32 CSR store. *)
+    {b Working state over the input CSR.}  The working graph reads
+    every row in place from the input graph's int32 adjacency store
+    (through {!Ps_graph.Graph.csr_view}) and never writes it, so the
+    input stays safe to share read-only (portfolio lanes, the serve
+    cache).  Its per-vertex state is three int32 stores in [Bytes],
+    which the GC does not scan: the live degree, whose sign also says
+    whether the vertex is retired; the quadratic tier's scan stamps,
+    made only if the tier runs; and an index to a small per-row record,
+    set only for rows a rule has touched.  A rule that rewrites a row writes into one
+    growable pool per call: a fold's merged row, and a row compacted
+    once its dead entries outnumber the live ones, become a pool base; a
+    merged vertex linked to a row goes to that row's append segment,
+    walked after its base, so linking copies no row.  Rows keep the
+    entry order of the copy-on-write kernel this replaced (kept as a
+    test-only oracle), so kernels, journals, stats and lifts are
+    bit-identical to it.  A traced run counts rows whose base moved to
+    the pool as [kernel.rows_owned] and the merged-row entries folds
+    wrote, Σ |merged row| over all folds, as [kernel.fold_links].  The
+    kernel is written in one pass straight into an int32 CSR store,
+    renumbered through a 16-bit rank per 2{^15}-vertex block, and only
+    rows a fold touched are checked for order and sorted.  {!lift}
+    carries the set through the journal and the repair pass on one
+    n-byte mask. *)
 
 type stats = {
   original_vertices : int;

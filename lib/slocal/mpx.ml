@@ -22,13 +22,16 @@ end)
 let decompose rng ~beta g =
   if beta <= 0.0 then invalid_arg "Mpx.decompose: beta must be positive";
   let n = G.n_vertices g in
-  let delta =
-    Array.init n (fun _ ->
-        (* exponential with rate beta by inversion *)
-        let u = Rng.float rng 1.0 in
-        let u = if u <= 0.0 then epsilon_float else u in
-        -.log u /. beta)
-  in
+  (* Exponential shifts with rate beta by inversion.  [u] is the value
+     [Rng.float rng 1.0] would return, drawn as an int and scaled here:
+     a float returned from another library is boxed, and so is one a
+     closure returns to [Array.init]; this loop allocates nothing. *)
+  let delta = Array.make n 0.0 in
+  for v = 0 to n - 1 do
+    let u = Float.of_int (Rng.bits53 rng) *. 0x1p-53 in
+    let u = if u <= 0.0 then epsilon_float else u in
+    delta.(v) <- -.log u /. beta
+  done;
   let owner = Array.make n (-1) in
   let arrival = Array.make n infinity in
   let frontier = ref Frontier.empty in

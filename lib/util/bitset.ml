@@ -114,6 +114,19 @@ let of_list n elts =
   List.iter (add t) elts;
   t
 
+let of_mask mask =
+  let t = create (Bytes.length mask) in
+  for w = 0 to Array.length t.words - 1 do
+    let base = w * bits_per_word in
+    let word = ref 0 in
+    for b = 0 to min bits_per_word (t.capacity - base) - 1 do
+      if Bytes.unsafe_get mask (base + b) <> '\000' then
+        word := !word lor (1 lsl b)
+    done;
+    Array.unsafe_set t.words w !word
+  done;
+  t
+
 let choose_opt t =
   let exception Found of int in
   try

@@ -58,6 +58,10 @@ val to_list : t -> int list
 val of_list : int -> int list -> t
 (** [of_list n elts] builds a set over [0..n-1]. *)
 
+val of_mask : Bytes.t -> t
+(** [of_mask m] is the set, over [0 .. Bytes.length m - 1], of the
+    positions where [m] holds a non-zero byte; built a word at a time. *)
+
 val choose_opt : t -> int option
 (** Smallest member, if any. *)
 

@@ -21,8 +21,11 @@
     so the boxing cannot be inlined away.  Hot callers in other modules
     therefore take int draws — {!bits53} compared against integer
     thresholds instead of [float t 1.0] against floats, as
-    [Ps_graph.Gen.iter_rmat] does.  The streams themselves are fixed: a
-    test pins the first 64 outputs of every draw, for several seeds. *)
+    [Ps_graph.Gen.iter_rmat] does, or {!bits53} scaled by [2^-53] (and
+    by the bound) in the caller, which is exactly {!float}'s value, as
+    [Ps_slocal.Mpx.decompose] and [Ps_graph.Gen.unit_interval] do.  The
+    streams themselves are fixed: a test pins the first 64 outputs of
+    every draw, for several seeds. *)
 
 type t
 (** Mutable generator state. *)

@@ -508,6 +508,29 @@ let test_rows_owned_counter () =
   check_bool "fold-heavy input copies rows" true
     (rows_owned (path_with_chords 2 1000 300) > 0)
 
+let test_fold_links_counter () =
+  (* v = 16 of degree 2 joins vertex 0 of one Q_3 (ids 0-7) to vertex 0
+     of another (ids 8-15).  Both cubes are cubic and triangle-free, so
+     the one rule that fires is the fold of v: its merged row is the
+     three cube neighbors of each endpoint, six links, and it leaves a
+     triangle-free kernel with nothing else to reduce. *)
+  let q = G.edges (Gen.hypercube 3) in
+  let g =
+    G.of_edges 17
+      ((16, 0) :: (16, 8) :: (q @ List.map (fun (a, b) -> (a + 8, b + 8)) q))
+  in
+  let r = Kn.reduce g in
+  Alcotest.(check (list int)) "stats"
+    [ 17; 26; 15; 24; 0; 0; 1; 0; 0 ] (stats_list (Kn.stats r));
+  Alcotest.(check (pair int int)) "fold_links, rows_owned" (6, 1)
+    (traced g (fun () ->
+         (Tm.counter_value "kernel.fold_links",
+          Tm.counter_value "kernel.rows_owned")));
+  check_bool "lift maximal" true (Is.is_maximal g (greedy_lift r));
+  (* No fold, no link. *)
+  check "no fold" 0
+    (traced (Gen.star 9) (fun () -> Tm.counter_value "kernel.fold_links"))
+
 (* ------------------------------------------------------------------ *)
 (* Lift contract *)
 
@@ -707,11 +730,67 @@ let prop_portfolio_valid =
            (fun (_, sz) -> sz <= Is.size o.Portfolio.set)
            o.Portfolio.sizes)
 
+(* Differential oracle: the copy-on-write kernel the unboxed working
+   state replaced, kept verbatim in [Ps_oracle.Kernel].  Inputs lean on
+   the rules that rewrite rows — sparse G(n,p) at average degree
+   1.5-8 folds heavily, chorded paths and cycles fold in long cascades,
+   R-MAT peels pendants off hubs, and G_3 of a 4-uniform hypergraph
+   runs the simplicial/domination tier — at three rule caps.  Over 3000
+   draws, each family fires a rule on most inputs; G_3 does on about a
+   quarter, and only those test anything beyond the identity kernel. *)
+let oracle_input (family, seed, size, cap_i) =
+  let rng = Rng.create seed in
+  let g =
+    match family with
+    | 0 ->
+        let n = 50 + (size * 20) in
+        let avg = 1.5 +. (6.5 *. Rng.float rng 1.0) in
+        Gen.huge_gnp rng n (avg /. float_of_int (n - 1))
+    | 1 ->
+        let scale = 5 + (size mod 7) in
+        Gen.rmat rng ~scale ~edges:((2 + (size mod 5)) lsl scale)
+    | 2 -> path_with_chords seed (20 + (size * 10)) (size * 3)
+    | 3 -> ring_with_chords seed (20 + (size * 10)) (size * 2)
+    | _ ->
+        (* n from 4m/3 to 4m: the sparser hypergraphs give G_3 the
+           low-degree vertices where the tier's rules fire. *)
+        let m = 12 + size in
+        let n = (4 + (size mod 9)) * m / 3 in
+        let h = Ps_hypergraph.Hgen.uniform_random rng ~n ~m ~k:4 in
+        (Ps_core.Conflict_graph.build h ~k:3).Ps_core.Conflict_graph.graph
+  in
+  (g, List.nth [ 2; 5; 16 ] cap_i)
+
+let oracle_stats (st : Ps_oracle.Kernel.stats) =
+  Ps_oracle.Kernel.
+    [ st.original_vertices; st.original_edges; st.kernel_vertices;
+      st.kernel_edges; st.isolated; st.pendants; st.folds; st.simplicial;
+      st.dominated ]
+
+let prop_kernel_matches_oracle =
+  QCheck.Test.make ~count:150 ~name:"kernel = pre-rewrite oracle"
+    QCheck.(
+      make
+        ~print:(fun (f, s, z, c) ->
+          Printf.sprintf "family=%d seed=%d size=%d cap#%d" f s z c)
+        Gen.(quad (int_bound 4) (int_bound 10_000) (int_bound 99)
+               (int_bound 2)))
+    (fun params ->
+      let g, rule_cap = oracle_input params in
+      let r = Kn.reduce ~rule_cap g in
+      let o = Ps_oracle.Kernel.reduce ~rule_cap g in
+      let k = Kn.graph r in
+      let s = Ps_maxis.Greedy.in_order k (Array.init (G.n_vertices k) Fun.id) in
+      G.content_hash k = G.content_hash o.Ps_oracle.Kernel.kernel
+      && stats_list (Kn.stats r) = oracle_stats o.Ps_oracle.Kernel.stats
+      && B.equal (Kn.lift r s) (Ps_oracle.Kernel.lift o s))
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_kernel_lift_valid_maximal; prop_kernel_arena_layout_invariant;
       prop_path_cycle_roundtrip; prop_kernel_alpha_preserving;
-      prop_vertex_addition_monotone_maximal; prop_portfolio_valid ]
+      prop_vertex_addition_monotone_maximal; prop_portfolio_valid;
+      prop_kernel_matches_oracle ]
 
 let suites =
   [ ( "maxis.kernel",
@@ -741,6 +820,8 @@ let suites =
           test_cow_fold_heavy;
         Alcotest.test_case "rows_owned counter" `Quick
           test_rows_owned_counter;
+        Alcotest.test_case "fold_links counter" `Quick
+          test_fold_links_counter;
         Alcotest.test_case "lift repairs weak answers" `Quick
           test_lift_repairs_weak_kernel_answers;
         Alcotest.test_case "lift rejects wrong capacity" `Quick

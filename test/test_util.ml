@@ -534,6 +534,16 @@ let prop_bitset_roundtrip =
       let distinct = List.sort_uniq compare xs in
       B.to_list (B.of_list 100 xs) = distinct)
 
+let prop_bitset_of_mask =
+  QCheck.Test.make ~count:200 ~name:"bitset of_mask = of_list"
+    QCheck.(pair (int_bound 200) (list small_nat))
+    (fun (n, xs) ->
+      let xs = List.filter (fun x -> x < n) xs in
+      let mask = Bytes.make n '\000' in
+      (* Any non-zero byte is a member. *)
+      List.iter (fun x -> Bytes.set mask x (Char.chr (1 + (x mod 255)))) xs;
+      B.equal (B.of_mask mask) (B.of_list n xs))
+
 let prop_bitset_union_commutes =
   QCheck.Test.make ~count:200 ~name:"bitset union commutes"
     QCheck.(pair (list (int_bound 63)) (list (int_bound 63)))
@@ -726,7 +736,7 @@ let prop_intsort_dedup =
 
 let props =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_bitset_roundtrip;
+    [ prop_bitset_roundtrip; prop_bitset_of_mask;
       prop_bitset_union_commutes;
       prop_bitset_demorgan;
       prop_permutation_valid;
