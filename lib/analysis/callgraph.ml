@@ -515,15 +515,23 @@ let walk_implementation g ~modcanon (str : Typedtree.structure) =
 (* ------------------------------------------------------------------ *)
 (* Loading *)
 
+(* The build tree changes under a running scan: a relink beside the
+   rule can remove an entry between [Sys.readdir] and the stat, and a
+   symlink can dangle.  Such an entry holds no .cmt to read, so it is
+   skipped, not fatal. *)
 let rec cmt_files path acc =
-  if Sys.is_directory path then
-    (* dune keeps .cmt files inside dot-directories (.lib.objs): do NOT
-       skip hidden entries here, unlike the source walker. *)
-    Array.fold_left
-      (fun acc entry -> cmt_files (Filename.concat path entry) acc)
-      acc (Sys.readdir path)
-  else if Filename.check_suffix path ".cmt" then path :: acc
-  else acc
+  match Sys.is_directory path with
+  | true -> (
+      (* dune keeps .cmt files inside dot-directories (.lib.objs): do NOT
+         skip hidden entries here, unlike the source walker. *)
+      match Sys.readdir path with
+      | entries ->
+          Array.fold_left
+            (fun acc entry -> cmt_files (Filename.concat path entry) acc)
+            acc entries
+      | exception Sys_error _ -> acc)
+  | false -> if Filename.check_suffix path ".cmt" then path :: acc else acc
+  | exception Sys_error _ -> acc
 
 let build ~cmt_dirs =
   let g =

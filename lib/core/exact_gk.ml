@@ -55,4 +55,5 @@ let solver h ~k =
           invalid_arg "Exact_gk.solver: graph is not this instance's G_k";
         match maximum h ~k with
         | Some set -> set
-        | None -> failwith "Exact_gk.solver: budget exhausted") }
+        | None -> failwith "Exact_gk.solver: budget exhausted");
+    first_fit = None }

@@ -36,4 +36,5 @@ let local_solver ~seed =
     solve =
       (fun _rng g ->
         let flags, _ = Ps_local.Luby.run ~seed g in
-        Ps_maxis.Independent_set.of_indicator flags) }
+        Ps_maxis.Independent_set.of_indicator flags);
+    first_fit = None }

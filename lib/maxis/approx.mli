@@ -7,9 +7,34 @@
     certified upper bound — in which case the reported λ is itself an
     upper bound on the true one). *)
 
+type first_fit = {
+  order : Ps_util.Rng.t -> int -> int array;
+      (** [order rng n]: a fresh array holding a permutation of
+          [0 .. n - 1], which the caller may overwrite *)
+  thin : (Ps_util.Rng.t -> int array -> int array) option;
+      (** maps the chosen set's members, in ascending order, to the
+          kept ones, in ascending order: a subset *)
+}
+(** A first-fit declaration.  The set it describes on a graph [g] of
+    [n] vertices is [Greedy.in_order g (order rng n)] — take each vertex
+    along the order whose neighborhood holds no taken vertex — then,
+    with [thin], the members that [thin rng] keeps, drawing from the
+    same [rng] after the order.  A first fit asks a graph only "is [v]
+    blocked?" and "take [v]", so a caller holding the graph in another
+    form can run it there: {!Kernel.solve} runs it on the kernel's
+    working state without emitting the kernel graph. *)
+
 type solver = {
   name : string;
   solve : Ps_util.Rng.t -> Ps_graph.Graph.t -> Independent_set.t;
+  first_fit : first_fit option;
+      (** When present, [solve] computes exactly the set it describes,
+          and a caller may run the declaration instead of calling
+          [solve].  So a wrapper that changes what [solve] returns must
+          set it to [None]; one that only observes [solve] (a timer, a
+          probe) may keep it, knowing that such a caller skips its
+          wrapper.  {!caro_wei} and {!degrade} of a first-fit solver
+          carry one; every other solver here carries none. *)
 }
 
 val greedy_min_degree : solver
@@ -17,6 +42,9 @@ val greedy_adversarial : solver
 (** Max-degree anti-greedy — the weak baseline. *)
 
 val caro_wei : solver
+(** {!Caro_wei.run_maximal} on the natural layout: first fit along
+    [Rng.permutation rng n], declared as such. *)
+
 val caro_wei_boosted : int -> solver
 (** Best of [t] Caro–Wei runs. *)
 
@@ -32,7 +60,12 @@ val degrade : keep:float -> solver -> solver
     input set was non-empty).  The result is still independent — a
     subset of an independent set — just deliberately far from maximum:
     the knob experiments turn to sweep the reduction's λ and watch the
-    phase count track [ρ = λ·ln m + 1].  Requires [0 < keep <= 1]. *)
+    phase count track [ρ = λ·ln m + 1].  Requires [0 < keep <= 1].
+
+    The keep is one Bernoulli draw per member of [s]'s set, in
+    ascending member order, after [s]'s own draws.  When [s] is first
+    fit, so is the result: [s]'s order, with this keep as (or after)
+    its thinning. *)
 
 val solve_verified :
   solver -> Ps_util.Rng.t -> Ps_graph.Graph.t -> Independent_set.t

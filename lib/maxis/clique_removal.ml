@@ -66,4 +66,5 @@ let run ?(cancel = fun () -> false) ?budget _rng g =
   Independent_set.make_maximal g !best
 
 let solver =
-  { Approx.name = "clique-removal"; solve = (fun rng g -> run rng g) }
+  { Approx.name = "clique-removal"; solve = (fun rng g -> run rng g);
+    first_fit = None }

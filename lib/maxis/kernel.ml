@@ -512,8 +512,29 @@ let emit w r ~to_orig =
   done;
   G.of_csr n_k ~offsets ~adj
 
-let reduce ?(rule_cap = default_rule_cap) g =
-  Tm.with_span "kernel.reduce" @@ fun () ->
+(* Only rules retire vertices, so a pass where none fired leaves the
+   graph as its own kernel. *)
+let fired st =
+  st.isolated + st.pendants + st.folds + st.simplicial + st.dominated > 0
+
+(* The telemetry of every kernelization, whichever path runs after the
+   rule loop. *)
+let note_stats st =
+  if Tm.enabled () then begin
+    Tm.set_int "original_vertices" st.original_vertices;
+    Tm.set_int "kernel_vertices" st.kernel_vertices;
+    if fired st then begin
+      Tm.set_int "folds" st.folds;
+      Tm.count "kernel.vertices_removed"
+        (st.original_vertices - st.kernel_vertices)
+    end;
+    Tm.incr "kernel.reductions"
+  end
+
+(* The rule loop shared by [reduce] and the first-fit path of [solve]:
+   applies the rules to [g]'s working state and returns that state with
+   the rule counts, in stats whose kernel is still the input's size. *)
+let rules ~rule_cap g =
   let n = G.n_vertices g in
   let view = G.csr_view g in
   let offsets = view.G.v_offsets in
@@ -698,74 +719,54 @@ let reduce ?(rule_cap = default_rule_cap) g =
     Tm.count "kernel.quadratic_removed" !removed;
     Tm.count "kernel.quadratic_exhausted" (Bool.to_int (tier_spent ()))
   end;
-  if !isolated + !pendants + !folds + !simplicial + !dominated = 0 then begin
-    (* No rule fired, and only rules retire vertices: the graph is its
-       own kernel — skip the renumbering and the CSR rebuild, and reuse
-       [g]. *)
-    let stats =
-      { original_vertices = n;
-        original_edges = G.n_edges g;
-        kernel_vertices = n;
-        kernel_edges = G.n_edges g;
-        isolated = 0;
-        pendants = 0;
-        folds = 0;
-        simplicial = 0;
-        dominated = 0 }
-    in
-    if Tm.enabled () then begin
-      Tm.set_int "original_vertices" n;
-      Tm.set_int "kernel_vertices" n;
-      Tm.incr "kernel.reductions"
-    end;
-    { original = g; kernel = g; to_orig = Array.init n Fun.id;
-      journal = w.journal; journal_len = 0; stats }
-  end
-  else begin
-  let r, n_k = renumber w n in
-  let to_orig = Array.make n_k 0 in
-  for v = 0 to n - 1 do
-    let k = kernel_id r v in
-    if k >= 0 then Array.unsafe_set to_orig k v
-  done;
-  let kernel = emit w r ~to_orig in
-  let stats =
+  ( w,
     { original_vertices = n;
       original_edges = G.n_edges g;
-      kernel_vertices = n_k;
-      kernel_edges = G.n_edges kernel;
+      kernel_vertices = n;
+      kernel_edges = G.n_edges g;
       isolated = !isolated;
       pendants = !pendants;
       folds = !folds;
       simplicial = !simplicial;
-      dominated = !dominated }
-  in
-  if Tm.enabled () then begin
-    Tm.set_int "original_vertices" n;
-    Tm.set_int "kernel_vertices" n_k;
-    Tm.set_int "folds" !folds;
-    Tm.count "kernel.vertices_removed" (n - n_k);
-    Tm.incr "kernel.reductions"
-  end;
+      dominated = !dominated } )
+
+let reduce ?(rule_cap = default_rule_cap) g =
+  Tm.with_span "kernel.reduce" @@ fun () ->
+  let w, stats = rules ~rule_cap g in
+  let n = G.n_vertices g in
+  if not (fired stats) then begin
+    (* The graph is its own kernel: skip the renumbering and the CSR
+       rebuild, and reuse [g]. *)
+    note_stats stats;
+    { original = g; kernel = g; to_orig = Array.init n Fun.id;
+      journal = w.journal; journal_len = 0; stats }
+  end
+  else begin
+    let r, n_k = renumber w n in
+    let to_orig = Array.make n_k 0 in
+    for v = 0 to n - 1 do
+      let k = kernel_id r v in
+      if k >= 0 then Array.unsafe_set to_orig k v
+    done;
+    let kernel = emit w r ~to_orig in
+    let stats =
+      { stats with kernel_vertices = n_k; kernel_edges = G.n_edges kernel }
+    in
+    note_stats stats;
     { original = g; kernel; to_orig; journal = w.journal;
       journal_len = w.jlen; stats }
   end
 
 let vertex_addition = Independent_set.complete
 
-let lift t s =
-  if B.capacity s <> G.n_vertices t.kernel then
-    invalid_arg "Kernel.lift: set is not sized for the kernel graph";
-  (* One n-byte mask carries the set from the kernel ids through the
-     journal to the repair pass.  The journal's last entry is the last
-     rule application, so walking it backwards replays the undos
-     newest-first — each decision about a merged vertex is made before
-     the fold that created it is expanded. *)
-  let mask = Bytes.make (G.n_vertices t.original) '\000' in
-  let to_orig = t.to_orig in
-  B.iter (fun kv -> Bytes.unsafe_set mask (Array.unsafe_get to_orig kv) '\001') s;
-  let j = t.journal in
-  let i = ref (t.journal_len - 1) in
+(* Carry the kernel set that [mask] holds on the original ids through
+   the journal's first [len] entries, then repair on [g].  The
+   journal's last entry is the last rule application, so walking it
+   backwards replays the undos newest-first — each decision about a
+   merged vertex is made before the fold that created it is
+   expanded. *)
+let lift_mask g j len mask =
+  let i = ref (len - 1) in
   while !i >= 0 do
     let x = iget j !i in
     if x >= 0 then begin
@@ -783,7 +784,123 @@ let lift t s =
       i := !i - 3
     end
   done;
-  Independent_set.complete_mask t.original mask
+  Independent_set.complete_mask g mask
+
+let lift t s =
+  if B.capacity s <> G.n_vertices t.kernel then
+    invalid_arg "Kernel.lift: set is not sized for the kernel graph";
+  let mask = Bytes.make (G.n_vertices t.original) '\000' in
+  let to_orig = t.to_orig in
+  B.iter (fun kv -> Bytes.unsafe_set mask (Array.unsafe_get to_orig kv) '\001') s;
+  lift_mask t.original t.journal t.journal_len mask
+
+(* ------------------------------------------------------------------ *)
+(* First fit on the working state *)
+
+(* The survivors in increasing order — the kernel ids [renumber] would
+   give them, since that map is monotone — and the kernel's edge count,
+   half the live degree sum. *)
+let survivors w n =
+  let n_k = ref 0 and volume = ref 0 in
+  for v = 0 to n - 1 do
+    let d = iget w.deg v in
+    if d >= 0 then begin
+      incr n_k;
+      volume := !volume + d
+    end
+  done;
+  let to_orig = Array.make !n_k 0 and k = ref 0 in
+  for v = 0 to n - 1 do
+    if live w v then begin
+      Array.unsafe_set to_orig !k v;
+      incr k
+    end
+  done;
+  (to_orig, !volume / 2)
+
+(* Take [v] into the first fit's [mask] (0 free, 1 blocked, 2 chosen):
+   block every entry of its working row and mark it chosen.  Returns
+   whether an entry was already chosen, which a correct working state
+   never shows: a chosen vertex blocks its live neighbors, so none of
+   them is chosen after it, and a dead entry is never chosen.  Most
+   rows are untouched input rows, read straight from the input
+   store. *)
+let take_first_fit w mask v =
+  let clash = ref 0 in
+  let[@inline] block x =
+    clash := !clash lor (Char.code (Bytes.unsafe_get mask x) lsr 1);
+    Bytes.unsafe_set mask x '\001'
+  in
+  if iget w.ext v = 0 then
+    for i = Array.unsafe_get w.offsets v
+        to Array.unsafe_get w.offsets (v + 1) - 1 do
+      block (get w.store i)
+    done
+  else
+    for s = 0 to 1 do
+      let src = seg_src w v s and lo = seg_lo w v s in
+      for i = lo to lo + seg_len w v s - 1 do
+        block (get src i)
+      done
+    done;
+  Bytes.unsafe_set mask v '\002';
+  !clash <> 0
+
+(* [Greedy.in_order] on the kernel, then [ff]'s thinning, run on the
+   working state: kernel vertex [k] is survivor [to_orig.(k)], and its
+   kernel row is the live part of that survivor's working row.  A dead
+   entry names a retired vertex, which no kernel vertex is, so blocking
+   it changes nothing.  Returns the kept set as an n-byte mask over the
+   original ids.
+
+   The independence check rides on the walk: taking [v] finds any
+   chosen vertex in [v]'s row, so the chosen set is independent on the
+   working rows exactly when no take reports a clash — the check
+   [verify_exn] runs on an emitted kernel.  A thinning must keep a
+   subset of it, which is checked member by member. *)
+let first_fit (ff : Approx.first_fit) rng w n ~to_orig =
+  let n_k = Array.length to_orig in
+  let order = ff.order rng n_k in
+  if Array.length order <> n_k then
+    invalid_arg "Kernel.solve: first-fit order length mismatch";
+  (* Through [to_orig] in a pass of its own: its random reads do not
+     wait on the walk's, which measured faster than one fused loop. *)
+  for i = 0 to n_k - 1 do
+    order.(i) <- to_orig.(order.(i))
+  done;
+  let mask = Bytes.make n '\000' in
+  let chosen = ref 0 and clash = ref false in
+  for i = 0 to n_k - 1 do
+    let v = Array.unsafe_get order i in
+    if Bytes.unsafe_get mask v = '\000' then begin
+      if take_first_fit w mask v then clash := true;
+      incr chosen
+    end
+  done;
+  if !clash then invalid_arg "Kernel.solve: first-fit set is not independent";
+  (match ff.thin with
+   | None ->
+       for v = 0 to n - 1 do
+         Bytes.unsafe_set mask v
+           (if Bytes.unsafe_get mask v = '\002' then '\001' else '\000')
+       done
+   | Some thin ->
+       let members = Array.make !chosen 0 and j = ref 0 in
+       for k = 0 to n_k - 1 do
+         if Bytes.unsafe_get mask (Array.unsafe_get to_orig k) = '\002' then begin
+           Array.unsafe_set members !j k;
+           incr j
+         end
+       done;
+       let kept = thin rng members in
+       Array.iter
+         (fun k ->
+           if k < 0 || k >= n_k || Bytes.get mask to_orig.(k) <> '\002' then
+             invalid_arg "Kernel.solve: first-fit thinning kept a non-member")
+         kept;
+       Bytes.fill mask 0 n '\000';
+       Array.iter (fun k -> Bytes.unsafe_set mask to_orig.(k) '\001') kept);
+  mask
 
 (* ------------------------------------------------------------------ *)
 (* Presolve combinator *)
@@ -795,14 +912,32 @@ let is_presolved (s : Approx.solver) =
   || String.equal s.Approx.name "portfolio"
 
 let solve (base : Approx.solver) rng g =
-  let r = reduce g in
-  let ks = base.Approx.solve rng r.kernel in
-  Independent_set.verify_exn r.kernel ks;
-  (lift r ks, r.stats)
+  match base.Approx.first_fit with
+  | None ->
+      let r = reduce g in
+      let ks = base.Approx.solve rng r.kernel in
+      Independent_set.verify_exn r.kernel ks;
+      (lift r ks, r.stats)
+  | Some ff ->
+      let n = G.n_vertices g in
+      let w, to_orig, stats =
+        Tm.with_span "kernel.reduce" @@ fun () ->
+        let w, stats = rules ~rule_cap:default_rule_cap g in
+        let to_orig, kernel_edges = survivors w n in
+        let stats =
+          { stats with kernel_vertices = Array.length to_orig; kernel_edges }
+        in
+        note_stats stats;
+        (w, to_orig, stats)
+      in
+      let mask = first_fit ff rng w n ~to_orig in
+      if Tm.enabled () then Tm.count "kernel.first_fit" 1;
+      (lift_mask g w.journal w.jlen mask, stats)
 
 let presolve (base : Approx.solver) =
   { Approx.name = presolve_prefix ^ base.Approx.name;
-    solve = (fun rng g -> fst (solve base rng g)) }
+    solve = (fun rng g -> fst (solve base rng g));
+    first_fit = None }
 
 type choice = [ `None | `Kernel ]
 

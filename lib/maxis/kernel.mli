@@ -68,7 +68,23 @@
     renumbered through a 16-bit rank per 2{^15}-vertex block, and only
     rows a fold touched are checked for order and sorted.  {!lift}
     carries the set through the journal and the repair pass on one
-    n-byte mask. *)
+    n-byte mask.
+
+    {b First fit without the emit.}  A first-fit solver
+    ({!Approx.first_fit}) never reads the kernel graph: it asks only
+    "is [v] blocked?" and "take [v]", and the working state answers
+    both.  For such a solver {!solve} runs the same rule loop as
+    {!reduce}, then skips the renumbering and the emit, which are most
+    of a kernel that keeps most of its input.  The survivors in
+    increasing order are the kernel ids, since the renumbering is
+    monotone; the solver's order over them is mapped through that list,
+    and taking a vertex blocks both segments of its working row on one
+    n-byte mask (a dead entry names a retired vertex, so blocking it
+    changes nothing).  The live entries of a working row are the
+    kernel row, so the chosen set, every [Rng] draw, the stats and the
+    lift are bit-identical to [lift r (Greedy.in_order (graph r) order)]
+    and its thinning.  A traced run counts [kernel.first_fit] once per
+    call that takes this path. *)
 
 type stats = {
   original_vertices : int;
@@ -140,13 +156,25 @@ val solve :
 (** [solve s rng g] kernelizes [g], runs [s] on the kernel, verifies the
     kernel answer ([Invalid_argument] when it is not independent) and
     lifts it: the lifted set, independent and maximal on [g], with the
-    kernelization's stats. *)
+    kernelization's stats.
+
+    When [s] declares itself first fit, its [solve] is not called: the
+    declaration runs on the working state, with no kernel graph
+    emitted (see the module doc), and the answer is the one the
+    emitted kernel would give.  The check is kept: taking a vertex
+    whose working row holds a chosen vertex, or a thinning that keeps
+    a vertex the first fit did not choose, raises [Invalid_argument].
+    The stats come from the working state ([kernel_edges] is half the
+    live degree sum).  Every other solver runs on the emitted kernel,
+    [graph (reduce g)]. *)
 
 val presolve : Approx.solver -> Approx.solver
 (** [presolve s] is {!solve} packaged as a solver, without the stats.
     Its name is ["kernel+" ^ s.name] — the prefix is the marker
     {!is_presolved} keys on, and it flows into run records and cache
-    keys so kernel-on and kernel-off results never alias. *)
+    keys so kernel-on and kernel-off results never alias.  It declares
+    no first fit, even when [s] does: its answer is a lifted set, not
+    a first fit on its input. *)
 
 val is_presolved : Approx.solver -> bool
 (** Whether a solver already owns its kernelization: a ["kernel+"]

@@ -85,4 +85,5 @@ let race ?(domains = 0) ?(cancel = fun () -> false) rng g =
     kernel_stats = Kernel.stats r }
 
 let solver =
-  { Approx.name = "portfolio"; solve = (fun rng g -> (race rng g).set) }
+  { Approx.name = "portfolio"; solve = (fun rng g -> (race rng g).set);
+    first_fit = None }

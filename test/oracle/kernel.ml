@@ -578,7 +578,8 @@ let solve (base : Approx.solver) rng g =
 
 let presolve (base : Approx.solver) =
   { Approx.name = presolve_prefix ^ base.Approx.name;
-    solve = (fun rng g -> fst (solve base rng g)) }
+    solve = (fun rng g -> fst (solve base rng g));
+    first_fit = None }
 
 type choice = [ `None | `Kernel ]
 

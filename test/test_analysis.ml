@@ -189,8 +189,42 @@ let test_suppress_ignores_strings () =
     "marker inside a string literal" false
     (Sup.suppressed t ~rule:"race" ~line:1)
 
+(* [build] scans a build tree that a relink beside it may be changing:
+   an entry that dangles or vanishes between the directory listing and
+   the stat is skipped, and the .cmt files next to it are still read. *)
+let test_build_skips_dangling_entries () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ps_callgraph_test_%d" (Unix.getpid ()))
+  in
+  let clean () =
+    match Sys.readdir dir with
+    | entries ->
+        Array.iter (fun e -> Unix.unlink (Filename.concat dir e)) entries;
+        Unix.rmdir dir
+    | exception Sys_error _ -> ()
+  in
+  clean ();
+  Unix.mkdir dir 0o755;
+  Fun.protect ~finally:clean @@ fun () ->
+  let at name = Filename.concat dir name in
+  Unix.symlink (at "missing") (at "gone.cmt");
+  Unix.symlink (at "missing_dir") (at "gone_dir");
+  Unix.symlink
+    (Filename.concat (Sys.getcwd ())
+       (Filename.concat corpus_cmt_dir
+          ".ps_analysis_corpus.objs/byte/ps_analysis_corpus__Race_unguarded.cmt"))
+    (at "live.cmt");
+  let g = Cg.build ~cmt_dirs:[ dir ] in
+  Alcotest.(check bool)
+    "the live .cmt beside the dangling links is read" true
+    (Hashtbl.length g.Cg.nodes > 0)
+
 let suites =
-  [ ( "analysis.effects",
+  [ ( "analysis.callgraph",
+      [ Alcotest.test_case "build skips dangling entries" `Quick
+          test_build_skips_dangling_entries ] );
+    ( "analysis.effects",
       [ Alcotest.test_case "corpus compiled" `Quick test_corpus_compiled;
         Alcotest.test_case "race seeded" `Quick test_race_seeded;
         Alcotest.test_case "race repaired silent" `Quick

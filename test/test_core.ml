@@ -495,7 +495,8 @@ let test_reduction_stalls_on_broken_solver () =
      must be caught by the Stalled guard, not loop forever. *)
   let broken =
     { Ps_maxis.Approx.name = "broken-empty";
-      solve = (fun _ g -> Is.empty g) }
+      solve = (fun _ g -> Is.empty g);
+      first_fit = None }
   in
   let h = sample () in
   check_bool "stalls" true
