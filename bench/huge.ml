@@ -80,7 +80,7 @@ let run_instance rows inst =
   let t0 = now_ns () in
   let g = inst.build () in
   let t1 = now_ns () in
-  let set = Cw.run_maximal ~layout:`Degree_sorted (Rng.create 7) g in
+  let set = Cw.run_maximal (Rng.create 7) g in
   let t2 = now_ns () in
   let independent = Is.is_independent g set in
   let maximal = Is.is_maximal g set in
@@ -115,7 +115,7 @@ let run_instance rows inst =
   let k0 = now_ns () in
   let r = Kernel.reduce g in
   let k1 = now_ns () in
-  let ks = Cw.run_maximal ~layout:`Degree_sorted (Rng.create 7) (Kernel.graph r) in
+  let ks = Cw.run_maximal (Rng.create 7) (Kernel.graph r) in
   let lifted = Kernel.lift r ks in
   let k2 = now_ns () in
   if not (Is.is_independent g lifted && Is.is_maximal g lifted) then begin

@@ -369,7 +369,7 @@ let repeated_lane ~domains ~draws =
    `pslocal serve` the way production runs it and measures the whole
    tier over Unix sockets, on a protocol-dominated workload (ping
    through the engine) so the numbers isolate the serving stack itself:
-   codec, batching, reply coalescing, per-request engine overhead.
+   codec, admission, reply coalescing, per-request engine overhead.
 
    The matrix is shards × codec.  Shard-tier configs are driven at
    their per-shard sockets (one pipelined connection per shard; the
@@ -746,11 +746,13 @@ let run_tier_config ~rates ~duration_s cfg =
         tr_best_rps = best })
 
 let tier_sweep ~quick =
-  (* The gated ratio only means something at saturation, so even the
-     quick lane floods (the top rung is past every config's capacity);
-     quick just skips the ladder and the two middle configs. *)
+  (* The gated ratio only means something at saturation, so every
+     ladder must end past every config's capacity: a config that
+     completes its top rung is capped by the ladder, not measured.
+     Quick keeps the flooded rungs and skips the two middle configs. *)
   let rates =
-    if quick then [ 384000 ] else [ 24000; 96000; 192000; 384000 ]
+    if quick then [ 384000; 768000; 1536000 ]
+    else [ 24000; 96000; 192000; 384000; 768000; 1536000 ]
   in
   let duration_s = if quick then 1.0 else 2.0 in
   List.map (run_tier_config ~rates ~duration_s) (tier_configs ~quick)
@@ -994,7 +996,7 @@ let () =
   end;
   (* The shard tier's own SLO: four binary shards must serve at least
      1.2x the single-process JSON baseline.  That baseline is one
-     in-process shard (same batching and backpressure, JSON codec), so
+     in-process shard (same admission and backpressure, JSON codec), so
      the ratio measures codec plus process parallelism only; E19 has
      the measured 1.39x and why the floor sits below it.  Enforced on
      full runs only (quick points are too short to be a stable ratio;

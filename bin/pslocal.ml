@@ -1072,10 +1072,11 @@ let serve_cmd =
       & opt (some int) None
       & info [ "queue" ] ~docv:"N"
           ~doc:
-            "Bounded request-queue capacity (default 4096).  When it is \
-             full the server stops reading requests until workers free a \
-             slot, so overload shows up as latency and blocked client \
-             writes, not as rejected requests.")
+            "Bounded request-queue capacity (default 4096): the depth at \
+             which connection readers block.  When it is full a reader \
+             waits until a worker frees a slot and stops reading \
+             meanwhile, so overload shows up as latency and blocked \
+             client writes, not as rejected requests.")
   in
   let timeout_ms =
     Arg.(
@@ -1117,7 +1118,7 @@ let serve_cmd =
           ~doc:
             "Expose Prometheus text metrics over HTTP at $(docv) (scrape \
              with $(b,curl --unix-socket)): per-shard and aggregate \
-             engine counters, latency quantiles, batching/quota/router \
+             engine counters, latency quantiles, quota/router \
              counters, shard liveness and restarts.")
   in
   let quota_rps =

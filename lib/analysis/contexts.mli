@@ -83,7 +83,7 @@ val attr_shared_ok : string
 
 val attr_nonblocking : string
 (** Root: this function runs on a hot path that must never park
-    (dispatcher loops, coalescing writers). *)
+    (submit-path cache consults, coalescing writers). *)
 
 val attr_no_escape : string
 (** Root: no exception may escape this function (reply boundaries). *)

@@ -12,7 +12,7 @@
     and
 
     {[
-      (* Deliberate: the dispatcher parks here between batches.
+      (* Deliberate: an idle worker parks here between jobs.
          pslint: allow blocking *)
       Condition.wait t.nonempty t.mutex
     ]}

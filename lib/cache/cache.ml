@@ -264,10 +264,11 @@ let encode_entry (e : entry) = Marshal.to_string e []
 (* Both under [t.mu].  [find_entry_memory] never leaves the in-memory
    tier, so the [_mem] lookup flavours built on it are statically free
    of blocking calls — which is exactly what the effect analyzer checks
-   on the submit path.  [find_entry_locked] falls back to the
-   persistent tier; the disk stall it can take under the cache mutex is
-   why the engine's sole submitter (the shard's batch dispatcher) uses
-   the [_mem] flavours and re-consults disk-and-all from a worker. *)
+   from [Service.cached_lookup], the submit path's consult.
+   [find_entry_locked] falls back to the persistent tier; the disk
+   stall it can take under the cache mutex is why the engine's submit
+   path (a shard connection's reader) uses the [_mem] flavours and
+   re-consults disk-and-all from a worker. *)
 let find_entry_memory t key = Lru.find t.lru key
 
 let find_entry_locked t key =

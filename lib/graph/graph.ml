@@ -435,60 +435,6 @@ let edges g =
 
 let vertices g = List.init g.n (fun i -> i)
 
-(* Degree-sorted, cache-blocked re-layout: vertices renumbered by
-   decreasing degree (stable within equal degrees), rows rebuilt in the
-   new order.  The few high-degree rows that every solver sweep keeps
-   revisiting end up packed together at the front of the store — one
-   compact block of cache lines instead of being scattered across the
-   whole array — and row lengths decay monotonically, so a scan's
-   working set shrinks as it advances.  Returns the relabelled graph
-   and the permutation [perm], with [perm.(i)] the original id of new
-   vertex [i]. *)
-let degree_sorted g =
-  let n = g.n in
-  let maxdeg = max_degree g in
-  (* Stable counting sort on key maxdeg - degree (ascending buckets =
-     descending degree). *)
-  let count = Array.make (maxdeg + 2) 0 in
-  for v = 0 to n - 1 do
-    let key = maxdeg - (g.offsets.(v + 1) - g.offsets.(v)) in
-    count.(key + 1) <- count.(key + 1) + 1
-  done;
-  for k = 0 to maxdeg do
-    count.(k + 1) <- count.(k + 1) + count.(k)
-  done;
-  let perm = Array.make (max n 1) 0 in
-  for v = 0 to n - 1 do
-    let key = maxdeg - (g.offsets.(v + 1) - g.offsets.(v)) in
-    perm.(count.(key)) <- v;
-    count.(key) <- count.(key) + 1
-  done;
-  let inv = Array.make (max n 1) 0 in
-  for i = 0 to n - 1 do
-    inv.(perm.(i)) <- i
-  done;
-  let offsets = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    let v = perm.(i) in
-    offsets.(i + 1) <- offsets.(i) + (g.offsets.(v + 1) - g.offsets.(v))
-  done;
-  (* Relabelling scrambles row order: sort each row in an int scratch
-     buffer, then narrow it into place. *)
-  let adj = i32_create offsets.(n) in
-  let row = Array.make (max maxdeg 1) 0 in
-  for i = 0 to n - 1 do
-    let len = ref 0 in
-    iter_neighbors g perm.(i) (fun x ->
-        row.(!len) <- inv.(x);
-        incr len);
-    Ps_util.Intsort.sort_range row 0 !len;
-    let base = offsets.(i) in
-    for j = 0 to !len - 1 do
-      Bigarray.Array1.unsafe_set adj (base + j) (Int32.of_int row.(j))
-    done
-  done;
-  ({ n; offsets; adj; exact = true }, perm)
-
 let induced_subgraph g vs =
   let vs = List.sort_uniq Int.compare vs in
   List.iter (check_vertex g) vs;

@@ -182,14 +182,6 @@ val vertices : t -> int list
 
 (** {1 Derived graphs} *)
 
-val degree_sorted : t -> t * int array
-(** [degree_sorted g] relabels vertices by decreasing degree (stable
-    within ties) and rebuilds the CSR in that order.  The hot
-    high-degree rows land in one compact cache block at the front of
-    the store, and row lengths decay monotonically along any scan.
-    Returns [(g', perm)] where [perm.(i)] is the original id of new
-    vertex [i]; a result on [g'] maps back through [perm]. *)
-
 val induced_subgraph : t -> int list -> t * int array
 (** [induced_subgraph g vs] is the subgraph induced by the distinct
     vertices [vs], together with the map from new indices to original

@@ -42,7 +42,7 @@ let greedy_adversarial =
     solve = (fun _rng g -> Greedy.max_degree_adversary g);
     first_fit = None }
 
-(* [Caro_wei.run_maximal] on its natural layout, declared. *)
+(* [Caro_wei.run_maximal], declared. *)
 let caro_wei =
   of_first_fit "caro-wei" { order = Rng.permutation; thin = None }
 

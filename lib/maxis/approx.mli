@@ -42,8 +42,8 @@ val greedy_adversarial : solver
 (** Max-degree anti-greedy — the weak baseline. *)
 
 val caro_wei : solver
-(** {!Caro_wei.run_maximal} on the natural layout: first fit along
-    [Rng.permutation rng n], declared as such. *)
+(** {!Caro_wei.run_maximal}: first fit along [Rng.permutation rng n],
+    declared as such. *)
 
 val caro_wei_boosted : int -> solver
 (** Best of [t] Caro–Wei runs. *)

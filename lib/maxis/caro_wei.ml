@@ -2,41 +2,24 @@ module G = Ps_graph.Graph
 module B = Ps_util.Bitset
 module Rng = Ps_util.Rng
 
-(* As in [Greedy.with_layout]: solve on the degree-sorted relabeling,
-   map the set back.  The permutation is drawn over the relabeled ids,
-   so a fixed seed yields a different (equally distributed) sample per
-   layout. *)
-let with_layout layout g solve =
-  match layout with
-  | `Natural -> solve g
-  | `Degree_sorted ->
-      let g', perm = G.degree_sorted g in
-      let s = solve g' in
-      let out = B.create (G.n_vertices g) in
-      B.iter (fun i -> B.add out perm.(i)) s;
-      out
+let run rng g =
+  let n = G.n_vertices g in
+  let position = Array.make n 0 in
+  Array.iteri (fun pos v -> position.(v) <- pos) (Rng.permutation rng n);
+  let chosen = B.create n in
+  for v = 0 to n - 1 do
+    if not (G.exists_neighbor g v (fun u -> position.(u) < position.(v)))
+    then B.add chosen v
+  done;
+  chosen
 
-let run ?(layout = `Natural) rng g =
-  with_layout layout g (fun g ->
-      let n = G.n_vertices g in
-      let position = Array.make n 0 in
-      Array.iteri (fun pos v -> position.(v) <- pos) (Rng.permutation rng n);
-      let chosen = B.create n in
-      for v = 0 to n - 1 do
-        if not (G.exists_neighbor g v (fun u -> position.(u) < position.(v)))
-        then B.add chosen v
-      done;
-      chosen)
+let run_maximal rng g = Greedy.in_order g (Rng.permutation rng (G.n_vertices g))
 
-let run_maximal ?(layout = `Natural) rng g =
-  with_layout layout g (fun g ->
-      Greedy.in_order g (Rng.permutation rng (G.n_vertices g)))
-
-let best_of ?layout rng t g =
+let best_of rng t g =
   if t < 1 then invalid_arg "Caro_wei.best_of: need t >= 1";
-  let best = ref (run_maximal ?layout rng g) in
+  let best = ref (run_maximal rng g) in
   for _ = 2 to t do
-    let candidate = run_maximal ?layout rng g in
+    let candidate = run_maximal rng g in
     if B.cardinal candidate > B.cardinal !best then best := candidate
   done;
   !best

@@ -6,25 +6,14 @@
     probabilistic proof of Turán's bound, and the one-shot core of Luby's
     algorithm. *)
 
-val run :
-  ?layout:[ `Natural | `Degree_sorted ] -> Ps_util.Rng.t ->
-  Ps_graph.Graph.t -> Independent_set.t
-(** One permutation; the "kept" set (not extended to maximal).
-    [~layout:`Degree_sorted] samples over the degree-sorted relabeling
-    ({!Ps_graph.Graph.degree_sorted}) and maps the set back — same
-    distribution, better cache behavior on skewed-degree instances, but
-    a fixed seed yields a different sample than the natural layout. *)
+val run : Ps_util.Rng.t -> Ps_graph.Graph.t -> Independent_set.t
+(** One permutation; the "kept" set (not extended to maximal). *)
 
-val run_maximal :
-  ?layout:[ `Natural | `Degree_sorted ] -> Ps_util.Rng.t ->
-  Ps_graph.Graph.t -> Independent_set.t
+val run_maximal : Ps_util.Rng.t -> Ps_graph.Graph.t -> Independent_set.t
 (** First-fit greedy along the random permutation — pointwise a superset
-    of {!run}'s set for the same permutation, and always maximal.
-    [layout] as in {!run}. *)
+    of {!run}'s set for the same permutation, and always maximal. *)
 
-val best_of :
-  ?layout:[ `Natural | `Degree_sorted ] -> Ps_util.Rng.t -> int ->
-  Ps_graph.Graph.t -> Independent_set.t
+val best_of : Ps_util.Rng.t -> int -> Ps_graph.Graph.t -> Independent_set.t
 (** [best_of rng t g]: largest of [t] runs of {!run_maximal}. *)
 
 val expected_size_bound : Ps_graph.Graph.t -> float

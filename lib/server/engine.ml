@@ -66,7 +66,7 @@ type t = {
   window : latency_window;
 }
 
-type submit_outcome = Accepted | Rejected_overloaded | Rejected_shutting_down
+type submit_outcome = Accepted | Rejected_shutting_down
 
 (* [@pslint.blocking_ok]: every critical section under the engine mutex
    is bounded bookkeeping (queue push/pop, counters); nothing solves,
@@ -159,7 +159,7 @@ let stats_json t =
   in
   let extra_fields =
     (* Snapshot the hook under the lock, run it outside: extras come
-       from the transport layer (batching, quotas), which has locks of
+       from the transport layer (quotas), which has locks of
        its own. *)
     match locked t (fun () -> t.stats_extra) with
     | None -> []
@@ -330,146 +330,92 @@ let create ?handler ?(render = P.response_to_line) cfg =
   t.workers <- Array.init cfg.domains (fun _ -> Domain.spawn (worker_loop t));
   t
 
-(* Batched submission: per-item preparation (deadline arithmetic, the
-   cache consult) runs outside the lock, then one locked pass enqueues
-   the whole batch — one mutex acquisition and at most one
-   [Condition.broadcast] per wakeup, however many requests the reader
-   coalesced.  [submit] is the one-element special case, so there is a
-   single admission path to reason about.
-
-   Cache consult before enqueueing: a verified hit is answered
-   synchronously on the submitting thread and never consumes a queue
-   slot or a worker.  The sampled re-audit (when drawn) runs here — it
-   is bounded by the instance size, far below a solve, and shed
-   pressure on the queue is exactly what the cache exists to relieve. *)
-let submit_batch t items =
-  let enqueued_ns = Tm.now_ns () in
-  let prepped =
-    List.map
-      (fun ((req : P.request), reply) ->
-        let timeout_ms =
-          match req.P.timeout_ms with
-          | Some _ as s -> s
-          | None -> t.cfg.default_timeout_ms
-        in
-        let deadline_ns =
-          Option.map
-            (fun ms -> Int64.add enqueued_ns (Int64.of_int (ms * 1_000_000)))
-            timeout_ms
-        in
-        let cached =
-          match t.cfg.cache with
-          | None -> None
-          | Some c -> (
-              (* The consult re-renders results and re-audits
-                 certificates with real solver code; a bug there must
-                 degrade to a cache miss — the job takes the ordinary
-                 worker path — not unwind the submitting thread, which
-                 in the shard tier is the engine's sole submitter. *)
-              try Service.cached_lookup c req.P.call
-              with _ ->
-                Tm.incr "engine.cache_consult_error";
-                None)
-        in
-        (req, reply, deadline_ns, cached))
-      items
+(* The one admission path.  Deadline arithmetic and the cache consult
+   run outside the lock: a verified hit is answered synchronously on the
+   submitting thread and never consumes a queue slot or a worker.  The
+   sampled re-audit (when drawn) runs here — it is bounded by the
+   instance size, far below a solve, and queue pressure is exactly what
+   the cache exists to relieve.  A miss waits for a free slot, so a full
+   queue holds the submitter (in the shard tier, a connection's reader:
+   it stops reading and the kernel socket buffers push back on the
+   client) instead of shedding.  The deadline clock starts when the job
+   enters the queue, so time spent waiting for a slot is not charged. *)
+let[@pslint.blocking_ok] submit t (req : P.request) ~reply =
+  let start_ns = Tm.now_ns () in
+  let timeout_ns =
+    Option.map
+      (fun ms -> Int64.of_int (ms * 1_000_000))
+      (match req.P.timeout_ms with
+      | Some _ as s -> s
+      | None -> t.cfg.default_timeout_ms)
   in
-  let outcomes =
+  let cached =
+    match t.cfg.cache with
+    | None -> None
+    | Some c -> (
+        (* The consult re-renders results and re-audits certificates
+           with real solver code; a bug there must degrade to a cache
+           miss — the job takes the ordinary worker path — not unwind
+           the submitting thread. *)
+        try Service.cached_lookup c req.P.call
+        with _ ->
+          Tm.incr "engine.cache_consult_error";
+          None)
+  in
+  let outcome =
     locked t (fun () ->
-        let enqueued = ref false in
-        let out =
-          List.map
-            (fun ((req : P.request), reply, deadline_ns, cached) ->
-              if t.closed then Rejected_shutting_down
-              else
-                match cached with
-                | Some _ ->
-                    t.accepted <- t.accepted + 1;
-                    t.completed <- t.completed + 1;
-                    record_latency t
-                      (ms_of_ns (Int64.sub (Tm.now_ns ()) enqueued_ns));
-                    Accepted
-                | None ->
-                    if Queue.length t.queue >= t.cfg.queue_capacity then begin
-                      t.rejected <- t.rejected + 1;
-                      Rejected_overloaded
-                    end
-                    else begin
-                      t.accepted <- t.accepted + 1;
-                      Queue.push { req; reply; enqueued_ns; deadline_ns }
-                        t.queue;
-                      enqueued := true;
-                      Accepted
-                    end)
-            prepped
-        in
-        if !enqueued then Condition.broadcast t.nonempty;
-        out)
+        if Option.is_none cached then
+          (* [@pslint.blocking_ok]: parking here is the design — a full
+             queue turns into waiting (socket backpressure) instead of
+             shed; [shutdown] broadcasts [not_full], so no submitter
+             outlives the engine. *)
+          while (not t.closed) && Queue.length t.queue >= t.cfg.queue_capacity
+          do
+            Condition.wait t.not_full t.mutex
+          done;
+        if t.closed then begin
+          t.rejected <- t.rejected + 1;
+          Rejected_shutting_down
+        end
+        else begin
+          t.accepted <- t.accepted + 1;
+          (match cached with
+          | Some _ ->
+              t.completed <- t.completed + 1;
+              record_latency t (ms_of_ns (Int64.sub (Tm.now_ns ()) start_ns))
+          | None ->
+              let enqueued_ns = Tm.now_ns () in
+              let deadline_ns = Option.map (Int64.add enqueued_ns) timeout_ns in
+              Queue.push { req; reply; enqueued_ns; deadline_ns } t.queue;
+              Condition.signal t.nonempty);
+          Accepted
+        end)
   in
   (* Replies that happen on the submitting thread: cache hits and the
-     two shed responses.  Enqueued jobs answer from a worker. *)
-  let answer reply response =
+     shutdown rejection.  Enqueued jobs answer from a worker. *)
+  let answer response =
     try reply (t.render response)
     with _ -> locked t (fun () -> t.reply_failures <- t.reply_failures + 1)
   in
-  List.iter2
-    (fun ((req : P.request), reply, _deadline_ns, cached) outcome ->
-      match (outcome, cached) with
-      | Accepted, Some payload ->
-          Tm.incr "server.accepted";
-          Tm.incr "server.completed";
-          Tm.incr "server.cache_served";
-          answer reply (P.ok_response ~id:req.P.id payload)
-      | Accepted, None -> Tm.incr "server.accepted"
-      | Rejected_overloaded, _ ->
-          Tm.incr "server.rejected";
-          answer reply
-            (P.error_response ~id:req.P.id
-               P.
-                 { code = Overloaded;
-                   message =
-                     Printf.sprintf "queue full (%d pending)"
-                       t.cfg.queue_capacity })
-      | Rejected_shutting_down, _ ->
-          Tm.incr "server.rejected";
-          answer reply
-            (P.error_response ~id:req.P.id
-               P.{ code = Shutting_down; message = "server is shutting down" }))
-    prepped outcomes;
-  outcomes
-
-let submit t req ~reply =
-  match submit_batch t [ (req, reply) ] with
-  | [ outcome ] -> outcome
-  | _ -> assert false
+  (match (outcome, cached) with
+  | Accepted, Some payload ->
+      Tm.incr "server.accepted";
+      Tm.incr "server.completed";
+      Tm.incr "server.cache_served";
+      answer (P.ok_response ~id:req.P.id payload)
+  | Accepted, None -> Tm.incr "server.accepted"
+  | Rejected_shutting_down, _ ->
+      Tm.incr "server.rejected";
+      answer
+        (P.error_response ~id:req.P.id
+           P.{ code = Shutting_down; message = "server is shutting down" }));
+  outcome
 
 let set_stats_extra t f = locked t (fun () -> t.stats_extra <- Some f)
 
 let record_invalid t =
   locked t (fun () -> t.invalid <- t.invalid + 1);
   Tm.incr "server.invalid"
-
-(* Blocks until the queue has at least one free slot, so a single
-   submitter (the tier's batch dispatcher) can size its next
-   [submit_batch] to what the engine will actually admit and convert
-   overflow into waiting instead of shed.  The count is only a promise
-   to a *sole* submitter: with concurrent submitters the slots may be
-   gone by the time the batch lands (it then sheds as before).  Once
-   the engine is closed there is nothing to wait for — returns
-   [max_int] so the caller submits everything and the items are
-   answered [shutting_down] individually. *)
-let[@pslint.blocking_ok] wait_capacity t =
-  (* [@pslint.blocking_ok]: parking here is the design — the sole
-     submitter converts queue overflow into waiting (socket
-     backpressure) instead of shed; see the comment above. *)
-  locked t (fun () ->
-      while
-        (not t.closed) && Queue.length t.queue >= t.cfg.queue_capacity
-      do
-        Condition.wait t.not_full t.mutex
-      done;
-      if t.closed then max_int
-      else t.cfg.queue_capacity - Queue.length t.queue)
 
 let queue_depth t = locked t (fun () -> Queue.length t.queue)
 let inflight t = locked t (fun () -> t.inflight)

@@ -1,18 +1,20 @@
 (** The job engine: a bounded request queue in front of a pool of OCaml 5
-    worker domains, with explicit load shedding, per-job deadlines and a
+    worker domains, with blocking admission, per-job deadlines and a
     draining shutdown.
 
-    {b Shed policy.}  The queue is the only buffer in the system, and it
-    is bounded: a submission that finds it full is rejected {e now} with
-    an [overloaded] error response instead of queueing unboundedly —
-    callers get immediate backpressure and latency of accepted jobs stays
-    bounded by [capacity / throughput].  The serve path never meets this
-    edge: {!Ps_shard.Batch} waits for capacity ({!wait_capacity}) before
-    it submits.
+    {b Admission.}  The queue is the only buffer in the system, and it
+    is bounded: a submission that finds it full waits on the submitting
+    thread until a worker frees a slot (or the engine shuts down)
+    instead of queueing unboundedly or being dropped.  In the shard
+    tier the submitter is a connection's reader, so a flood becomes
+    socket backpressure: the reader stops reading and the kernel
+    buffers push back on the client.  Latency of accepted jobs stays
+    bounded by [capacity / throughput].
 
-    {b Deadlines.}  A job's deadline is measured from the moment it is
-    accepted (so time spent queued counts — a job that waited past its
-    deadline is answered [timeout] without running).  During a solve the
+    {b Deadlines.}  A job's deadline is measured from the moment it
+    enters the queue (so time spent queued counts — a job that waited
+    past its deadline is answered [timeout] without running — but time
+    its submitter spent waiting for a free slot does not).  During a solve the
     deadline is enforced cooperatively: the cancel hook is polled once
     per phase of the reduction loop ({!Ps_core.Reduction.run}), so
     cancellation latency is one phase, not one instruction.
@@ -45,9 +47,9 @@ type config = {
 
 val default_config : config
 (** 4 workers (clamped to the machine), capacity 4096, no default
-    deadline, no cache.  The capacity is deep because the serve path's
-    batched dispatch turns a full queue into waiting, not shedding: a
-    deep queue absorbs a burst as latency. *)
+    deadline, no cache.  The capacity is deep because a full queue
+    turns into waiting, not shedding: a deep queue absorbs a burst as
+    latency before the submitters block. *)
 
 type handler =
   stats:(unit -> Json.t) ->
@@ -68,27 +70,21 @@ val create : ?handler:handler -> ?render:(Json.t -> string) -> config -> t
     JSON line ({!Protocol.response_to_line}, the default) or a binary
     frame ({!Protocol.Binary.frame}) when the transport speaks frames. *)
 
-type submit_outcome = Accepted | Rejected_overloaded | Rejected_shutting_down
+type submit_outcome = Accepted | Rejected_shutting_down
 
 val submit : t -> Protocol.request -> reply:(string -> unit) -> submit_outcome
-(** Hand a validated request to the pool.  [reply] is invoked exactly
-    once per submission with the serialized response (rendered by the
-    engine's [render]; no newline appended): from a worker domain for
-    accepted jobs, or synchronously on the calling thread with the
-    [overloaded] / [shutting_down] error when the job is shed.  [reply]
-    must be thread-safe and must not block for long (it holds a worker);
-    exceptions it raises are swallowed and counted as
+(** Hand a validated request to the pool; the one admission function.
+    A cache hit is answered at once on the calling thread.  Otherwise
+    the call blocks while the queue is full, then enqueues the job
+    ([Accepted]) or, once the engine is shut down, rejects it
+    ([Rejected_shutting_down]) — {!shutdown} wakes every blocked
+    submitter.  [reply] is invoked exactly once per submission with the
+    serialized response (rendered by the engine's [render]; no newline
+    appended): from a worker domain for queued jobs, or synchronously on
+    the calling thread for a cache hit or the [shutting_down] error.
+    [reply] must be thread-safe and must not block for long (it holds a
+    worker); exceptions it raises are swallowed and counted as
     [server.reply_failures]. *)
-
-val submit_batch :
-  t -> (Protocol.request * (string -> unit)) list -> submit_outcome list
-(** [submit] for a whole coalesced batch under one mutex acquisition and
-    at most one worker wakeup (broadcast): the entry point for readers
-    that stage decoded requests and dispatch per wakeup
-    ({!Ps_shard.Batch}) instead of enqueueing one at a time.  Outcomes
-    are in input order, each with exactly [submit]'s per-request
-    semantics — admission is still per request, so one batch can mix
-    accepted, cache-served and shed members. *)
 
 val record_invalid : t -> unit
 (** Count a line the transport rejected before submission (parse or
@@ -101,24 +97,17 @@ val stats_json : t -> Json.t
     completion counters are disjoint: [completed] splits exactly into
     ok responses, [failed] (non-timeout errors) and [timeouts] — this
     is the wire contract of the protocol's [stats] method, pinned by
-    test.  With a cache configured, a ["cache"] object carries the
+    test.  [rejected] counts submissions answered [shutting_down], the
+    same events as the [server.rejected] telemetry counter.  With a
+    cache configured, a ["cache"] object carries the
     {!Ps_cache.Cache.stats} counters (hits/misses/stores/evictions/
     bytes/audits/poisoned/warm_hits/disk_hits…).  Also refreshes the
     [server.latency_p*_ms] telemetry gauges. *)
 
 val set_stats_extra : t -> (unit -> (string * Json.t) list) -> unit
 (** Register transport-level fields appended to every {!stats_json}
-    snapshot (e.g. a shard's batching and quota counters).  The hook
+    snapshot (e.g. a shard's framing and quota counters).  The hook
     runs outside the engine lock; last registration wins. *)
-
-val wait_capacity : t -> int
-(** Block until the request queue has at least one free slot (or the
-    engine is shut down) and return the free-slot count.  The count is
-    a promise only to a {e sole} submitter — the tier's batch
-    dispatcher uses it to size each {!submit_batch} to what the engine
-    will admit, turning queue overflow into backpressure instead of
-    shed.  Returns [max_int] once the engine is closed (submit anyway;
-    every item is answered [shutting_down]). *)
 
 val queue_depth : t -> int
 val inflight : t -> int
@@ -126,5 +115,5 @@ val completed : t -> int
 
 val shutdown : ?drain:bool -> t -> unit
 (** Stop accepting, dispose of every pending job as described above, join
-    the workers.  Idempotent; concurrent submissions during shutdown are
-    answered [shutting_down]. *)
+    the workers.  Idempotent; submissions blocked on a full queue wake
+    and, like every later submission, are answered [shutting_down]. *)

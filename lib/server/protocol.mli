@@ -25,7 +25,7 @@ type error_code =
   | Invalid_request    (** JSON fine; envelope, params or payload invalid *)
   | Unknown_method
   | Payload_too_large  (** request line exceeds the configured byte cap *)
-  | Overloaded         (** queue full — the shed response *)
+  | Overloaded         (** per-tenant quota exhausted *)
   | Timeout            (** per-job deadline expired *)
   | Shutting_down      (** submitted to, or aborted by, a closing server *)
   | Internal           (** handler raised: a bug, reported not crashed *)

@@ -1,7 +1,7 @@
 (** What every listener of the solve service shares: the termination
     latch, stale-socket handling, and the one accept loop.  The request
-    path itself — framed read, validation, staging, batched engine
-    submit, coalesced replies — is {!Ps_shard.Shard.serve}, which
+    path itself — framed read, validation, blocking engine submit,
+    coalesced replies — is {!Ps_shard.Shard.serve}, which
     [pslocal serve] runs in-process over a socket or stdin/stdout, and
     once per child under [--shards]. *)
 

@@ -89,12 +89,15 @@ let parsed payload =
   match Json.parse payload with Ok j -> Some j | Error _ -> None
 
 (* Memory-tier only (the [_mem] lookups): this consult runs on the
-   submitting thread — in the shard tier, the engine's sole submitter —
-   where a disk read under the cache mutex would wedge every request
-   behind one stall.  A memory miss falls through to a worker, whose
-   cache-aware handlers ({!solve}, {!graph_result_cached}) consult the
-   disk tier before solving. *)
-let cached_lookup cache (call : P.call) =
+   submitting thread — in the shard tier, a connection's reader — where
+   a disk read under the cache mutex would stall every reader and worker
+   that touches the cache behind one slow read.  A memory miss falls
+   through to a worker, whose cache-aware handlers ({!solve},
+   {!graph_result_cached}) consult the disk tier before solving.
+   [@pslint.nonblocking] makes the effect analyzer hold the consult to
+   that: no path from here may reach a disk read or any other parking
+   call outside the audited cache and telemetry locks. *)
+let[@pslint.nonblocking] cached_lookup cache (call : P.call) =
   match call with
   | P.Reduce p ->
       Option.map

@@ -174,9 +174,7 @@ let rec write_all fd bytes off len =
 (* The writer thread flushes whatever accumulated since its last wakeup
    in a single [write]: replies landing while a flush syscall is in
    flight coalesce into the next one, so a loaded connection costs one
-   syscall per wakeup, not one per response.  (The engine-side analogue
-   is {!Batch}; together they bound the syscall + lock traffic per
-   request from below as load grows.) *)
+   syscall per wakeup, not one per response. *)
 let writer_loop w () =
   let rec loop () =
     Mutex.lock w.mutex;

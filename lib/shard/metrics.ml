@@ -74,14 +74,12 @@ let gauge_fields = [ "queue_depth"; "inflight"; "throughput_rps"; "uptime_s" ]
 
 let shard_counter_fields =
   [
-    ("batches", "batch_dispatches_total");
-    ("batched_requests", "batch_requests_total");
     ("quota_admitted", "quota_admitted_total");
     ("quota_rejected", "quota_rejected_total");
   ]
 
 let shard_gauge_fields =
-  [ ("max_batch", "batch_max_size"); ("quota_tenants", "quota_tenants") ]
+  [ ("quota_tenants", "quota_tenants") ]
 
 let num = function
   | Json.Int n -> Some (float_of_int n)
@@ -209,7 +207,7 @@ let render ~children ~shard_stats ~router =
             [ "p50"; "p95"; "p99"; "max"; "mean" ]
       | None -> ())
     ok_stats;
-  (* Shard-tier counters (batching, quota) from the injected block. *)
+  (* Shard-tier quota counters from the injected block. *)
   let shard_block j = Json.member "shard" j in
   List.iter
     (fun (field, metric_suffix) ->

@@ -10,8 +10,8 @@
     - per-shard engine series ([pslocal_completed_total{shard="2"}],
       queue/inflight/throughput gauges, latency quantiles) plus
       [pslocal_cluster_*_total] sums,
-    - shard-tier series (batch dispatches and sizes, quota
-      admissions/rejections) from the [shard] stats block,
+    - shard-tier quota series (admissions, rejections, tenants) from
+      the [shard] stats block,
     - [pslocal_shard_up] / [pslocal_shard_restarts_total] /
       [pslocal_shard_pid] / [pslocal_shard_scrape_ok] health series,
     - cache and router counters when present.

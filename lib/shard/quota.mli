@@ -1,10 +1,11 @@
 (** Per-tenant token-bucket admission, layered {e in front of} the
-    engine's overload shed.
+    engine's bounded queue.
 
     The engine's bounded queue protects the process from aggregate
     overload but cannot stop one tenant from starving the rest: a single
     client pushing requests as fast as the socket carries them fills the
-    queue and every other tenant sees [overloaded].  This bucket is the
+    queue, and every other tenant's requests wait behind it.  This
+    bucket is the only [overloaded] answer in the tier, and the
     fairness layer: each tenant ([params.tenant]; absent means the
     shared anonymous bucket) accumulates [rate] tokens per second up to
     [burst], one request costs one token, and an empty bucket rejects

@@ -4,7 +4,7 @@
     The router is deliberately codec-blind — it parses nothing it
     relays, so JSON lines and binary frames (and a mixed population of
     clients) flow through the same two pump threads per connection.
-    All protocol work (framing, quotas, batching, solving) happens in
+    All protocol work (framing, quotas, admission, solving) happens in
     the shard a connection lands on; connection affinity means a
     client's pipelined requests keep their single-shard ordering
     semantics.

@@ -28,16 +28,12 @@ let quota_error =
     message = "per-tenant quota exhausted — retry after backoff";
   }
 
-let shard_stats_fields ~config ~batch ~quota () =
-  let bs = Batch.stats batch in
+let shard_stats_fields ~config ~quota () =
   let base =
     [
       ("index", Json.Int config.index);
       ("pid", Json.Int (Unix.getpid ()));
       ("framing", Json.Str (Frame.framing_name config.framing));
-      ("batches", Json.Int bs.Batch.batches);
-      ("batched_requests", Json.Int bs.Batch.requests);
-      ("max_batch", Json.Int bs.Batch.max_batch);
     ]
   in
   let quota_fields =
@@ -54,13 +50,15 @@ let shard_stats_fields ~config ~batch ~quota () =
   [ ("shard", Json.Obj (base @ quota_fields)) ]
 
 (* One connection's requests: framed read → typed-error reject or quota
-   check → staging, every reply through the connection's writer [w].
+   check → engine submit, every reply through the connection's writer
+   [w].  A full engine queue blocks the submit, so this reader stops
+   reading and the socket pushes back on the client.
    Returns once the stream has ended (EOF, a poisoned frame, a hang-up)
    {e and} every reply it is owed has been handed to [w]: [pending]
    counts requests from read to reply, so a client that half-closes
    and then waits still gets exactly one reply per request before the
    caller closes the writer. *)
-let read_requests ~config ~engine ~batch ~quota ~render ic w =
+let read_requests ~config ~engine ~quota ~render ic w =
   let pending = Atomic.make 0 in
   let reply line =
     Fun.protect
@@ -99,7 +97,7 @@ let read_requests ~config ~engine ~batch ~quota ~render ic w =
             answer (P.error_response ~id:req.P.id quota_error)
         | _ ->
             Atomic.incr pending;
-            Batch.push batch req ~reply);
+            ignore (Engine.submit engine req ~reply : Engine.submit_outcome));
         loop ()
   in
   (* [Failure] is in the catch set because [Frame.send] raises it once
@@ -117,18 +115,10 @@ let serve ?(config = default_config) ?path () =
     | Frame.Binary -> P.Binary.frame
   in
   let engine = Engine.create ~render config.engine in
-  (* Staging watermark tracks the queue: overflow beyond queue + 2x
-     queue of staged burst blocks the readers (socket backpressure)
-     rather than growing memory. *)
-  let batch =
-    Batch.create
-      ~max_staged:(max 64 (2 * config.engine.Engine.queue_capacity))
-      engine
-  in
   let quota =
     Option.map (fun q -> Quota.create ~rate:q.rate ~burst:q.burst) config.quota
   in
-  Engine.set_stats_extra engine (shard_stats_fields ~config ~batch ~quota);
+  Engine.set_stats_extra engine (shard_stats_fields ~config ~quota);
   let listen_fd = Option.map Server.bind_unix_socket path in
   let prev_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   (* The writers of connections still open at shutdown: the drain
@@ -141,7 +131,7 @@ let serve ?(config = default_config) ?path () =
     | exception Sys_error _ -> ()
     | w ->
         Mutex.protect writers_mutex (fun () -> writers := w :: !writers);
-        read_requests ~config ~engine ~batch ~quota ~render ic w;
+        read_requests ~config ~engine ~quota ~render ic w;
         Frame.close_writer w;
         Mutex.protect writers_mutex (fun () ->
             writers := List.filter (fun x -> x != w) !writers));
@@ -186,11 +176,10 @@ let serve ?(config = default_config) ?path () =
             Thread.create (connection ~ic:stdin ~out:Unix.stdout ~on_close) ()
           in
           Server.await latch);
-      (* Order matters: flush the staging queue into the engine, drain
-         the engine (every accepted request renders its reply into a
-         writer), then flush the writers still open — zero dropped
-         replies on SIGTERM. *)
-      Batch.stop batch;
+      (* Order matters: drain the engine (every accepted request renders
+         its reply into a writer; a reader blocked on a full queue wakes
+         and its request is answered [shutting_down]), then flush the
+         writers still open — zero dropped replies on SIGTERM. *)
       Engine.shutdown ~drain:true engine;
       List.iter Frame.close_writer
         (Mutex.protect writers_mutex (fun () -> !writers)))

@@ -5,11 +5,13 @@
    binary just has to drive the shared-state machinery hard and assert
    the coarse invariants that survive any interleaving.  Four storms:
 
-   1. Engine: many client threads submitting against a small bounded
-      queue (shed path), short deadlines served by a deliberately slow
-      cooperative handler (timeout path), a drain shutdown racing the
-      last submissions, and an abort (~drain:false) shutdown mid-flight.
-      Invariant: every submission gets exactly one reply.
+   1. Engine: more client threads than the bounded queue of 8 holds,
+      so submitters park on the full queue, short deadlines served by
+      a deliberately slow cooperative handler (timeout path), a drain
+      shutdown racing the last submissions, and an abort
+      (~drain:false) shutdown racing the parked submitters.
+      Invariants: every submission gets exactly one reply, and every
+      client thread returns and joins (no submitter stays parked).
 
    2. Parallel.fork_join: repeated disjoint-slice writes with varying
       domain counts, plus the failure path (one worker raises; all
@@ -69,6 +71,7 @@ let engine_storm ~clients ~per_client ~drain =
   in
   let replies = Atomic.make 0 in
   let submitted = Atomic.make 0 in
+  let finished = Atomic.make 0 in
   let client t =
     for i = 0 to per_client - 1 do
       let req =
@@ -83,15 +86,26 @@ let engine_storm ~clients ~per_client ~drain =
       in
       Atomic.incr submitted;
       if i mod 7 = 0 then Thread.yield ()
-    done
+    done;
+    Atomic.incr finished
   in
   let threads = List.init clients (fun t -> Thread.create client t) in
   if not drain then begin
-    (* Race the abort against in-flight work: give the clients a head
-       start, then pull the plug. *)
+    (* Race the abort against in-flight work and parked submitters:
+       give the clients a head start, then pull the plug. *)
     Thread.delay 0.05;
     Engine.shutdown ~drain:false engine
   end;
+  (* A submitter parked on the full queue after shutdown would hang
+     [Thread.join]; fail with a message instead. *)
+  let deadline = Unix.gettimeofday () +. 60.0 in
+  while Atomic.get finished < clients && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  if Atomic.get finished < clients then
+    failwith
+      (Printf.sprintf "engine storm: %d of %d client threads still parked"
+         (clients - Atomic.get finished) clients);
   List.iter Thread.join threads;
   Engine.shutdown engine;
   (* drain-mode shutdown above is idempotent; after it, every
@@ -232,10 +246,10 @@ let () =
     "race_stress [--domains N] [--iters N] [--quick]";
   if !quick then iters := min !iters 40;
   let per_client = max 1 (!iters / 4) in
-  let jobs_drained = engine_storm ~clients:8 ~per_client ~drain:true in
+  let jobs_drained = engine_storm ~clients:16 ~per_client ~drain:true in
   Printf.printf "engine drain storm: %d submissions, all replied\n%!"
     jobs_drained;
-  let jobs_aborted = engine_storm ~clients:8 ~per_client ~drain:false in
+  let jobs_aborted = engine_storm ~clients:16 ~per_client ~drain:false in
   Printf.printf "engine abort storm: %d submissions, all replied\n%!"
     jobs_aborted;
   let rounds = fork_join_storm ~rounds:(max 1 (!iters / 10)) in

@@ -138,8 +138,8 @@ let test_suppress_single_line () =
 
 let test_suppress_multi_line_comment () =
   (* The marker on the last line of a spanning comment must cover the
-     whole span plus the next line — the shape the in-tree dispatcher
-     annotations use. *)
+     whole span plus the next line — the shape in-tree annotations such
+     as telemetry.ml's first one use. *)
   let t =
     Sup.scan
       "let a = 1\n\

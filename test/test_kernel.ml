@@ -671,13 +671,18 @@ let prop_kernel_arena_layout_invariant =
       (* Same instance adopted as an arena with spare capacity:
          identical reduction, identical answer. *)
       let arena_ok = B.equal (lifted g) (lifted (fst (arena_of g))) in
-      (* Degree-sorted relabeling is a different instance (new ids) but
-         the lift contract must hold there too. *)
-      let gs, _perm = G.degree_sorted g in
-      let s_sorted = lifted gs in
+      (* A random relabeling is a different instance (new ids) but the
+         lift contract must hold there too. *)
+      let n = G.n_vertices g in
+      let perm = Rng.permutation (Rng.create (seed + 1)) n in
+      let gs =
+        G.of_edges n (List.map (fun (u, v) -> (perm.(u), perm.(v))) (G.edges g))
+      in
+      let s_relabeled = lifted gs in
       arena_ok
-      && Is.is_independent gs s_sorted
-      && Is.is_maximal gs s_sorted)
+      && G.n_edges gs = G.n_edges g
+      && Is.is_independent gs s_relabeled
+      && Is.is_maximal gs s_relabeled)
 
 let prop_path_cycle_roundtrip =
   QCheck.Test.make ~count:60 ~name:"folding solves paths and cycles exactly"

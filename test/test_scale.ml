@@ -1,5 +1,5 @@
 (* Tests for the at-scale machinery: the zero-copy view and the to_csr
-   copy contract, degree-sorted layout, sharded parallel cursors,
+   copy contract, sharded parallel cursors,
    streaming Gio/Hio, and the huge-instance generators.  The list
    constructors are the oracle throughout: every streaming path must
    produce a Graph.equal result. *)
@@ -69,39 +69,6 @@ let test_csr_view_prefix () =
 let test_check_accepts_i32 () =
   let g = Gen.gnp (Rng.create 6) 40 0.15 in
   check_bool "certifier audits i32 store" true (Ps_check.Check_graph.csr_ok g)
-
-(* ------------------------------------------------------------------ *)
-(* Degree-sorted layout *)
-
-let perm_valid n perm =
-  Array.length perm = n
-  &&
-  let seen = Array.make n false in
-  Array.for_all
-    (fun p ->
-      if p < 0 || p >= n || seen.(p) then false
-      else begin
-        seen.(p) <- true;
-        true
-      end)
-    perm
-
-let test_degree_sorted () =
-  let g = Gen.gnp (Rng.create 8) 60 0.1 in
-  let g', perm = G.degree_sorted g in
-  check_bool "perm is a permutation" true (perm_valid (G.n_vertices g) perm);
-  check "edges preserved" (G.n_edges g) (G.n_edges g');
-  let ok = ref true in
-  for i = 1 to G.n_vertices g' - 1 do
-    if G.degree g' i > G.degree g' (i - 1) then ok := false
-  done;
-  check_bool "degrees non-increasing" true !ok;
-  (* Every relabeled edge maps back to an original edge, so g' is exactly
-     g under perm. *)
-  G.iter_edges g' (fun u v ->
-      if not (G.has_edge g perm.(u) perm.(v)) then ok := false);
-  check_bool "edges map back through perm" true !ok;
-  check_bool "certified csr" true (Ps_check.Check_graph.csr_ok g')
 
 (* ------------------------------------------------------------------ *)
 (* Sharded cursor *)
@@ -361,15 +328,6 @@ let prop_pair_chunks_oracle =
         (G.of_csr ~validate:true n ~offsets:v.G.v_offsets ~adj:v.G.v_store);
       G.equal want h && Int64.equal (G.content_hash want) (G.content_hash h))
 
-let prop_degree_sorted_layout_solvers =
-  QCheck.Test.make ~count:100
-    ~name:"degree-sorted layout solvers stay valid and maximal"
-    arbitrary_gnp (fun ((seed, _, _) as params) ->
-      let g = graph_of params in
-      let valid s = Is.is_independent g s && Is.is_maximal g s in
-      valid (Cw.run_maximal ~layout:`Degree_sorted (Rng.create seed) g)
-      && Is.is_independent g (Cw.run ~layout:`Degree_sorted (Rng.create seed) g))
-
 let arbitrary_hypergraph =
   QCheck.make
     ~print:(fun (seed, n, m) -> Printf.sprintf "hg seed=%d n=%d m=%d" seed n m)
@@ -411,7 +369,6 @@ let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_unnormalized_pairs_oracle;
       prop_pair_chunks_oracle;
-      prop_degree_sorted_layout_solvers;
       prop_conflict_graph_domains;
       prop_incremental_domains ]
 
@@ -421,8 +378,7 @@ let suites =
         Alcotest.test_case "csr_view zero-copy" `Quick
           test_csr_view_zero_copy;
         Alcotest.test_case "csr_view prefix" `Quick test_csr_view_prefix;
-        Alcotest.test_case "check audits i32" `Quick test_check_accepts_i32;
-        Alcotest.test_case "degree sorted" `Quick test_degree_sorted ] );
+        Alcotest.test_case "check audits i32" `Quick test_check_accepts_i32 ] );
     ( "scale.cursor",
       [ Alcotest.test_case "coverage with stealing" `Quick
           test_sharded_cursor_coverage;

@@ -269,10 +269,35 @@ let await_gate g =
   done;
   Mutex.unlock g.gm
 
-let test_engine_overload_shed () =
-  let gate = new_gate () in
-  let handler ~stats:_ ~cancel:_ _req =
-    await_gate gate;
+(* Ids of the collected replies, in delivery order. *)
+let reply_ids r =
+  Mutex.lock r.m;
+  let lines = List.rev r.lines in
+  Mutex.unlock r.m;
+  List.map
+    (fun line ->
+      match Json.member "id" (parse_ok line) with
+      | Some (Json.Int i) -> i
+      | _ -> Alcotest.failf "reply without an int id: %s" line)
+    lines
+
+(* One worker wedged until [gate] opens (or the cancel hook fires), and
+   a queue of one: job 1 in flight, job 2 queued, so a third submit
+   finds the queue full. *)
+let wedged_engine gate =
+  let handler ~stats:_ ~cancel _req =
+    let rec wait () =
+      Mutex.lock gate.gm;
+      let open_ = gate.open_ in
+      Mutex.unlock gate.gm;
+      if open_ then ()
+      else if cancel () then raise Ps_core.Reduction.Canceled
+      else begin
+        Thread.delay 0.002;
+        wait ()
+      end
+    in
+    wait ();
     Ok (Json.Obj [ ("done", Json.Bool true) ])
   in
   let engine =
@@ -280,8 +305,6 @@ let test_engine_overload_shed () =
       { Engine.domains = 1; queue_capacity = 1; default_timeout_ms = None; cache = None }
   in
   let r = new_replies () in
-  (* First job occupies the single worker; wait until it is actually
-     in flight so the queue-capacity accounting below is deterministic. *)
   check_bool "first accepted" true
     (Engine.submit engine (ping_req 1) ~reply:(push r) = Engine.Accepted);
   let deadline = Unix.gettimeofday () +. 10.0 in
@@ -289,20 +312,88 @@ let test_engine_overload_shed () =
     Thread.delay 0.005
   done;
   check_int "in flight" 1 (Engine.inflight engine);
-  (* Second fills the queue; third is shed with an immediate reply. *)
   check_bool "second accepted" true
     (Engine.submit engine (ping_req 2) ~reply:(push r) = Engine.Accepted);
-  check_bool "third shed" true
-    (Engine.submit engine (ping_req 3) ~reply:(push r)
-    = Engine.Rejected_overloaded);
-  check_int "shed replied synchronously" 1 (count r);
-  check_string "shed code" "overloaded"
-    (error_code_of_line (List.hd r.lines));
+  check_int "queue full" 1 (Engine.queue_depth engine);
+  (engine, r)
+
+(* Submit request [id] from its own thread; [outcome] holds its result
+   once the call returns.  The thread is parked in [submit] after the
+   delay. *)
+let blocked_submit engine r id =
+  let outcome = Atomic.make None in
+  let th =
+    Thread.create
+      (fun () ->
+        Atomic.set outcome
+          (Some (Engine.submit engine (ping_req id) ~reply:(push r))))
+      ()
+  in
+  Thread.delay 0.1;
+  check_bool "submit blocks on the full queue" true
+    (Option.is_none (Atomic.get outcome));
+  check_int "nothing answered while wedged" 0 (count r);
+  (th, outcome)
+
+let test_engine_full_queue_blocks () =
+  let gate = new_gate () in
+  let engine, r = wedged_engine gate in
+  let th, outcome = blocked_submit engine r 3 in
   open_gate gate;
+  Thread.join th;
+  check_bool "blocked submit accepted" true
+    (Atomic.get outcome = Some Engine.Accepted);
   Engine.shutdown ~drain:true engine;
   wait_for_replies r 3;
-  check_bool "accepted jobs succeeded" true
-    (codes r = [ "ok"; "ok"; "overloaded" ])
+  check_bool "every reply ok, none overloaded" true
+    (codes r = [ "ok"; "ok"; "ok" ]);
+  check_bool "replies in submission order" true (reply_ids r = [ 1; 2; 3 ])
+
+(* [shutdown] started while two submitters are parked on the full
+   queue (one pop would wake only one of them): each parked call
+   returns [Rejected_shutting_down] with exactly one [shutting_down]
+   reply, and both accepted jobs still answer — [ok] on a drain,
+   [shutting_down] on an abort. *)
+let shutdown_wakes_blocked_submitters ~drain =
+  let gate = new_gate () in
+  let engine, r = wedged_engine gate in
+  let blocked = [ blocked_submit engine r 3; blocked_submit engine r 4 ] in
+  let stopper = Thread.create (fun () -> Engine.shutdown ~drain engine) () in
+  (* Poll rather than join, so a submitter that stays parked fails the
+     test instead of hanging it. *)
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  List.iter
+    (fun (th, outcome) ->
+      while Option.is_none (Atomic.get outcome)
+            && Unix.gettimeofday () < deadline do
+        Thread.delay 0.005
+      done;
+      check_bool "blocked submit rejected" true
+        (Atomic.get outcome = Some Engine.Rejected_shutting_down);
+      Thread.join th)
+    blocked;
+  (* A drain waits for the wedged job; an abort cancels it. *)
+  if drain then open_gate gate;
+  Thread.join stopper;
+  wait_for_replies r 4;
+  Thread.delay 0.02;
+  check_int "exactly one reply per request" 4 (count r);
+  check_bool "one reply per id" true
+    (List.sort compare (reply_ids r) = [ 1; 2; 3; 4 ]);
+  let accepted = if drain then "ok" else "shutting_down" in
+  check_bool "codes" true
+    (codes r
+    = List.sort compare
+        [ accepted; accepted; "shutting_down"; "shutting_down" ]);
+  let stats = Engine.stats_json engine in
+  check_bool "rejected counts the shutdown rejections" true
+    (Json.member "rejected" stats = Some (Json.Int 2))
+
+let test_engine_drain_wakes_blocked () =
+  shutdown_wakes_blocked_submitters ~drain:true
+
+let test_engine_abort_wakes_blocked () =
+  shutdown_wakes_blocked_submitters ~drain:false
 
 let test_engine_timeout_cancels () =
   (* The handler cooperates with [cancel] exactly like the phase loop
@@ -526,7 +617,19 @@ let test_server_stats_roundtrip () =
   check_bool "completed >= 1" true (get "completed" >= 1);
   check_bool "latency window present" true
     (Json.member "latency_ms" result <> None);
-  check_bool "shard block present" true (Json.member "shard" result <> None)
+  check_bool "shard block present" true (Json.member "shard" result <> None);
+  let shard = Option.get (Json.member "shard" result) in
+  List.iter
+    (fun name ->
+      check_bool ("shard block has " ^ name) true
+        (Json.member name shard <> None))
+    [ "index"; "pid"; "framing" ];
+  (* No staging layer, so no staging counters. *)
+  List.iter
+    (fun name ->
+      check_bool ("shard block lacks " ^ name) true
+        (Json.member name shard = None))
+    [ "batches"; "batched_requests"; "max_batch" ]
 
 let test_server_reduce_roundtrip_certified () =
   with_shard_server @@ fun path ->
@@ -1144,7 +1247,12 @@ let suites =
         Alcotest.test_case "k past the triple limit" `Quick
           test_protocol_k_past_triple_limit ] );
     ( "server.engine",
-      [ Alcotest.test_case "overload shed" `Quick test_engine_overload_shed;
+      [ Alcotest.test_case "full queue blocks" `Quick
+          test_engine_full_queue_blocks;
+        Alcotest.test_case "drain wakes blocked" `Quick
+          test_engine_drain_wakes_blocked;
+        Alcotest.test_case "abort wakes blocked" `Quick
+          test_engine_abort_wakes_blocked;
         Alcotest.test_case "timeout cancels" `Quick
           test_engine_timeout_cancels;
         Alcotest.test_case "queue-expired skips handler" `Quick

@@ -1,5 +1,5 @@
 (* The shard tier: binary codec (qcheck round-trip + error paths),
-   quota buckets, request batching, the metrics exporter, stale-socket
+   quota buckets, blocking admission, the metrics exporter, stale-socket
    recovery, CLI contract, and live multi-process integration. *)
 
 module Json = Ps_server.Json
@@ -9,7 +9,6 @@ module Engine = Ps_server.Engine
 module Server = Ps_server.Server
 module Frame = Ps_shard.Frame
 module Quota = Ps_shard.Quota
-module Batch = Ps_shard.Batch
 module Metrics = Ps_shard.Metrics
 module Router = Ps_shard.Router
 module Supervisor = Ps_shard.Supervisor
@@ -401,7 +400,7 @@ let test_quota_invalid_args () =
   | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Batching: staging queue → submit_batch *)
+(* Admission: readers submit straight to the engine *)
 
 let ping_req i =
   { P.id = Json.Int i; timeout_ms = None; tenant = None; call = P.Ping }
@@ -432,15 +431,18 @@ let wait_for ?(timeout_s = 10.0) f =
   let rec go n = if f () then true else if n = 0 then false else begin Thread.delay 0.01; go (n - 1) end in
   go (int_of_float (timeout_s /. 0.01))
 
-let test_batch_dispatch () =
+let pslocal_exe () =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/pslocal.exe"
+
+let test_direct_submits_answered () =
   let engine =
     Engine.create
       { Engine.default_config with domains = 1; queue_capacity = 64 }
   in
-  let batch = Batch.create engine in
   let reply, count, all = collect_replies () in
   for i = 1 to 50 do
-    Batch.push batch (ping_req i) ~reply
+    check_bool "accepted" true
+      (Engine.submit engine (ping_req i) ~reply = Engine.Accepted)
   done;
   check_bool "all 50 answered" true (wait_for (fun () -> count () = 50));
   List.iter
@@ -453,101 +455,84 @@ let test_batch_dispatch () =
             | _ -> false)
       | Error _ -> Alcotest.fail "unparseable reply")
     (all ());
-  let s = Batch.stats batch in
-  check_int "requests through batches" 50 s.Batch.requests;
-  check_bool "at least one batch" true (s.Batch.batches >= 1);
-  check_bool "batches <= requests" true (s.Batch.batches <= 50);
-  Batch.stop batch;
   Engine.shutdown engine
 
-let test_submit_batch_mixed_outcomes () =
-  (* One worker wedged on a gate, queue of one: a 2-request batch must
-     come back [Accepted; Rejected_overloaded] from one call. *)
-  let gate = Atomic.make false in
-  let handler ~stats:_ ~cancel:_ (req : P.request) =
-    match req.P.call with
-    | P.Ping ->
-        while not (Atomic.get gate) do
-          Thread.delay 0.002
-        done;
-        Ok (Json.Obj [ ("pong", Json.Bool true) ])
-    | _ -> Ok Json.Null
+(* The engine's full-queue case through a real [pslocal serve] over
+   pipes: one worker, [--queue 1], and a slow reduce first, so the pings
+   behind it fill the queue and park the reader in [Engine.submit].
+   Every request gets one reply, in request order, and none is
+   [overloaded]. *)
+let test_serve_queue_one_blocks () =
+  let h =
+    Ps_hypergraph.Hgen.uniform_random (Ps_util.Rng.create 5) ~n:120 ~m:160
+      ~k:4
   in
-  let engine =
-    Engine.create ~handler
-      { Engine.default_config with domains = 1; queue_capacity = 1 }
+  let reduce =
+    Json.to_string
+      (Json.Obj
+         [ ("id", Json.Int 1);
+           ("method", Json.Str "reduce");
+           ( "params",
+             Json.Obj
+               [ ("hypergraph", Json.Str (Ps_hypergraph.Hio.to_text h));
+                 ("solver", Json.Str "clique-removal");
+                 ("k", Json.Int 3) ] ) ])
   in
-  let reply, count, all = collect_replies () in
-  (match Engine.submit engine (ping_req 1) ~reply with
-  | Engine.Accepted -> ()
-  | _ -> Alcotest.fail "first submit should be accepted");
-  check_bool "worker picked up" true
-    (wait_for (fun () -> Engine.inflight engine = 1));
-  (match Engine.submit_batch engine [ (ping_req 2, reply); (ping_req 3, reply) ] with
-  | [ Engine.Accepted; Engine.Rejected_overloaded ] -> ()
-  | outcomes ->
-      Alcotest.failf "unexpected outcomes (%d entries)" (List.length outcomes));
-  (* The shed reply is synchronous: already delivered. *)
-  check_bool "overloaded reply delivered" true (count () >= 1);
-  Atomic.set gate true;
-  check_bool "all three answered" true (wait_for (fun () -> count () = 3));
-  let overloaded =
-    List.filter (fun l -> contains l "overloaded") (all ())
+  let n = 41 in
+  let lines =
+    reduce
+    :: List.init (n - 1) (fun i ->
+           Printf.sprintf "{\"id\":%d,\"method\":\"ping\"}" (i + 2))
   in
-  check_int "exactly one shed" 1 (List.length overloaded);
-  Engine.shutdown engine
-
-let test_batch_backpressure () =
-  (* Same wedged worker and queue of one, but through [Batch]: the
-     dispatcher sizes its submits to [Engine.wait_capacity] and [push]
-     blocks at the staging watermark, so a flood that overflows the
-     direct-submit path ([Rejected_overloaded] above) must instead
-     block the pusher and answer every request once the worker moves. *)
-  let gate = Atomic.make false in
-  let handler ~stats:_ ~cancel:_ (req : P.request) =
-    match req.P.call with
-    | P.Ping ->
-        while not (Atomic.get gate) do
-          Thread.delay 0.002
-        done;
-        Ok (Json.Obj [ ("pong", Json.Bool true) ])
-    | _ -> Ok Json.Null
+  let input = String.concat "\n" lines ^ "\n" in
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process (pslocal_exe ())
+      [| pslocal_exe (); "serve"; "--queue"; "1"; "--domains"; "1" |]
+      in_r out_w Unix.stderr
   in
-  let engine =
-    Engine.create ~handler
-      { Engine.default_config with domains = 1; queue_capacity = 1 }
-  in
-  let batch = Batch.create ~max_staged:2 engine in
-  let reply, count, all = collect_replies () in
-  let pushed = Atomic.make 0 in
-  let pusher =
+  Unix.close in_r;
+  Unix.close out_w;
+  (* The server stops reading while its reader is parked, so the input
+     goes in from its own thread. *)
+  let feeder =
     Thread.create
       (fun () ->
-        for i = 1 to 10 do
-          Batch.push batch (ping_req i) ~reply;
-          Atomic.incr pushed
-        done)
+        let b = Bytes.of_string input in
+        let rec go off =
+          if off < Bytes.length b then
+            go (off + Unix.write in_w b off (Bytes.length b - off))
+        in
+        go 0;
+        Unix.close in_w)
       ()
   in
-  (* Worker wedged + queue 1 + watermark 2: absorption tops out at one
-     inflight, one queued, one swept batch (<= 2) held by the waiting
-     dispatcher, and two staged — the pusher must stall short of 10;
-     the flood is absorbed as blocking, not shed. *)
-  check_bool "pusher starts" true (wait_for (fun () -> Atomic.get pushed >= 2));
-  Thread.delay 0.15;
-  check_bool "pusher blocked at watermark" true (Atomic.get pushed < 10);
-  check_int "nothing answered while wedged" 0 (count ());
-  Atomic.set gate true;
-  Thread.join pusher;
-  check_bool "all ten answered" true (wait_for (fun () -> count () = 10));
+  let out = read_all out_r in
+  Unix.close out_r;
+  Thread.join feeder;
+  (match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _, _ -> Alcotest.fail "serve did not exit cleanly");
+  let replies =
+    List.filter_map
+      (fun l ->
+        if String.equal l "" then None
+        else
+          match Json.parse l with
+          | Ok j -> Some j
+          | Error _ -> Alcotest.failf "unparseable reply %s" l)
+      (String.split_on_char '\n' out)
+  in
+  check_int "one reply per request" n (List.length replies);
   List.iter
-    (fun l -> check_bool "no overloaded replies" false (contains l "overloaded"))
-    (all ());
-  Batch.stop batch;
-  Engine.shutdown engine;
-  (* Closed engine: capacity waits must not block shutdown paths. *)
-  check_bool "wait_capacity after shutdown" true
-    (Engine.wait_capacity engine = max_int)
+    (fun j ->
+      check_bool "ok (no overloaded)" true
+        (Json.member "ok" j = Some (Json.Bool true)))
+    replies;
+  check_bool "replies in request order" true
+    (List.map (fun j -> Json.member "id" j) replies
+    = List.init n (fun i -> Some (Json.Int (i + 1))))
 
 (* ------------------------------------------------------------------ *)
 (* Metrics rendering (pure) *)
@@ -579,7 +564,12 @@ let test_metrics_render () =
   check_contains "router accepted" text "pslocal_router_connections_total 9";
   check_contains "router failovers" text "pslocal_router_failovers_total 1";
   check_contains "help lines" text "# HELP pslocal_shard_up";
-  check_contains "type lines" text "# TYPE pslocal_shard_restarts_total counter"
+  check_contains "type lines" text "# TYPE pslocal_shard_restarts_total counter";
+  List.iter
+    (fun name ->
+      check_bool ("no " ^ name ^ " series") false (contains text name))
+    [ "pslocal_batch_dispatches_total"; "pslocal_batch_requests_total";
+      "pslocal_batch_max_size" ]
 
 let test_http_response_shape () =
   let r = Metrics.http_response ~status:"200 OK" ~body:"hello\n" in
@@ -639,9 +629,6 @@ let test_non_socket_refused () =
 
 (* ------------------------------------------------------------------ *)
 (* CLI contract: misconfiguration is a clean error, not an exception *)
-
-let pslocal_exe () =
-  Filename.concat (Filename.dirname Sys.executable_name) "../bin/pslocal.exe"
 
 let run_cli args =
   let cmd = Filename.quote_command (pslocal_exe ()) args ^ " 2>&1" in
@@ -1093,12 +1080,11 @@ let suites =
           test_quota_burst_cap;
         Alcotest.test_case "invalid arguments rejected" `Quick
           test_quota_invalid_args ] );
-    ( "shard.batch",
-      [ Alcotest.test_case "50 pushes all answered" `Quick test_batch_dispatch;
-        Alcotest.test_case "submit_batch mixed outcomes" `Quick
-          test_submit_batch_mixed_outcomes;
-        Alcotest.test_case "overflow backpressures, never sheds" `Quick
-          test_batch_backpressure ] );
+    ( "shard.admission",
+      [ Alcotest.test_case "direct submits answered" `Quick
+          test_direct_submits_answered;
+        Alcotest.test_case "one-slot queue blocks" `Quick
+          test_serve_queue_one_blocks ] );
     ( "shard.metrics",
       [ Alcotest.test_case "prometheus rendering" `Quick test_metrics_render;
         Alcotest.test_case "http response shape" `Quick
